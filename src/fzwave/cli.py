@@ -32,6 +32,7 @@ from .errors import NumericsError, ValidationError
 from .kernel import (
     Field,
     QuadratureConfig,
+    _check_grids,
     delta_eps,
     kernel_classical,
     kernel_eps,
@@ -46,8 +47,10 @@ from .solver import InitialData, solve_field
 
 __all__ = ["RunConfig", "run_command", "main"]
 
-# near-limit probe orders used by `limits` when not overridden
+# near-limit probe orders used by `limits` when neither a flag nor the
+# config file sets the order
 _BETA_PROBE = 0.99
+_BETA0_PROBE = 1e-3
 _ALPHA_PROBE = 1e-3
 
 _MODEL_KEYS = ("alpha", "beta", "tau", "epsilon")
@@ -74,11 +77,7 @@ class GridSpec:
             raise ValidationError(
                 "x_min/x_max", (self.x_min, self.x_max), "finite with x_min < x_max"
             )
-        ts = tuple(float(t) for t in self.t_list)
-        if len(ts) == 0 or any(not math.isfinite(t) or t <= 0.0 for t in ts):
-            raise ValidationError("t_list", self.t_list, "positive finite times")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValidationError("t_list", self.t_list, "strictly increasing")
+        _, ts = _check_grids(self.x_grid(), self.t_list)
         object.__setattr__(self, "t_list", ts)
 
     def x_grid(self) -> np.ndarray:
@@ -312,28 +311,30 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_limits(args: argparse.Namespace) -> int:
-    cfg = _config_from_sources(_load_config_file(args.config), args)
+    file_cfg = _load_config_file(args.config)
+    cfg = _config_from_sources(file_cfg, args)
     m, grid = cfg.model, cfg.grid
     x = grid.x_grid()
     ts = grid.t_list
+    # an order set by flag or config file is honoured; otherwise the probe
+    given = set(file_cfg.get("model", {})) | {k for k in ("alpha", "beta")
+                                              if getattr(args, k) is not None}
+    alpha = m.alpha if "alpha" in given else _ALPHA_PROBE
+    beta_probe = _BETA0_PROBE if args.case == "beta0" else _BETA_PROBE
+    beta = m.beta if "beta" in given else beta_probe
     # each case runs the general assembly at a near-limit order next to the
     # dedicated closed form / limit route
     if args.case == "beta0":
-        beta = m.beta if args.beta is not None else 1e-3
         gen = kernel_eps(x, ts, ModelParams(m.alpha, beta, m.tau, m.epsilon), None)
         row = np.asarray(delta_eps(x, m.epsilon))
         limit = np.vstack([row for _ in ts])
     elif args.case == "beta1":
-        beta = m.beta if args.beta is not None else _BETA_PROBE
         gen = kernel_eps(x, ts, ModelParams(m.alpha, beta, m.tau, m.epsilon), None)
         limit = kernel_time_fractional(x, ts, m.alpha, m.tau, m.epsilon).values
     elif args.case == "alpha0":
-        alpha = m.alpha if args.alpha is not None else _ALPHA_PROBE
         gen = kernel_eps(x, ts, ModelParams(alpha, m.beta, m.tau, m.epsilon), None)
         limit = kernel_eps(x, ts, ModelParams(0.0, m.beta, m.tau, m.epsilon), None).values
     elif args.case == "classical":
-        alpha = m.alpha if args.alpha is not None else _ALPHA_PROBE
-        beta = m.beta if args.beta is not None else _BETA_PROBE
         gen = kernel_eps(x, ts, ModelParams(alpha, beta, m.tau, m.epsilon), None)
         limit = kernel_classical(x, ts, m.tau, m.epsilon).values
     else:  # pragma: no cover - argparse restricts choices
@@ -360,9 +361,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         spectral = float(spectral_kernel_alpha0(rho, t, m.beta, m.tau))
     else:
         spectral = spectral_kernel(rho, t, m, q).total
-    oracle = bromwich_invert(
-        rho, t, m, BromwichConfig(s0=q.bromwich_s0, p_max=q.bromwich_p_max)
-    )
+    oracle = bromwich_invert(rho, t, m, BromwichConfig())
     text = _table_csv(
         "rho,t,s_spectral,s_oracle,abs_diff",
         [[rho], [t], [spectral], [oracle], [abs(spectral - oracle)]],

@@ -1,11 +1,14 @@
-"""Solution kernels: spectral building block, Fourier assembly, limiting forms.
+"""Solution kernels: spectral signal, Fourier transform, limiting forms.
 
-The displacement field for a point source is assembled in two stages. The
-spectral stage evaluates, for one Fourier mode rho, the inverse Laplace
-transform of s / (s^2 + theta(rho) * zener_ratio(s)) as an explicit sum of a
-conjugate-pole residue pair and a branch-cut integral over the negative real
-axis. The Fourier stage then sums the modes against cos(rho*x) with the
-Gaussian mollifier damp e^{-(eps*rho)^2/4}.
+Fields with 0 < beta < 1 are built in two stages. Stage 1,
+:func:`_spectral_signal`, maps the Gauss nodes rho_j to t -> S(theta(rho_j), t),
+the inverse Laplace transform of s / (s^2 + theta * zener_ratio(s)), or its
+integral over [0, t]: a closed form at alpha = 0, otherwise a conjugate-pole
+residue pair (zeros found once per field) plus a branch-cut integral. Stage 2,
+:func:`_fourier_field`, sums each row, damped by the Gaussian mollifier
+e^{-(eps*rho)^2/4}, against cos(rho*x). The edges beta = 0, beta = 1 and the
+classical pair bypass the transform; :func:`_kernel_eps_impl` wraps the
+values of every route in a :class:`Field`.
 
 Everything here is deterministic by construction: panel subdivision depends
 only on inputs, and the cosine sweep reduces in a fixed chunked order, so a
@@ -18,14 +21,15 @@ from __future__ import annotations
 import cmath
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.special import erf
 
 from ._quad import adaptive_gk, geometric_edges
-from .charfun import CharParams, _psi_prime, theta_of_rho, zener_ratio
+from .charfun import CharParams, _psi_prime, branch_values, theta_of_rho, zener_ratio
 from .errors import NumericsError, ValidationError
 from .params import ModelParams, validate_model
 from .rootfinder import _zero_pair_batch, find_zero_pair
@@ -87,11 +91,9 @@ class QuadratureConfig:
     rel_tol: float = 1e-6
     abs_tol: float = 1e-8
     panels_per_period: int = 8
-    bromwich_s0: float = 1.0
-    bromwich_p_max: float = 1e4
 
     def __post_init__(self) -> None:
-        for name in ("q_max", "rho_max", "rel_tol", "abs_tol", "bromwich_s0", "bromwich_p_max"):
+        for name in ("q_max", "rho_max", "rel_tol", "abs_tol"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ValidationError(name, v, "positive real")
@@ -106,9 +108,10 @@ class QuadratureConfig:
     @classmethod
     def for_model(cls, p: ModelParams, **overrides) -> "QuadratureConfig":
         """Config whose rho_max saturates the mollifier tail bound for p.epsilon."""
-        abs_tol = overrides.get("abs_tol", 1e-8)
-        rho_max = (2.0 / p.epsilon) * math.sqrt(math.log(1.0 / abs_tol)) * 1.002
-        return cls(rho_max=overrides.pop("rho_max", rho_max), **overrides)
+        q = cls(**overrides)
+        if "rho_max" in overrides:
+            return q
+        return replace(q, rho_max=q.required_rho_max(p.epsilon) * 1.002)
 
     def required_rho_max(self, epsilon: float) -> float:
         return (2.0 / epsilon) * math.sqrt(math.log(1.0 / self.abs_tol))
@@ -152,21 +155,14 @@ class Field:
     meta: dict = field(compare=False)
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x_grid, dtype=float)
+        x, ts = _check_grids(self.x_grid, self.t_list)
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "x_grid", x)
-        object.__setattr__(self, "t_list", tuple(float(t) for t in self.t_list))
+        object.__setattr__(self, "t_list", ts)
         object.__setattr__(self, "values", v)
-        if x.ndim != 1 or x.size < 1 or not np.all(np.isfinite(x)):
-            raise ValidationError("x_grid", "<array>", "finite 1-d array")
-        if np.any(np.diff(x) <= 0):
-            raise ValidationError("x_grid", "<array>", "strictly increasing")
-        ts = np.asarray(self.t_list, dtype=float)
-        if ts.size < 1 or np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
-            raise ValidationError("t_list", self.t_list, "strictly increasing positives")
-        if v.shape != (ts.size, x.size):
+        if v.shape != (len(ts), x.size):
             raise ValidationError(
-                "values", v.shape, f"shape (len(t_list), len(x_grid)) = {(ts.size, x.size)}"
+                "values", v.shape, f"shape (len(t_list), len(x_grid)) = {(len(ts), x.size)}"
             )
         if not np.all(np.isfinite(v)):
             raise ValidationError("values", "<array>", "finite entries")
@@ -230,50 +226,21 @@ def spectral_kernel_alpha0(rho, t, beta: float, tau: float):
     return float(out) if np.isscalar(rho) and np.isscalar(t) else out
 
 
-def _integrated_alpha0(rho_a: np.ndarray, t: float, beta: float, tau: float) -> np.ndarray:
-    """Time integral of the order-zero kernel: sin(omega t)/omega (-> t as omega -> 0)."""
-    omega = np.sqrt(2.0 * theta_of_rho(rho_a, beta) / (1.0 + tau))
-    return t * np.sinc(omega * t / math.pi)
-
-
-def _branch_factor(q: np.ndarray, alpha: float, tau: float) -> np.ndarray:
-    """F_plus(q) = (1 + q^a e^{i a pi}) / (1 + tau q^a e^{i a pi}) on the upper cut."""
-    w = np.power(q, alpha) * cmath.exp(1j * alpha * math.pi)
-    return (1.0 + w) / (1.0 + tau * w)
-
-
-def _spectral_batch(
+def _branch_part(
     theta: np.ndarray,
     t: float,
     alpha: float,
     tau: float,
     q: QuadratureConfig,
     integrated: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Branch and residue parts of S(., t) for a vector of theta values.
+) -> np.ndarray:
+    """Branch-cut part of S(., t) for a vector of theta > 0 values.
 
-    With integrated=True, returns the exact time integral of each part over
-    [0, t]: the branch integrand gains (1 - e^{-qt})/q and each residue pair
-    gains (e^{st} - 1)/s, both exact antiderivatives of the originals.
+    With integrated=True, returns its exact time integral over [0, t]: the
+    branch integrand gains (1 - e^{-qt})/q, an exact antiderivative of e^{-qt}.
     """
-    theta = np.asarray(theta, dtype=float)
-    branch = np.zeros_like(theta)
-    residue = np.zeros_like(theta)
-    pos = theta > 0.0
-    if not np.any(pos):
-        # theta = 0 modes carry the unit step: S = 1, integral = t
-        residue[:] = t if integrated else 1.0
-        return branch, residue
-    th = theta[pos]
-
-    s_z, psi_p = _zero_pair_batch(alpha, tau, th)
-    if integrated:
-        res = 2.0 * np.real((np.exp(s_z * t) - 1.0) / psi_p)
-    else:
-        res = 2.0 * np.real(s_z * np.exp(s_z * t) / psi_p)
-
-    theta_top = float(np.max(th))
-    u_lo_scale = min(1.0, t * math.sqrt(float(np.min(th))))
+    theta_top = float(np.max(theta))
+    u_lo_scale = min(1.0, t * math.sqrt(float(np.min(theta))))
     if integrated:
         # power-law tail ~ C*theta*q^(-4-a); push q out until it clears abs_tol
         c_tail = (1.0 - tau) * math.sin(alpha * math.pi) / (math.pi * tau * tau)
@@ -287,13 +254,13 @@ def _spectral_batch(
     first = max(min(0.05, u_lo_scale / 8.0, u_max / 64.0), 1e-12)
     edges = geometric_edges(0.0, u_max, first, ratio=1.7)
 
-    out_b = np.empty_like(th)
-    for start in range(0, th.size, _CHUNK):
-        th_c = th[start : start + _CHUNK]
+    out = np.empty_like(theta)
+    for start in range(0, theta.size, _CHUNK):
+        th_c = theta[start : start + _CHUNK]
 
         def f(u: np.ndarray) -> np.ndarray:
             qq = u / t
-            fp = _branch_factor(qq, alpha, tau)
+            fp = branch_values(qq, alpha, tau)[0]
             a = np.square(qq)[:, None] + np.outer(fp.real, th_c)
             b = np.outer(fp.imag, th_c)
             core = -b / (a * a + b * b) / math.pi
@@ -305,13 +272,37 @@ def _spectral_batch(
         val, _err = adaptive_gk(
             f, edges, rel_tol=q.rel_tol, abs_tol=q.abs_tol, what="branch integral"
         )
-        out_b[start : start + _CHUNK] = np.atleast_1d(val)
+        out[start : start + _CHUNK] = np.atleast_1d(val)
+    return out
 
-    branch[pos] = out_b
-    residue[pos] = res
-    if not pos.all():
-        residue[~pos] = t if integrated else 1.0
-    return branch, residue
+
+def _spectral_signal(
+    theta: np.ndarray, alpha: float, tau: float, q: QuadratureConfig, integrated: bool
+) -> Callable[[float], np.ndarray]:
+    """Stage 1: the map t -> S(theta, t), or its integral over [0, t], for theta > 0.
+
+    At alpha = 0 every mode is cos(omega t) with omega = sqrt(2 theta/(1+tau)),
+    integral sin(omega t)/omega (-> t as omega -> 0). Otherwise S is the
+    residue pair of the zeros s_z, located here once for every t, plus the
+    branch part; integrated, each residue term s e^{st}/psi'(s) becomes its
+    exact antiderivative (e^{st} - 1)/psi'(s).
+    """
+    if alpha == 0.0:
+        omega = np.sqrt(2.0 * theta / (1.0 + tau))
+        if integrated:
+            return lambda t: t * np.sinc(omega * t / math.pi)
+        return lambda t: np.cos(t * omega)
+
+    s_z, psi_p = _zero_pair_batch(alpha, tau, theta)
+
+    def signal(t: float) -> np.ndarray:
+        if integrated:
+            residue = 2.0 * np.real((np.exp(s_z * t) - 1.0) / psi_p)
+        else:
+            residue = 2.0 * np.real(s_z * np.exp(s_z * t) / psi_p)
+        return _branch_part(theta, t, alpha, tau, q, integrated) + residue
+
+    return signal
 
 
 def spectral_kernel(
@@ -348,8 +339,7 @@ def spectral_kernel(
     residue = pole_sum.real
     im_resid = abs(pole_sum.imag)
 
-    br, _res = _spectral_batch(np.array([theta]), float(t), p.alpha, p.tau, q)
-    branch = float(br[0])
+    branch = float(_branch_part(np.array([theta]), float(t), p.alpha, p.tau, q)[0])
     total = branch + residue
     if im_resid > 1e-10 * max(1.0, abs(total)):
         raise NumericsError(
@@ -367,6 +357,7 @@ def spectral_kernel(
 
 
 def _check_grids(x_grid, t_list) -> tuple[np.ndarray, tuple]:
+    """The one validator of a space grid and its output times."""
     x = np.asarray(x_grid, dtype=float)
     if x.ndim != 1 or x.size < 1 or not np.all(np.isfinite(x)):
         raise ValidationError("x_grid", "<array>", "finite 1-d array")
@@ -388,7 +379,11 @@ def _rho_panels(freq_scale: float, q: QuadratureConfig) -> tuple[np.ndarray, np.
     """
     width = min(2.0 * math.pi / (q.panels_per_period * max(freq_scale, 1e-9)), 0.5)
     n_panels = max(int(math.ceil(q.rho_max / width)), 1)
-    edges = np.linspace(0.0, q.rho_max, n_panels + 1)
+    return _gauss_panels(np.linspace(0.0, q.rho_max, n_panels + 1))
+
+
+def _gauss_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """8-point Gauss-Legendre nodes (ascending) and weights on every panel."""
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
@@ -400,7 +395,8 @@ def _cosine_sweep(coeff: np.ndarray, rho: np.ndarray, x: np.ndarray) -> np.ndarr
     """sum_j coeff_j cos(rho_j x) in fixed chunked order (thread-independent)."""
     out = np.zeros(x.size)
     for start in range(0, rho.size, _CHUNK):
-        block = np.cos(np.outer(rho[start : start + _CHUNK], x))
+        block = np.outer(rho[start : start + _CHUNK], x)
+        np.cos(block, out=block)
         block *= coeff[start : start + _CHUNK, None]
         out += block.sum(axis=0)
     return out
@@ -444,34 +440,15 @@ def _fourier_field(
     q: QuadratureConfig,
     integrated: bool,
 ) -> np.ndarray:
-    """General-parameter assembly on the open square alpha, beta in (0,1)."""
+    """Stage 2: sum each row of the spectral signal against cos(rho x)."""
     rho, wts = _rho_panels(_freq_scale(x, ts, p.beta, p.tau), q)
     damp = np.exp(-np.square(p.epsilon * rho) / 4.0)
-    theta = theta_of_rho(rho, p.beta)
+    # Gauss nodes are interior and beta > 0 here, so every theta is positive
+    signal = _spectral_signal(theta_of_rho(rho, p.beta), p.alpha, p.tau, q, integrated)
     values = np.empty((len(ts), x.size))
 
     def row(i: int) -> None:
-        branch, residue = _spectral_batch(theta, ts[i], p.alpha, p.tau, q, integrated)
-        coeff = wts * damp * (branch + residue) / math.pi
-        values[i] = _cosine_sweep(coeff, rho, x)
-
-    _map_rows(row, len(ts))
-    return values
-
-
-def _alpha0_field(
-    x: np.ndarray, ts: tuple, p: ModelParams, q: QuadratureConfig, integrated: bool
-) -> np.ndarray:
-    rho, wts = _rho_panels(_freq_scale(x, ts, p.beta, p.tau), q)
-    damp = np.exp(-np.square(p.epsilon * rho) / 4.0)
-    values = np.empty((len(ts), x.size))
-
-    def row(i: int) -> None:
-        if integrated:
-            s_vals = _integrated_alpha0(rho, ts[i], p.beta, p.tau)
-        else:
-            s_vals = spectral_kernel_alpha0(rho, ts[i], p.beta, p.tau)
-        values[i] = _cosine_sweep(wts * damp * s_vals / math.pi, rho, x)
+        values[i] = _cosine_sweep(wts * damp * signal(ts[i]) / math.pi, rho, x)
 
     _map_rows(row, len(ts))
     return values
@@ -484,9 +461,10 @@ def kernel_eps(
 
     Dispatches the limiting parameter edges to their dedicated forms instead
     of extrapolating the general assembly into corners its hypotheses exclude:
-    beta = 0 (non-propagating), alpha = 0 (order-zero memory), beta = 1
-    (time-fractional wave, via the cut representation in x-space), and
-    alpha = 0 & beta = 1 (classical D'Alembert pair).
+    beta = 0 (non-propagating), beta = 1 (time-fractional wave, via the cut
+    representation in x-space), and alpha = 0 & beta = 1 (classical
+    D'Alembert pair). alpha = 0 with 0 < beta < 1 keeps the two Fourier
+    stages, with the closed-form order-zero signal.
     """
     return _kernel_eps_impl(x_grid, t_list, p, q, integrated=False)
 
@@ -513,20 +491,13 @@ def _kernel_eps_impl(
 
     if p.beta == 0.0:
         base = np.asarray(delta_eps(x, p.epsilon), dtype=float)
-        stack = [base * (t if integrated else 1.0) for t in ts]
-        values = np.vstack([np.atleast_1d(v) for v in stack])
-        _check_even(x, values)
-        return Field(x, ts, values, _meta(asdict(p), q))
-
-    if p.beta == 1.0:
-        if p.alpha == 0.0:
-            return _classical_field(x, ts, p.tau, p.epsilon, q, integrated)
-        return _time_fractional_field(x, ts, p.alpha, p.tau, p.epsilon, q, integrated)
-
-    _require_rho_max(q, p.epsilon)
-    if p.alpha == 0.0:
-        values = _alpha0_field(x, ts, p, q, integrated)
+        values = np.vstack([np.atleast_1d(base * (t if integrated else 1.0)) for t in ts])
+    elif p.beta == 1.0 and p.alpha == 0.0:
+        values = _classical_field(x, ts, p.tau, p.epsilon, integrated)
+    elif p.beta == 1.0:
+        values = _tf_field(x, ts, p.alpha, p.tau, p.epsilon, q, integrated)
     else:
+        _require_rho_max(q, p.epsilon)
         values = _fourier_field(x, ts, p, q, integrated)
     _check_even(x, values)
     return Field(x, ts, values, _meta(asdict(p), q))
@@ -538,13 +509,8 @@ def _kernel_eps_impl(
 
 
 def _classical_field(
-    x: np.ndarray,
-    ts: tuple,
-    tau: float,
-    epsilon: float,
-    q: QuadratureConfig | None,
-    integrated: bool,
-) -> Field:
+    x: np.ndarray, ts: tuple, tau: float, epsilon: float, integrated: bool
+) -> np.ndarray:
     c = math.sqrt(2.0 / (1.0 + tau))
     values = np.empty((len(ts), x.size))
     for i, t in enumerate(ts):
@@ -558,11 +524,7 @@ def _classical_field(
                 np.asarray(delta_eps(x - c * t, epsilon))
                 + np.asarray(delta_eps(x + c * t, epsilon))
             )
-    meta = _meta(
-        {"alpha": 0.0, "beta": 1.0, "tau": tau, "epsilon": epsilon}, q
-    )
-    _check_even(x, values)
-    return Field(x, ts, values, meta)
+    return values
 
 
 def kernel_classical(x_grid, t_list, tau: float, epsilon: float) -> Field:
@@ -576,7 +538,12 @@ def kernel_classical(x_grid, t_list, tau: float, epsilon: float) -> Field:
     if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon <= 1.0):
         raise ValidationError("epsilon", epsilon, "(0, 1]")
     x, ts = _check_grids(x_grid, t_list)
-    return _classical_field(x, ts, float(tau), float(epsilon), None, integrated=False)
+    values = _classical_field(x, ts, float(tau), float(epsilon), integrated=False)
+    _check_even(x, values)
+    meta = _meta(
+        {"alpha": 0.0, "beta": 1.0, "tau": float(tau), "epsilon": float(epsilon)}, None
+    )
+    return Field(x, ts, values, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -600,16 +567,6 @@ def _tf_ray_angle(alpha: float) -> float:
     return -min(max(base, 0.0) + 0.30, 1.50)
 
 
-def _tf_sqrt_branch(w: np.ndarray, tau: float, sign: int) -> np.ndarray:
-    """Square root of (1+tau*w)/(1+w); sign=+1 takes the principal root
-    (positive real part), sign=-1 its negation."""
-    root = np.sqrt((1.0 + tau * w) / (1.0 + w))
-    return root if sign > 0 else -root
-
-
-_TF_BRANCH_SIGN = 1  # principal root; resolved against the beta->1 limit
-
-
 _TF_COND_BUDGET = 16.0  # e^16 * eps ~ 2e-9: rounding stays under abs_tol
 
 
@@ -621,7 +578,7 @@ def _tf_exponent_peak(
     r = np.geomspace(max(r_max * 1e-12, 1e-10), r_max, 1024)
     qq = r * phase
     w = np.power(qq, alpha) * cmath.exp(1j * alpha * math.pi)
-    froot = _tf_sqrt_branch(w, tau, _TF_BRANCH_SIGN)
+    froot = np.sqrt((1.0 + tau * w) / (1.0 + w))  # principal root
     g = (qq * froot).real
     h = qq.real
     peaks = np.max(np.outer(y, g) - t * h[None, :], axis=1)
@@ -664,7 +621,8 @@ def _tf_kernel_rows(
     """Raw (unmollified) beta = 1 kernel K(y, t) on y >= 0 via the rotated ray.
 
     K(y,t) = -(1/2pi) * Im Int_0^inf f(q) e^{y q f(q)} e^{-qt} dq with
-    f = _tf_sqrt_branch on the upper side of the cut; the contour is rotated
+    f = sqrt((1 + tau w)/(1 + w)), w = q^alpha e^{i alpha pi}, the principal
+    root on the upper side of the cut; the contour is rotated
     to arg q = psi(alpha), which is valid because f is analytic and bounded
     (|f| <= 1) in the intervening sector. Support: |y| < t/sqrt(tau).
 
@@ -717,7 +675,7 @@ def _tf_kernel_rows(
         def f(r: np.ndarray) -> np.ndarray:
             qq = r * phase
             w = np.power(qq, alpha) * cmath.exp(1j * alpha * math.pi)
-            froot = _tf_sqrt_branch(w, tau, _TF_BRANCH_SIGN)
+            froot = np.sqrt((1.0 + tau * w) / (1.0 + w))
             expo = np.outer(qq * froot, y_c) - (qq * t)[:, None]
             if np.any(expo.real > _TF_COND_BUDGET + 2.0):
                 raise NumericsError(
@@ -777,6 +735,28 @@ def _tf_field_rows(
     return values
 
 
+def _tf_field(
+    x: np.ndarray,
+    ts: tuple,
+    alpha: float,
+    tau: float,
+    epsilon: float,
+    q: QuadratureConfig,
+    integrated: bool,
+) -> np.ndarray:
+    if not integrated:
+        return _tf_field_rows(x, ts, alpha, tau, epsilon, q)
+    # No absolutely convergent cut form exists for the time integral (the
+    # deformation of the 1/s term diverges on the left arc), so integrate
+    # the kernel rows in t' by Gauss panels over the support [y*sqrt(tau), t].
+    values = np.empty((len(ts), x.size))
+    for i, t in enumerate(ts):
+        tp, tw = _gauss_panels(np.linspace(0.0, t, max(8, int(math.ceil(t / 0.1))) + 1))
+        sub = _tf_field_rows(x, tuple(tp), alpha, tau, epsilon, q)
+        values[i] = np.einsum("p,px->x", tw, sub)
+    return values
+
+
 def kernel_time_fractional(
     x_grid,
     t_list,
@@ -794,46 +774,4 @@ def kernel_time_fractional(
     """
     if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
         raise ValidationError("alpha", alpha, "(0, 1) (alpha = 0 is the classical pair)")
-    if not (isinstance(tau, (int, float)) and 0.0 < tau < 1.0):
-        raise ValidationError("tau", tau, "(0, 1)")
-    if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon <= 1.0):
-        raise ValidationError("epsilon", epsilon, "(0, 1]")
-    x, ts = _check_grids(x_grid, t_list)
-    if q is None:
-        q = QuadratureConfig.for_model(ModelParams(alpha, 1.0, tau, epsilon))
-    values = _tf_field_rows(x, ts, float(alpha), float(tau), float(epsilon), q)
-    meta = _meta({"alpha": float(alpha), "beta": 1.0, "tau": float(tau),
-                  "epsilon": float(epsilon)}, q)
-    _check_even(x, values)
-    return Field(x, ts, values, meta)
-
-
-def _time_fractional_field(
-    x: np.ndarray,
-    ts: tuple,
-    alpha: float,
-    tau: float,
-    epsilon: float,
-    q: QuadratureConfig,
-    integrated: bool,
-) -> Field:
-    if not integrated:
-        values = _tf_field_rows(x, ts, alpha, tau, epsilon, q)
-    else:
-        # No absolutely convergent cut form exists for the time integral (the
-        # deformation of the 1/s term diverges on the left arc), so integrate
-        # the kernel rows in t' by Gauss panels over the support [y*sqrt(tau), t].
-        values = np.empty((len(ts), x.size))
-        for i, t in enumerate(ts):
-            edges = np.linspace(0.0, t, max(8, int(math.ceil(t / 0.1))) + 1)
-            half = 0.5 * (edges[1:] - edges[:-1])
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            tp = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-            tw = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-            order = np.argsort(tp)
-            tp, tw = tp[order], tw[order]
-            sub = _tf_field_rows(x, tuple(tp), alpha, tau, epsilon, q)
-            values[i] = np.einsum("p,px->x", tw, sub)
-    meta = _meta({"alpha": alpha, "beta": 1.0, "tau": tau, "epsilon": epsilon}, q)
-    _check_even(x, values)
-    return Field(x, ts, values, meta)
+    return kernel_eps(x_grid, t_list, ModelParams(alpha, 1.0, tau, epsilon), q)

@@ -31,13 +31,11 @@ class ZeroPair:
     """Upper-half-plane zero of the characteristic function.
 
     The conjugate partner is implied (available as :attr:`conjugate`), never
-    stored. ``winding_checked`` records whether the argument principle
-    confirmed a count of exactly one around ``s_z``.
+    stored.
     """
 
     s_z: complex
     residual: float
-    winding_checked: bool
     iterations: int
 
     def __post_init__(self) -> None:
@@ -271,9 +269,7 @@ def find_zero_pair(p: CharParams) -> ZeroPair:
         raise NumericsError(
             f"certification rectangle around {s} contains {count} zeros instead of 1"
         )
-    return ZeroPair(
-        s_z=complex(s), residual=residual, winding_checked=True, iterations=iterations
-    )
+    return ZeroPair(s_z=complex(s), residual=residual, iterations=iterations)
 
 
 def _zero_pair_batch(

@@ -189,6 +189,21 @@ def test_limits_beta0_pinches_to_mollifier(capsys):
     assert np.max(np.abs(u_gen - u_lim)) <= 0.02 * np.max(np.abs(u_lim))
 
 
+def test_limits_honours_config_file_order(capsys, tmp_path):
+    # an order from the config file counts as set, like its flag
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": {"beta": 1e-4}}))
+    x = np.linspace(-1.0, 1.0, 11)
+    rc, out, _ = run(
+        capsys, "limits", "--case", "beta0", "--config", str(cfg_path), "--nx", "11",
+        "--x-min", "-1", "--x-max", "1", "--t-list", "0.5",
+    )
+    assert rc == 0
+    u_gen = np.array([float(ln.split(",")[2]) for ln in out.strip().split("\n")[1:]])
+    want = kernel_eps(x, [0.5], ModelParams(0.25, 1e-4, 0.1, 0.01)).values[0]
+    np.testing.assert_array_equal(u_gen, want)
+
+
 # ------------------------------------------------------------------- oracle
 
 

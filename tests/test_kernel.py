@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import fzwave.kernel
 from fzwave.errors import NumericsError, ValidationError
 from fzwave.kernel import (
     Field,
@@ -223,6 +224,25 @@ def test_fourier_field_mass_approaches_unity_with_window():
     m_wide = np.trapezoid(wide.values[0], wide.x_grid)
     assert m_small < m_wide < 1.0
     assert m_wide == pytest.approx(1.0, abs=5e-3)
+
+
+def test_zero_pairs_are_found_once_per_field(monkeypatch):
+    # stage 1 finds the zero pair of every rho node once, for all t rows;
+    # spectral_kernel uses its certified scalar root and no batch
+    calls = []
+    batch = fzwave.kernel._zero_pair_batch
+
+    def counted(*args):
+        calls.append(args)
+        return batch(*args)
+
+    monkeypatch.setattr(fzwave.kernel, "_zero_pair_batch", counted)
+    p = ModelParams(0.25, 0.45, 0.1, 0.1)
+    kernel_eps(np.linspace(-0.5, 0.5, 11), [0.1, 0.2, 0.3, 0.4], p)
+    assert len(calls) == 1
+    calls.clear()
+    spectral_kernel(1.0, 1.0, P_EXP)
+    assert calls == []
 
 
 # ------------------------------------------------------- time-fractional edge

@@ -47,10 +47,15 @@ def test_alpha_zero_root_is_elastic():
     assert pair.s_z == pytest.approx(2.0j, abs=1e-12)
 
 
+def _winding_around(s: complex, p: CharParams) -> int:
+    d = 1e-3 * max(1.0, abs(s))
+    return winding_number((s.real - d, s.real + d, s.imag - d, s.imag + d), p)
+
+
 def test_golden_zero_for_experiment_parameters():
     pair = find_zero_pair(P_BASE)
     assert pair.s_z == pytest.approx(GOLDEN_S_Z, rel=1e-12)
-    assert pair.winding_checked
+    assert _winding_around(pair.s_z, P_BASE) == 1
     assert pair.residual <= 1e-10
     assert pair.conjugate == pair.s_z.conjugate()
 
@@ -63,9 +68,9 @@ def test_zero_is_in_left_half_plane_and_upper():
 
 def test_zero_pair_validates_its_fields():
     with pytest.raises(ValidationError):
-        ZeroPair(s_z=1.0 - 1.0j, residual=0.0, winding_checked=True, iterations=1)
+        ZeroPair(s_z=1.0 - 1.0j, residual=0.0, iterations=1)
     with pytest.raises(ValidationError):
-        ZeroPair(s_z=-0.1 + 1.0j, residual=1.0, winding_checked=True, iterations=1)
+        ZeroPair(s_z=-0.1 + 1.0j, residual=1.0, iterations=1)
 
 
 def test_random_parameter_sweep_certifies():
@@ -77,7 +82,7 @@ def test_random_parameter_sweep_certifies():
             theta=float(10.0 ** rng.uniform(-2.0, 3.0)),
         )
         pair = find_zero_pair(p)
-        assert pair.winding_checked
+        assert _winding_around(pair.s_z, p) == 1
         assert pair.residual <= 1e-10 * max(1.0, abs(pair.s_z) ** 2)
         assert pair.s_z.real <= 1e-9
         assert abs(psi(pair.s_z, p)) <= 1e-9 * max(1.0, abs(pair.s_z) ** 2)
