@@ -1,11 +1,10 @@
 """Fixed-rule Gauss-Kronrod panel quadrature with batched adaptivity.
 
-The kernel assembly integrates one smooth decaying integrand per spectral
-node, thousands at a time, all sharing the same integration variable. scipy's
-scalar QUADPACK wrapper would force a Python-level loop, and quad_vec controls
-only a single norm across components, so this module provides the small piece
-we actually need: a 7/15 Gauss-Kronrod pair applied to an explicit panel list,
-with panels bisected until every component meets max(abs_tol, rel_tol*|I|).
+The package's one quadrature engine. The kernel assembly integrates one
+smooth decaying integrand per spectral node, thousands at a time, all sharing
+the same integration variable (the Mittag-Leffler cut integral is a single
+such integrand): a 7/15 Gauss-Kronrod pair is applied to an explicit panel
+list, with panels bisected until every component meets max(abs_tol, rel_tol*|I|).
 
 Evaluation counts, panel order, and summation order are pure functions of the
 integrand values, so results are reproducible across runs and thread counts.

@@ -58,6 +58,7 @@ _GRID_KEYS = ("x_min", "x_max", "nx", "t_list")
 _OUTPUT_KEYS = ("path", "format")
 _INITIAL_KEYS = ("u0", "v0")
 _DATA_KEYS = ("kind", "center", "width", "height", "samples")
+_CSV_BLOCK = 4096  # rows per formatting block: bounds the Python objects alive at once
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.nx, int) or isinstance(self.nx, bool) or self.nx < 3:
             raise ValidationError("nx", self.nx, "an integer >= 3")
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)
-                and self.x_min < self.x_max):
+        if not (all(isinstance(v, (int, float)) and math.isfinite(v)
+                    for v in (self.x_min, self.x_max)) and self.x_min < self.x_max):
             raise ValidationError(
                 "x_min/x_max", (self.x_min, self.x_max), "finite with x_min < x_max"
             )
@@ -222,18 +223,10 @@ def _parse_t_list(text: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def _field_csv(field: Field) -> str:
-    lines = ["x,t,u"]
-    for i, t in enumerate(field.t_list):
-        row = field.values[i]
-        ts = _fmt(t)
-        for j, x in enumerate(field.x_grid):
-            lines.append(f"{_fmt(x)},{ts},{_fmt(row[j])}")
-    return "\n".join(lines) + "\n"
+    x, nt = field.x_grid, len(field.t_list)
+    return _table_csv("x,t,u", [np.tile(x, nt), np.repeat(field.t_list, x.size),
+                                field.values.ravel()])
 
 
 def _field_json(field: Field) -> str:
@@ -247,10 +240,14 @@ def _field_json(field: Field) -> str:
 
 
 def _table_csv(header: str, columns: list) -> str:
-    lines = [header]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """Header plus one row per index, every value with 17 significant digits."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    table = np.column_stack(columns)
+    blocks = [header + "\n"]
+    for start in range(0, len(table), _CSV_BLOCK):
+        rows = table[start:start + _CSV_BLOCK].tolist()
+        blocks.append("".join([row % tuple(r) for r in rows]))
+    return "".join(blocks)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -340,14 +337,11 @@ def _cmd_limits(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError("case", args.case, "beta0|beta1|alpha0|classical")
 
-    xs_col, t_col, g_col, l_col = [], [], [], []
-    for i, t in enumerate(ts):
-        xs_col.extend(float(v) for v in x)
-        t_col.extend([float(t)] * x.size)
-        g_col.extend(float(v) for v in gen.values[i])
-        l_col.extend(float(v) for v in limit[i])
-    d_col = [abs(a - b) for a, b in zip(g_col, l_col)]
-    text = _table_csv("x,t,u_general,u_limit,abs_diff", [xs_col, t_col, g_col, l_col, d_col])
+    g_col, l_col = gen.values.ravel(), limit.ravel()
+    text = _table_csv(
+        "x,t,u_general,u_limit,abs_diff",
+        [np.tile(x, len(ts)), np.repeat(ts, x.size), g_col, l_col, np.abs(g_col - l_col)],
+    )
     _emit(text, cfg.output.path)
     return 0
 

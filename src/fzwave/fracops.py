@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 from .errors import ValidationError
 from .specfun import e_alpha, mittag_leffler
@@ -135,13 +134,13 @@ def symmetrized_derivative(f: SampledSignal, beta: float) -> SampledSignal:
         )
     n = len(f.grid)
     h = f.spacing
-    m = next_fast_len(_PAD_FACTOR * n)
+    m = _PAD_FACTOR * n
     start = (m - n) // 2
     padded = np.zeros(m)
     padded[start : start + n] = f.values
     xi = 2.0 * math.pi * np.fft.fftfreq(m, d=h)
     symbol = 1j * np.sign(xi) * np.abs(xi) ** beta * math.sin(0.5 * math.pi * beta)
-    out = ifft(fft(padded) * symbol).real[start : start + n]
+    out = np.fft.ifft(np.fft.fft(padded) * symbol).real[start : start + n]
     return SampledSignal(f.grid, out, uniform=True)
 
 

@@ -26,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.special import erf
 
 from ._quad import adaptive_gk, geometric_edges
 from .charfun import CharParams, _psi_prime, branch_values, theta_of_rho, zener_ratio
@@ -50,6 +49,7 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _CHUNK = 1024  # fixed reduction width for deterministic cosine sweeps
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 def _thread_count(n_rows: int) -> int:
@@ -102,7 +102,7 @@ class QuadratureConfig:
                 "rel_tol", self.rel_tol,
                 ">= 1e-12 (tighter targets are below attainable rounding noise)",
             )
-        if self.panels_per_period < 4:
+        if not (isinstance(self.panels_per_period, (int, float)) and self.panels_per_period >= 4):
             raise ValidationError("panels_per_period", self.panels_per_period, "integer >= 4")
 
     @classmethod
@@ -358,16 +358,19 @@ def spectral_kernel(
 
 def _check_grids(x_grid, t_list) -> tuple[np.ndarray, tuple]:
     """The one validator of a space grid and its output times."""
-    x = np.asarray(x_grid, dtype=float)
+    try:
+        x = np.asarray(x_grid, dtype=float)
+        arr = np.atleast_1d(np.asarray(t_list, dtype=float))
+    except (TypeError, ValueError):
+        raise ValidationError("x_grid/t_list", t_list, "arrays of real numbers") from None
     if x.ndim != 1 or x.size < 1 or not np.all(np.isfinite(x)):
         raise ValidationError("x_grid", "<array>", "finite 1-d array")
     if np.any(np.diff(x) <= 0):
         raise ValidationError("x_grid", "<array>", "strictly increasing")
-    ts = tuple(float(t) for t in np.atleast_1d(np.asarray(t_list, dtype=float)))
-    arr = np.asarray(ts)
-    if arr.size < 1 or np.any(arr <= 0) or np.any(~np.isfinite(arr)) or np.any(np.diff(arr) <= 0):
+    if (arr.ndim != 1 or arr.size < 1 or np.any(arr <= 0) or np.any(~np.isfinite(arr))
+            or np.any(np.diff(arr) <= 0)):
         raise ValidationError("t_list", t_list, "strictly increasing positive reals")
-    return x, ts
+    return x, tuple(arr.tolist())
 
 
 def _rho_panels(freq_scale: float, q: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -512,19 +515,11 @@ def _classical_field(
     x: np.ndarray, ts: tuple, tau: float, epsilon: float, integrated: bool
 ) -> np.ndarray:
     c = math.sqrt(2.0 / (1.0 + tau))
-    values = np.empty((len(ts), x.size))
-    for i, t in enumerate(ts):
-        if integrated:
-            # int_0^t (delta_eps(x - c t') + delta_eps(x + c t'))/2 dt'
-            left = erf(x / epsilon) - erf((x - c * t) / epsilon)
-            right = erf((x + c * t) / epsilon) - erf(x / epsilon)
-            values[i] = (left + right) / (4.0 * c)
-        else:
-            values[i] = 0.5 * (
-                np.asarray(delta_eps(x - c * t, epsilon))
-                + np.asarray(delta_eps(x + c * t, epsilon))
-            )
-    return values
+    ct = c * np.array(ts)[:, None]
+    if integrated:
+        # int_0^t (delta_eps(x - c t') + delta_eps(x + c t'))/2 dt'
+        return (_erf((x + ct) / epsilon) - _erf((x - ct) / epsilon)) / (4.0 * c)
+    return 0.5 * (delta_eps(x - ct, epsilon) + delta_eps(x + ct, epsilon))
 
 
 def kernel_classical(x_grid, t_list, tau: float, epsilon: float) -> Field:

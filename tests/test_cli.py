@@ -5,11 +5,15 @@ codes and stream contents are asserted exactly as a shell user would see them.
 """
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fzwave.cli import run_command
+import fzwave
+from fzwave.cli import _table_csv, run_command
 from fzwave.kernel import kernel_eps
 from fzwave.params import ModelParams
 
@@ -112,6 +116,39 @@ def test_kernel_json_output(capsys, tmp_path):
     assert sorted(doc) == ["meta", "t", "u", "x"]
     assert doc["meta"]["model"]["alpha"] == 0.25  # default model
     assert len(doc["x"]) == 11 and len(doc["u"]) == 1
+
+
+@pytest.mark.parametrize("cfg", [
+    {"grid": {"t_list": ["a"]}},
+    {"grid": {"t_list": [[0.5, 1.0]]}},
+    {"grid": {"x_min": "a"}},
+    {"quadrature": {"panels_per_period": "a"}},
+])
+def test_non_numeric_config_value_exits_two(capsys, tmp_path, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc, _, err = run(capsys, "kernel", "--config", str(cfg_path))
+    assert rc == 2
+    assert err.startswith("error: ")
+
+
+def test_table_csv_matches_per_value_formatting():
+    cols = [[0.1, -0.0, 5e-324, 1e22], [1.0 / 3.0, 2.0, -1.5e-300, 123456789.0]]
+    want = "a,b\n" + "".join(f"{u:.17g},{v:.17g}\n" for u, v in zip(*cols))
+    assert _table_csv("a,b", cols) == want
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, given only the directory fzwave was imported from
+    pkg_root = str(Path(fzwave.__file__).resolve().parents[1])
+    code = ("import sys, fzwave, fzwave.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # -------------------------------------------------------------------- solve

@@ -39,6 +39,12 @@ ML_FIXTURES = [
     (0.5, 1.0, -1.0, 0.4275835761558070044107503),
     (0.25, 1.0, -10.0, 0.0762370352397216356882418),
     (0.25, 0.25, -11.892071150027210667175, 0.001285114389400360658516744),
+    # mpmath series at mp.dps = 120; each point reaches the cut integral, the
+    # second through the ml_beta > 1 + ml_alpha step-down
+    (0.7, 0.5, -9.0, -0.01723076014115053377306),
+    (0.6, 1.75, -6.0, 0.1614361729665223456228477),
+    (0.95, 1.0, -12.0, 0.00515379776328542718435),
+    (0.9, 0.95, -7.0, 0.01205352908032416838944),
 ]
 
 
