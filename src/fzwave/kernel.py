@@ -6,14 +6,16 @@ the inverse Laplace transform of s / (s^2 + theta * zener_ratio(s)), or its
 integral over [0, t]: a closed form at alpha = 0, otherwise a conjugate-pole
 residue pair (zeros found once per field) plus a branch-cut integral. Stage 2,
 :func:`_fourier_field`, sums each row, damped by the Gaussian mollifier
-e^{-(eps*rho)^2/4}, against cos(rho*x). The edges beta = 0, beta = 1 and the
+e^{-(eps*rho)^2/4}, against cos(rho*x): by chirp-z transforms on a uniform x
+grid, by a dense sweep on any other. The edges beta = 0, beta = 1 and the
 classical pair bypass the transform; :func:`_kernel_eps_impl` wraps the
 values of every route in a :class:`Field`.
 
 Everything here is deterministic by construction: panel subdivision depends
-only on inputs, and the cosine sweep reduces in a fixed chunked order, so a
-run with FZWAVE_THREADS=8 is byte-identical to a serial one (threads only
-split work across rows of the time grid).
+only on inputs, each row's chirp-z transform runs on its own FFT buffers, and
+the dense sweep reduces in a fixed chunked order, so a run with
+FZWAVE_THREADS=8 is byte-identical to a serial one (threads only split work
+across rows of the time grid).
 """
 
 from __future__ import annotations
@@ -179,16 +181,20 @@ def _check_even(x: np.ndarray, values: np.ndarray) -> None:
     the sweep went wrong. Fields built from off-center initial data are
     legitimately asymmetric and never pass through here.
     """
-    scale = float(np.max(np.abs(x))) if x.size else 0.0
-    if x.size > 1 and abs(x[0] + x[-1]) <= 1e-12 * max(1.0, scale):
-        if np.max(np.abs(x + x[::-1])) <= 1e-12 * max(1.0, scale):
-            skew = np.max(np.abs(values - values[:, ::-1]))
-            if skew > 1e-12 * max(1.0, float(np.max(np.abs(values)))):
-                raise NumericsError(
-                    "kernel assembly lost evenness on a symmetric grid "
-                    f"(max asymmetry {skew:.3e})",
-                    achieved=float(skew),
-                )
+    if _symmetric(x):
+        skew = np.max(np.abs(values - values[:, ::-1]))
+        if skew > 1e-12 * max(1.0, float(np.max(np.abs(values)))):
+            raise NumericsError(
+                "kernel assembly lost evenness on a symmetric grid "
+                f"(max asymmetry {skew:.3e})",
+                achieved=float(skew),
+            )
+
+
+def _symmetric(x: np.ndarray) -> bool:
+    """x is its own mirror image to 1e-12 of its scale."""
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(x))))
+    return x.size > 1 and abs(x[0] + x[-1]) <= tol and np.max(np.abs(x + x[::-1])) <= tol
 
 
 def laplace_kernel_hat(rho: float, s: complex, p: ModelParams) -> complex:
@@ -405,6 +411,54 @@ def _cosine_sweep(coeff: np.ndarray, rho: np.ndarray, x: np.ndarray) -> np.ndarr
     return out
 
 
+def _chirp_plan(rho_max: float, n_panels: int, x: np.ndarray) -> Callable | None:
+    """The cosine sweep as eight chirp-z transforms; None unless x is uniform.
+
+    Node family k of the equal panels is the uniform grid c_k + p*delta, so
+    for x_i = x0 + i*h its sum is Re[e^{i c_k x_i} sum_p b_p e^{i w p i}] with
+    w = delta*h and b_p = coeff_{p,k} e^{i p delta x0}. Bluestein's identity
+    p*i = (p^2 + i^2 - (i-p)^2)/2 makes the inner sum one FFT convolution with
+    the chirp e^{-i w m^2/2}, shared by every family and row. Uniform means at
+    least 2 points, each within a few ulps of x0 + i*h.
+    """
+    n = x.size
+    if n < 2:
+        return None
+    i = np.arange(n)
+    h = (x[-1] - x[0]) / (n - 1)
+    if np.max(np.abs(x - (x[0] + h * i))) > 4.0 * np.spacing(np.max(np.abs(x))):
+        return None
+    delta = rho_max / n_panels
+    w = delta * h
+    p = np.arange(n_panels)
+    size = 1 << (n_panels + n - 2).bit_length()  # no wrap-around: >= n_panels + n - 1
+    # chirp e^{i w m^2/2}: w_hi * m^2 is exact in double precision, so its phase
+    # is right to rounding however large, and (w - w_hi) * m^2 is too small to lose any
+    m2 = np.square(np.arange(max(n, n_panels)), dtype=float)
+    scale = math.ldexp(1.0, 53 - int(m2[-1]).bit_length() - math.frexp(w)[1])
+    w_hi = math.floor(w * scale) / scale
+    chirp = np.exp(1j * (0.5 * w_hi * m2)) * np.exp(1j * (0.5 * (w - w_hi) * m2))
+    pad = np.zeros(size - n - n_panels + 1)
+    spectrum = np.fft.fft(np.concatenate([chirp[:n], pad, chirp[n_panels - 1 : 0 : -1]]).conj())
+    pre = np.exp(1j * delta * x[0] * p) * chirp[:n_panels]
+    post = np.exp(1j * np.outer(0.5 * delta * (1.0 + _GL_NODES), x)) * chirp[:n]
+
+    def sweep(coeff: np.ndarray) -> np.ndarray:
+        u = np.fft.fft(coeff.reshape(n_panels, _GL_NODES.size).T * pre, size)
+        u *= spectrum
+        return np.real(np.fft.ifft(u)[:, :n] * post).sum(axis=0)
+
+    return sweep
+
+
+def _spot_check(fast: np.ndarray, coeff: np.ndarray, rho: np.ndarray, x: np.ndarray) -> None:
+    """Dense sums at 8 fixed points must match the chirp-z row to 1e-12 sum|coeff|."""
+    idx = np.unique(np.linspace(0, x.size - 1, 8).round().astype(int))
+    gap = float(np.max(np.abs(fast[idx] - _cosine_sweep(coeff, rho, x[idx]))))
+    if gap > 1e-12 * float(np.sum(np.abs(coeff))):
+        raise NumericsError("chirp-z transform disagrees with the dense cosine sum", achieved=gap)
+
+
 def _require_rho_max(q: QuadratureConfig, epsilon: float) -> None:
     needed = q.required_rho_max(epsilon)
     if q.rho_max < needed:
@@ -443,17 +497,31 @@ def _fourier_field(
     q: QuadratureConfig,
     integrated: bool,
 ) -> np.ndarray:
-    """Stage 2: sum each row of the spectral signal against cos(rho x)."""
+    """Stage 2: sum each row of the spectral signal against cos(rho x).
+
+    A symmetric grid is summed on x >= 0 and mirrored, so rows are exactly
+    even; uniform x takes the spot-checked chirp-z transform, any other x the
+    dense sweep.
+    """
     rho, wts = _rho_panels(_freq_scale(x, ts, p.beta, p.tau), q)
     damp = np.exp(-np.square(p.epsilon * rho) / 4.0)
     # Gauss nodes are interior and beta > 0 here, so every theta is positive
     signal = _spectral_signal(theta_of_rho(rho, p.beta), p.alpha, p.tau, q, integrated)
+    half = x.size // 2 if _symmetric(x) else 0
+    xs = x[half:]
+    fast = _chirp_plan(q.rho_max, rho.size // _GL_NODES.size, xs)
     values = np.empty((len(ts), x.size))
 
     def row(i: int) -> None:
-        values[i] = _cosine_sweep(wts * damp * signal(ts[i]) / math.pi, rho, x)
+        coeff = wts * damp * signal(ts[i]) / math.pi
+        if fast is None:
+            values[i, half:] = _cosine_sweep(coeff, rho, xs)
+        else:
+            values[i, half:] = fast(coeff)
+            _spot_check(values[i, half:], coeff, rho, xs)
 
     _map_rows(row, len(ts))
+    values[:, :half] = values[:, ::-1][:, :half]
     return values
 
 

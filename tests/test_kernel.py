@@ -10,7 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fzwave.cli
 import fzwave.kernel
 from fzwave.errors import NumericsError, ValidationError
 from fzwave.kernel import (
@@ -26,6 +29,7 @@ from fzwave.kernel import (
     spectral_kernel_alpha0,
 )
 from fzwave.params import ModelParams
+from fzwave.solver import InitialData, solve_field
 
 P_EXP = ModelParams(alpha=0.25, beta=0.45, tau=0.1, epsilon=0.01)
 
@@ -243,6 +247,91 @@ def test_zero_pairs_are_found_once_per_field(monkeypatch):
     calls.clear()
     spectral_kernel(1.0, 1.0, P_EXP)
     assert calls == []
+
+
+# --------------------------------------------------------- rho -> x transform
+
+
+# rho*x stays below ~1e4 rad, as on the package's grids: beyond that the
+# rounding of rho_j*x_i alone moves the dense sum by ~1e-12 sum|c|
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_panels=st.integers(1, 300),
+    rho_max=st.floats(1.0, 1000.0),
+    x0=st.floats(-3.0, 3.0),
+    h=st.floats(1e-3, 0.02),
+    n=st.integers(1, 300) | st.sampled_from([1, 2]),
+    symmetric=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one wide panel against many x: chirp phases w*m^2/2 reach ~1e6 rad
+@example(n_panels=1, rho_max=997.0, x0=0.3, h=0.0197, n=300, symmetric=False, seed=1)
+@example(n_panels=3, rho_max=640.0, x0=0.0, h=0.0191, n=299, symmetric=True, seed=2)
+def test_chirp_z_transform_matches_dense_sweep(n_panels, rho_max, x0, h, n, symmetric, seed):
+    rho, _ = fzwave.kernel._gauss_panels(np.linspace(0.0, rho_max, n_panels + 1))
+    coeff = np.random.default_rng(seed).standard_normal(rho.size)
+    half_width = 0.5 * h * (n - 1)
+    x = np.linspace(-half_width, half_width, n) if symmetric else x0 + h * np.arange(n)
+    fast = fzwave.kernel._chirp_plan(rho_max, n_panels, x)
+    if n < 2:
+        assert fast is None
+        return
+    dense = fzwave.kernel._cosine_sweep(coeff, rho, x)
+    assert np.max(np.abs(fast(coeff) - dense)) <= 1e-12 * np.sum(np.abs(coeff))
+
+
+def test_spot_check_catches_a_wrong_transform(monkeypatch, capsys):
+    # the spot check recomputes the first point of every row densely
+    plan = fzwave.kernel._chirp_plan
+
+    def off_by_1e_9(*args):
+        fast = plan(*args)
+
+        def sweep(coeff):
+            out = fast(coeff)
+            out[0] += 1e-9
+            return out
+
+        return sweep
+
+    monkeypatch.setattr(fzwave.kernel, "_chirp_plan", off_by_1e_9)
+    x = np.linspace(-1.0, 1.0, 201)
+    with pytest.raises(NumericsError, match="chirp-z"):
+        kernel_eps(x, [0.5], P_EXP)
+    rc = fzwave.cli.run_command(["kernel", "--nx", "21", "--t-list", "0.5"])
+    assert rc == 3
+    assert "chirp-z" in capsys.readouterr().err
+
+
+def test_fourier_rows_are_exactly_even_on_symmetric_grids():
+    f = kernel_eps(np.linspace(-1.0, 1.0, 201), [0.25, 1.0], P_EXP)
+    np.testing.assert_array_equal(f.values, f.values[:, ::-1])
+
+
+def test_dense_fallback_agrees_with_chirp_z_through_kernel_eps():
+    # same max|x|, so the same rho panels; x >= 0 is [0, 0.2, 0.8] (dense)
+    # against a uniform [0, 0.2, ..., 0.8] (chirp-z)
+    sparse = kernel_eps([-0.8, -0.2, 0.0, 0.2, 0.8], [0.5, 1.0], P_EXP).values
+    full = kernel_eps(np.linspace(-0.8, 0.8, 9), [0.5, 1.0], P_EXP).values
+    np.testing.assert_allclose(sparse, full[:, [0, 3, 4, 5, 8]], rtol=0.0, atol=1e-12)
+
+
+def test_dense_sweep_sees_only_spot_check_points(monkeypatch):
+    sizes = []
+    sweep = fzwave.kernel._cosine_sweep
+
+    def counted(coeff, rho, x):
+        sizes.append(x.size)
+        return sweep(coeff, rho, x)
+
+    monkeypatch.setattr(fzwave.kernel, "_cosine_sweep", counted)
+    p = ModelParams(0.25, 0.45, 0.1, 0.05)
+    kernel_eps(np.linspace(-1.0, 1.0, 201), [0.5, 1.0], p)
+    assert sizes == [8, 8]
+    sizes.clear()
+    u0 = InitialData.gaussian(0.1, 0.2)
+    solve_field(u0, InitialData.gaussian(0.1, 0.2, 0.5), np.linspace(-1.0, 1.0, 41), (0.5,), p)
+    assert sizes == [8, 8]
 
 
 # ------------------------------------------------------- time-fractional edge
