@@ -1,16 +1,22 @@
-"""Fixed-rule Gauss-Kronrod panel quadrature with batched adaptivity.
+"""Fixed-rule Gauss-Kronrod panel quadrature with batched adaptivity, and
+Chebyshev tables in log(theta).
 
 The package's one quadrature engine. The kernel assembly integrates one
-smooth decaying integrand per spectral node, thousands at a time, all sharing
-the same integration variable (the Mittag-Leffler cut integral is a single
-such integrand): a 7/15 Gauss-Kronrod pair is applied to an explicit panel
-list, with panels bisected until every component meets max(abs_tol, rel_tol*|I|).
+smooth decaying integrand per table point or spot-checked node, up to a few
+hundred at a time, all sharing the same integration variable (the
+Mittag-Leffler cut integral is a single such integrand): a 7/15
+Gauss-Kronrod pair is applied to an explicit panel list, with panels bisected
+until every component meets max(abs_tol, rel_tol*|I|). The tables carry
+those integrals, and the zero pairs, from their Chebyshev points to every
+spectral node.
 
 Evaluation counts, panel order, and summation order are pure functions of the
 integrand values, so results are reproducible across runs and thread counts.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -151,6 +157,43 @@ def adaptive_gk(
             total_err[0]
         )
     return total, total_err
+
+
+_CHEB_FIRST = 64  # intervals of the first table; doubled while the tail is too large
+_CHEB_MAX = 512
+
+
+def log_cheb_table(f, lo: float, hi: float, budget: float, what: str):
+    """Chebyshev interpolant of a smooth f(theta) in u = log(theta) over [lo, hi].
+
+    f maps an array of theta to real or complex values. It is sampled at the
+    n + 1 Chebyshev points of the second kind in u, lo and hi exactly among
+    them, and the coefficients come from one FFT of the even extension. The
+    table is accepted once the sum of its trailing n/8 coefficients, the
+    chopped tail that bounds the uniform interpolation error (Aurentz &
+    Trefethen 2017, "Chopping a Chebyshev series"), is at most ``budget``;
+    otherwise n doubles from 64 up to 512, after which NumericsError names
+    ``what``. Returns the series as a numpy Chebyshev in log(theta).
+    """
+    u_lo, u_hi = math.log(lo), math.log(hi)
+    n = _CHEB_FIRST
+    while True:
+        x = np.cos(np.pi * np.arange(n + 1) / n)
+        theta = np.exp(0.5 * (u_hi + u_lo) + 0.5 * (u_hi - u_lo) * x)
+        theta[0], theta[-1] = hi, lo
+        v = np.asarray(f(theta))
+        c = np.fft.fft(np.concatenate([v, v[-2:0:-1]]))[: n + 1] / n
+        c = c if np.iscomplexobj(v) else c.real
+        c[0] *= 0.5
+        c[n] *= 0.5
+        tail = float(np.sum(np.abs(c[-(n // 8):])))
+        if tail <= budget:
+            return np.polynomial.Chebyshev(c, domain=[u_lo, u_hi])
+        if 2 * n > _CHEB_MAX:
+            raise NumericsError(
+                f"Chebyshev {what} tail above budget at {n} intervals", achieved=tail
+            )
+        n *= 2
 
 
 def geometric_edges(lo: float, hi: float, first: float, ratio: float = 1.8) -> np.ndarray:

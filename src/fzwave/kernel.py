@@ -4,7 +4,8 @@ Fields with 0 < beta < 1 are built in two stages. Stage 1,
 :func:`_spectral_signal`, maps the Gauss nodes rho_j to t -> S(theta(rho_j), t),
 the inverse Laplace transform of s / (s^2 + theta * zener_ratio(s)), or its
 integral over [0, t]: a closed form at alpha = 0, otherwise a conjugate-pole
-residue pair (zeros found once per field) plus a branch-cut integral. Stage 2,
+residue pair plus a branch-cut integral, both tabulated in log theta (zeros
+once per field, the spot-checked branch integral once per t). Stage 2,
 :func:`_fourier_field`, sums each row, damped by the Gaussian mollifier
 e^{-(eps*rho)^2/4}, against cos(rho*x): by chirp-z transforms on a uniform x
 grid, by a dense sweep on any other. The edges beta = 0, beta = 1 and the
@@ -29,7 +30,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from ._quad import adaptive_gk, geometric_edges
+from ._quad import adaptive_gk, geometric_edges, log_cheb_table
 from .charfun import CharParams, _psi_prime, branch_values, theta_of_rho, zener_ratio
 from .errors import NumericsError, ValidationError
 from .params import ModelParams, validate_model
@@ -260,30 +261,26 @@ def _branch_part(
     first = max(min(0.05, u_lo_scale / 8.0, u_max / 64.0), 1e-12)
     edges = geometric_edges(0.0, u_max, first, ratio=1.7)
 
-    out = np.empty_like(theta)
-    for start in range(0, theta.size, _CHUNK):
-        th_c = theta[start : start + _CHUNK]
+    def f(u: np.ndarray) -> np.ndarray:
+        qq = u / t
+        fp = branch_values(qq, alpha, tau)[0]
+        a = np.square(qq)[:, None] + np.outer(fp.real, theta)
+        b = np.outer(fp.imag, theta)
+        core = -b / (a * a + b * b) / math.pi
+        if integrated:
+            w = np.where(u > 1e-8, -np.expm1(-u) / np.where(u > 0, u, 1.0), 1.0 - 0.5 * u)
+            return core * (qq * t * w)[:, None]
+        return core * (qq * np.exp(-u) / t)[:, None]
 
-        def f(u: np.ndarray) -> np.ndarray:
-            qq = u / t
-            fp = branch_values(qq, alpha, tau)[0]
-            a = np.square(qq)[:, None] + np.outer(fp.real, th_c)
-            b = np.outer(fp.imag, th_c)
-            core = -b / (a * a + b * b) / math.pi
-            if integrated:
-                w = np.where(u > 1e-8, -np.expm1(-u) / np.where(u > 0, u, 1.0), 1.0 - 0.5 * u)
-                return core * (qq * t * w)[:, None]
-            return core * (qq * np.exp(-u) / t)[:, None]
-
-        val, _err = adaptive_gk(
-            f, edges, rel_tol=q.rel_tol, abs_tol=q.abs_tol, what="branch integral"
-        )
-        out[start : start + _CHUNK] = np.atleast_1d(val)
-    return out
+    val, _err = adaptive_gk(
+        f, edges, rel_tol=q.rel_tol, abs_tol=q.abs_tol, what="branch integral"
+    )
+    return np.atleast_1d(val)
 
 
 def _spectral_signal(
-    theta: np.ndarray, alpha: float, tau: float, q: QuadratureConfig, integrated: bool
+    theta: np.ndarray, alpha: float, tau: float, q: QuadratureConfig, integrated: bool,
+    budget: float,
 ) -> Callable[[float], np.ndarray]:
     """Stage 1: the map t -> S(theta, t), or its integral over [0, t], for theta > 0.
 
@@ -291,7 +288,9 @@ def _spectral_signal(
     integral sin(omega t)/omega (-> t as omega -> 0). Otherwise S is the
     residue pair of the zeros s_z, located here once for every t, plus the
     branch part; integrated, each residue term s e^{st}/psi'(s) becomes its
-    exact antiderivative (e^{st} - 1)/psi'(s).
+    exact antiderivative (e^{st} - 1)/psi'(s). The branch part, smooth in
+    log theta, is integrated per t only at the points of a Chebyshev table
+    with tail <= budget, and at 8 nodes that must match the table.
     """
     if alpha == 0.0:
         omega = np.sqrt(2.0 * theta / (1.0 + tau))
@@ -300,13 +299,17 @@ def _spectral_signal(
         return lambda t: np.cos(t * omega)
 
     s_z, psi_p = _zero_pair_batch(alpha, tau, theta)
+    u, lo, hi = np.log(theta), float(np.min(theta)), float(np.max(theta))
 
     def signal(t: float) -> np.ndarray:
-        if integrated:
-            residue = 2.0 * np.real((np.exp(s_z * t) - 1.0) / psi_p)
-        else:
-            residue = 2.0 * np.real(s_z * np.exp(s_z * t) / psi_p)
-        return _branch_part(theta, t, alpha, tau, q, integrated) + residue
+        def branch(th: np.ndarray) -> np.ndarray:
+            return _branch_part(th, t, alpha, tau, q, integrated)
+
+        table = log_cheb_table(branch, lo, hi, budget, "branch table")(u)
+        _spot_check(table, lambda k: branch(theta[k]), q.abs_tol, q.rel_tol,
+                    "Chebyshev branch table disagrees with the branch integral")
+        residue = np.exp(s_z * t) - 1.0 if integrated else s_z * np.exp(s_z * t)
+        return table + 2.0 * np.real(residue / psi_p)
 
     return signal
 
@@ -451,12 +454,15 @@ def _chirp_plan(rho_max: float, n_panels: int, x: np.ndarray) -> Callable | None
     return sweep
 
 
-def _spot_check(fast: np.ndarray, coeff: np.ndarray, rho: np.ndarray, x: np.ndarray) -> None:
-    """Dense sums at 8 fixed points must match the chirp-z row to 1e-12 sum|coeff|."""
-    idx = np.unique(np.linspace(0, x.size - 1, 8).round().astype(int))
-    gap = float(np.max(np.abs(fast[idx] - _cosine_sweep(coeff, rho, x[idx]))))
-    if gap > 1e-12 * float(np.sum(np.abs(coeff))):
-        raise NumericsError("chirp-z transform disagrees with the dense cosine sum", achieved=gap)
+def _spot_check(fast: np.ndarray, exact_at: Callable, abs_tol: float, rel_tol: float,
+                what: str) -> None:
+    """exact_at(idx) at 8 fixed indices, the first and last included, must match
+    fast[idx] within max(abs_tol, rel_tol * |exact|); NumericsError(what) if not."""
+    idx = np.unique(np.linspace(0, fast.size - 1, 8).round().astype(int))
+    exact = exact_at(idx)
+    gap = np.abs(fast[idx] - exact)
+    if np.any(gap > np.maximum(abs_tol, rel_tol * np.abs(exact))):
+        raise NumericsError(what, achieved=float(np.max(gap)))
 
 
 def _require_rho_max(q: QuadratureConfig, epsilon: float) -> None:
@@ -505,8 +511,10 @@ def _fourier_field(
     """
     rho, wts = _rho_panels(_freq_scale(x, ts, p.beta, p.tau), q)
     damp = np.exp(-np.square(p.epsilon * rho) / 4.0)
-    # Gauss nodes are interior and beta > 0 here, so every theta is positive
-    signal = _spectral_signal(theta_of_rho(rho, p.beta), p.alpha, p.tau, q, integrated)
+    # a uniform signal error e moves a row by at most e * sum|w damp| / pi; Gauss
+    # nodes are interior and beta > 0 here, so every theta is positive
+    budget = 1e-2 * q.abs_tol * math.pi / float(np.sum(wts * damp))
+    signal = _spectral_signal(theta_of_rho(rho, p.beta), p.alpha, p.tau, q, integrated, budget)
     half = x.size // 2 if _symmetric(x) else 0
     xs = x[half:]
     fast = _chirp_plan(q.rho_max, rho.size // _GL_NODES.size, xs)
@@ -518,7 +526,9 @@ def _fourier_field(
             values[i, half:] = _cosine_sweep(coeff, rho, xs)
         else:
             values[i, half:] = fast(coeff)
-            _spot_check(values[i, half:], coeff, rho, xs)
+            _spot_check(values[i, half:], lambda k: _cosine_sweep(coeff, rho, xs[k]),
+                        1e-12 * float(np.sum(np.abs(coeff))), 0.0,
+                        "chirp-z transform disagrees with the dense cosine sum")
 
     _map_rows(row, len(ts))
     values[:, :half] = values[:, ::-1][:, :half]

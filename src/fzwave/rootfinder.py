@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._quad import _CHEB_FIRST, log_cheb_table
 from .charfun import CharParams, _psi, _psi_prime
 from .errors import NumericsError, ValidationError
 
@@ -272,19 +273,9 @@ def find_zero_pair(p: CharParams) -> ZeroPair:
     return ZeroPair(s_z=complex(s), residual=residual, iterations=iterations)
 
 
-def _zero_pair_batch(
-    alpha: float, tau: float, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Newton for many theta values at fixed (alpha, tau).
-
-    Returns arrays (s, psi_prime_at_s). Used by the kernel assembly where
-    thousands of wave numbers need their zero pair at once; entries that fail
-    the vectorized sweep are recomputed through find_zero_pair.
-    """
-    theta = np.asarray(theta, dtype=float)
+def _damped_newton(alpha: float, tau: float, theta: np.ndarray) -> np.ndarray:
+    """Vectorized damped Newton from the elastic roots, one zero per theta."""
     s = 1j * np.sqrt(2.0 * theta / (1.0 + tau))
-    if alpha == 0.0:
-        return s, 2.0 * s
     fs = _psi(s, alpha, tau, theta)
     active = np.ones(s.shape, dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
@@ -313,9 +304,39 @@ def _zero_pair_batch(
         )
         idx = np.flatnonzero(active)
         active[idx[done]] = False
+    return s
+
+
+def _zero_pair_batch(
+    alpha: float, tau: float, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zero pairs for many theta values at fixed (alpha, tau), from one table.
+
+    Returns arrays (s, psi_prime_at_s). Used by the kernel assembly where
+    thousands of wave numbers need their zero pair at once. s/sqrt(theta)
+    moves smoothly in log theta from i (theta -> 0) to i/sqrt(tau) (theta ->
+    inf), so the damped Newton sweep runs only at the points of a Chebyshev
+    table; every node then takes the interpolated root and one plain Newton
+    step, which squares the table's error (its tail is held to 1e-8). A
+    batch no larger than the first table is swept directly. Entries whose
+    residual fails are recomputed through find_zero_pair.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if alpha == 0.0:
+        s = 1j * np.sqrt(2.0 * theta / (1.0 + tau))
+        return s, 2.0 * s
+    if theta.size <= _CHEB_FIRST + 1:
+        s = _damped_newton(alpha, tau, theta)
+    else:
+        table = log_cheb_table(
+            lambda th: _damped_newton(alpha, tau, th) / np.sqrt(th),
+            float(np.min(theta)), float(np.max(theta)), 1e-8, "zero-pair table",
+        )
+        s = table(np.log(theta)) * np.sqrt(theta)
+        s -= _psi(s, alpha, tau, theta) / _psi_prime(s, alpha, tau, theta)
     s = np.where(s.imag < 0.0, np.conj(s), s)
     resid = np.abs(_psi(s, alpha, tau, theta))
-    bad = resid > 1e-10 * np.maximum(1.0, np.abs(s) ** 2)
+    bad = ~(resid <= 1e-10 * np.maximum(1.0, np.abs(s) ** 2))  # NaN fails too
     for i in np.flatnonzero(bad):
         pair = find_zero_pair(CharParams(alpha, tau, float(theta[i])))
         s[i] = pair.s_z

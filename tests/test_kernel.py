@@ -249,6 +249,101 @@ def test_zero_pairs_are_found_once_per_field(monkeypatch):
     assert calls == []
 
 
+# ------------------------------------------------------ Chebyshev branch table
+
+TABLE_SETTINGS = [(0.25, 0.45, 0.1), (0.6, 0.8, 0.1), (0.9, 0.45, 0.9),
+                  (0.5, 0.3, 0.5), (0.1, 0.9, 0.2), (0.9, 0.9, 0.9)]
+
+
+def _field_nodes(p: ModelParams, t: float):
+    """theta at the rho nodes of a 41-point field on [-1, 1], and its table budget."""
+    q = QuadratureConfig.for_model(p)
+    x = np.linspace(-1.0, 1.0, 41)
+    rho, wts = fzwave.kernel._rho_panels(fzwave.kernel._freq_scale(x, (t,), p.beta, p.tau), q)
+    damp = np.exp(-np.square(p.epsilon * rho) / 4.0)
+    budget = 1e-2 * q.abs_tol * math.pi / float(np.sum(wts * damp))
+    return fzwave.kernel.theta_of_rho(rho, p.beta), q, budget
+
+
+@pytest.mark.parametrize("integrated", [False, True])
+@pytest.mark.parametrize("t", [0.5, 2.0])
+@pytest.mark.parametrize("alpha, beta, tau", TABLE_SETTINGS)
+def test_branch_table_matches_per_node_branch_part(alpha, beta, tau, t, integrated):
+    p = ModelParams(alpha, beta, tau, 0.02)
+    theta, q, budget = _field_nodes(p, t)
+    signal = fzwave.kernel._spectral_signal(theta, alpha, tau, q, integrated, budget)
+    s_z, psi_p = fzwave.kernel._zero_pair_batch(alpha, tau, theta)
+    if integrated:
+        residue = 2.0 * np.real((np.exp(s_z * t) - 1.0) / psi_p)
+    else:
+        residue = 2.0 * np.real(s_z * np.exp(s_z * t) / psi_p)
+    # the extreme nodes set the integration panels, so every chunk carries them
+    ends = theta[[0, -1]]
+    per_node = np.concatenate([
+        fzwave.kernel._branch_part(np.r_[ends, theta[i : i + 1024]], t, alpha, tau, q,
+                                   integrated)[2:]
+        for i in range(0, theta.size, 1024)
+    ])
+    assert np.max(np.abs(signal(t) - residue - per_node)) <= budget
+
+
+def test_branch_table_doubles_when_its_tail_is_too_large():
+    degrees = {}
+    for alpha, tau in ((0.25, 0.1), (0.9, 0.9)):
+        p = ModelParams(alpha, 0.45, tau, 0.01)
+        theta, q, budget = _field_nodes(p, 0.5)
+        table = fzwave.kernel.log_cheb_table(
+            lambda th: fzwave.kernel._branch_part(th, 0.5, alpha, tau, q),
+            theta[0], theta[-1], budget, "branch table",
+        )
+        degrees[alpha] = table.degree()
+    assert degrees == {0.25: 64, 0.9: 128}
+
+
+def test_cheb_table_without_a_falling_tail_raises():
+    # a kink at theta = 1: the coefficients fall only like 1/k^2
+    with pytest.raises(NumericsError, match="kinked table"):
+        fzwave.kernel.log_cheb_table(lambda th: np.abs(np.log(th)), 0.1, 10.0, 1e-10,
+                                     "kinked table")
+
+
+def test_branch_spot_check_catches_a_wrong_table(monkeypatch, capsys):
+    build = fzwave.kernel.log_cheb_table
+
+    def off_by_1e_6(*args):
+        table = build(*args)
+        return lambda u: table(u) + 1e-6
+
+    monkeypatch.setattr(fzwave.kernel, "log_cheb_table", off_by_1e_6)
+    with pytest.raises(NumericsError, match="branch table"):
+        kernel_eps(np.linspace(-1.0, 1.0, 21), [0.5], P_EXP)
+    rc = fzwave.cli.run_command(["kernel", "--nx", "21", "--t-list", "0.5"])
+    assert rc == 3
+    assert "branch table" in capsys.readouterr().err
+
+
+def test_branch_quadrature_integrates_only_table_points(monkeypatch):
+    # per-node quadrature would integrate every one of the ~29k rho nodes
+    columns, nodes = [], []
+    quad, batch = fzwave.kernel.adaptive_gk, fzwave.kernel._zero_pair_batch
+
+    def counted_quad(*args, **kwargs):
+        result = quad(*args, **kwargs)
+        columns.append(np.size(result[0]))
+        return result
+
+    def counted_batch(alpha, tau, theta):
+        nodes.append(theta.size)
+        return batch(alpha, tau, theta)
+
+    monkeypatch.setattr(fzwave.kernel, "adaptive_gk", counted_quad)
+    monkeypatch.setattr(fzwave.kernel, "_zero_pair_batch", counted_batch)
+    kernel_eps(np.linspace(-1.0, 1.0, 201), [0.5, 1.0], P_EXP)
+    assert nodes[0] > 25_000
+    assert max(columns) <= fzwave._quad._CHEB_MAX + 1
+    assert sum(columns) < 0.01 * nodes[0]
+
+
 # --------------------------------------------------------- rho -> x transform
 
 

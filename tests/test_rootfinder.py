@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fzwave.charfun import CharParams, psi
+import fzwave.kernel
+import fzwave.rootfinder
+from fzwave.charfun import CharParams, _psi_prime, psi, theta_of_rho
 from fzwave.errors import NumericsError, ValidationError
 from fzwave.rootfinder import ZeroPair, find_zero_pair, winding_number
 
@@ -118,3 +120,54 @@ def test_located_zero_annihilates_psi(alpha, tau, log_theta):
     p = CharParams(alpha=alpha, tau=tau, theta=10.0**log_theta)
     pair = find_zero_pair(p)
     assert abs(psi(pair.s_z, p)) <= 1e-10 * max(1.0, abs(pair.s_z) ** 2)
+
+
+# ------------------------------------------------------ batch roots from a table
+
+FIELD_SETTINGS = [(0.25, 0.45, 0.1), (0.6, 0.8, 0.1), (0.9, 0.45, 0.9), (0.9, 0.9, 0.9)]
+
+
+def _field_theta(beta: float, n_panels: int = 2000, rho_max: float = 860.0) -> np.ndarray:
+    """theta at the 8-point Gauss nodes of equal panels on (0, rho_max]."""
+    rho, _ = fzwave.kernel._gauss_panels(np.linspace(0.0, rho_max, n_panels + 1))
+    return theta_of_rho(rho, beta)
+
+
+def _counted_fallbacks(monkeypatch) -> list:
+    calls = []
+    scalar = fzwave.rootfinder.find_zero_pair
+
+    def counted(p):
+        calls.append(p.theta)
+        return scalar(p)
+
+    monkeypatch.setattr(fzwave.rootfinder, "find_zero_pair", counted)
+    return calls
+
+
+@pytest.mark.parametrize("alpha, beta, tau", FIELD_SETTINGS)
+def test_table_roots_match_damped_newton_on_every_node(alpha, beta, tau, monkeypatch):
+    theta = _field_theta(beta)
+    fallbacks = _counted_fallbacks(monkeypatch)
+    s, dpsi = fzwave.rootfinder._zero_pair_batch(alpha, tau, theta)
+    oracle = fzwave.rootfinder._damped_newton(alpha, tau, theta)
+    assert np.max(np.abs(s - oracle) / np.abs(oracle)) <= 1e-12
+    assert fallbacks == []
+    np.testing.assert_array_equal(dpsi, _psi_prime(s, alpha, tau, theta))
+
+
+def test_skewed_root_table_falls_back_to_certified_roots(monkeypatch):
+    build = fzwave.rootfinder.log_cheb_table
+
+    def skewed(*args):
+        table = build(*args)
+        return lambda u: 1.01 * table(u)
+
+    monkeypatch.setattr(fzwave.rootfinder, "log_cheb_table", skewed)
+    fallbacks = _counted_fallbacks(monkeypatch)
+    theta = _field_theta(0.45, n_panels=12, rho_max=20.0)
+    s, _ = fzwave.rootfinder._zero_pair_batch(0.25, 0.1, theta)
+    assert len(fallbacks) == theta.size
+    for s_i, th in zip(s, theta):
+        pair = find_zero_pair(CharParams(0.25, 0.1, float(th)))
+        assert s_i == pair.s_z
