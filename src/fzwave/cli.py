@@ -8,13 +8,15 @@ solve   Displacement field from configured initial data.
 limits  General assembly next to a closed-form limit, side by side.
 oracle  Spectral kernel value vs. independent Bromwich inversion at (rho, t).
 
-Exit codes: 0 success, 2 validation/usage failure, 3 numerical
-non-convergence. Data goes to --out (or stdout); diagnostics go to stderr
-only, so redirected output stays machine-readable. Field CSV uses the header
-``x,t,u``, one row per sample, row-major in t then x, values printed with 17
-significant digits (which round-trip float64 exactly). Running the same
-configuration twice produces byte-identical files regardless of
-FZWAVE_THREADS.
+Exit codes: 0 success, 2 validation/usage failure (including an --out path
+that cannot be opened for writing), 3 numerical non-convergence. Data goes to
+--out (or stdout); diagnostics go to stderr only, so redirected output stays
+machine-readable. Field CSV uses the header ``x,t,u``, one row per sample,
+row-major in t then x, values printed with 17 significant digits (which
+round-trip float64 exactly). Rows are streamed one t at a time, and only
+after the whole field is computed, so a numerical failure leaves no partial
+output. Running the same configuration twice produces byte-identical files
+regardless of FZWAVE_THREADS.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ _GRID_KEYS = ("x_min", "x_max", "nx", "t_list")
 _OUTPUT_KEYS = ("path", "format")
 _INITIAL_KEYS = ("u0", "v0")
 _DATA_KEYS = ("kind", "center", "width", "height", "samples")
-_CSV_BLOCK = 4096  # rows per formatting block: bounds the Python objects alive at once
 
 
 @dataclass(frozen=True)
@@ -223,44 +224,50 @@ def _parse_t_list(text: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _field_csv(field: Field) -> str:
-    x, nt = field.x_grid, len(field.t_list)
-    return _table_csv("x,t,u", [np.tile(x, nt), np.repeat(field.t_list, x.size),
-                                field.values.ravel()])
-
-
 def _field_json(field: Field) -> str:
     doc = {
-        "x": [float(v) for v in field.x_grid],
-        "t": [float(t) for t in field.t_list],
-        "u": [[float(v) for v in row] for row in field.values],
+        "x": field.x_grid.tolist(),
+        "t": list(field.t_list),
+        "u": field.values.tolist(),
         "meta": field.meta,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _table_csv(header: str, columns: list) -> str:
-    """Header plus one row per index, every value with 17 significant digits."""
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    table = np.column_stack(columns)
-    blocks = [header + "\n"]
-    for start in range(0, len(table), _CSV_BLOCK):
-        rows = table[start:start + _CSV_BLOCK].tolist()
-        blocks.append("".join([row % tuple(r) for r in rows]))
-    return "".join(blocks)
+def _grid_csv(header: str, x, ts, *values):
+    """Yield the header, then one chunk of rows per t: ``x,t,v1,...`` for every x.
+
+    Each entry of ``values`` has shape (len(ts), len(x)). Every number is
+    printed with 17 significant digits; each x is formatted once, and each
+    t row's values go through a single ``%`` on a template holding the x and
+    t strings.
+    """
+    yield header + "\n"
+    xs = ["%.17g," % v for v in np.asarray(x, dtype=float).tolist()]
+    cells = ",%.17g" * len(values) + "\n"
+    for t, row in zip(np.asarray(ts, dtype=float).tolist(), np.stack(values, axis=-1)):
+        line = "%.17g" % t + cells
+        yield (line.join(xs) + line) % tuple(row.ravel().tolist())
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(chunks, path: str | None) -> None:
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError:
+        raise ValidationError("out", path, "a writable file path")
+    with fh:
+        fh.writelines(chunks)
 
 
 def _emit_field(field: Field, output: OutputSpec) -> None:
-    text = _field_csv(field) if output.format == "csv" else _field_json(field)
-    _emit(text, output.path)
+    if output.format == "csv":
+        chunks = _grid_csv("x,t,u", field.x_grid, field.t_list, field.values)
+    else:
+        chunks = [_field_json(field)]
+    _emit(chunks, output.path)
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +344,9 @@ def _cmd_limits(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError("case", args.case, "beta0|beta1|alpha0|classical")
 
-    g_col, l_col = gen.values.ravel(), limit.ravel()
-    text = _table_csv(
-        "x,t,u_general,u_limit,abs_diff",
-        [np.tile(x, len(ts)), np.repeat(ts, x.size), g_col, l_col, np.abs(g_col - l_col)],
-    )
-    _emit(text, cfg.output.path)
+    chunks = _grid_csv("x,t,u_general,u_limit,abs_diff", x, ts,
+                       gen.values, limit, np.abs(gen.values - limit))
+    _emit(chunks, cfg.output.path)
     return 0
 
 
@@ -356,11 +360,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     else:
         spectral = spectral_kernel(rho, t, m, q).total
     oracle = bromwich_invert(rho, t, m, BromwichConfig())
-    text = _table_csv(
-        "rho,t,s_spectral,s_oracle,abs_diff",
-        [[rho], [t], [spectral], [oracle], [abs(spectral - oracle)]],
-    )
-    _emit(text, cfg.output.path)
+    chunks = _grid_csv("rho,t,s_spectral,s_oracle,abs_diff", [rho], [t],
+                       [[spectral]], [[oracle]], [[abs(spectral - oracle)]])
+    _emit(chunks, cfg.output.path)
     return 0
 
 

@@ -167,7 +167,7 @@ def _newton_polish(
     """Damped Newton; returns (s, converged, iterations)."""
     fs = complex(_psi(s, alpha, tau, theta))
     for it in range(1, _NEWTON_MAX_ITER + 1):
-        if abs(fs) <= 1e-14 * max(1.0, abs(s) ** 2):
+        if abs(fs) <= 1e-14 * abs(s) ** 2:
             return s, True, it  # residual at the rounding floor; no descent possible
         d = complex(_psi_prime(s, alpha, tau, theta))
         if d == 0:
@@ -186,7 +186,7 @@ def _newton_polish(
         else:
             return s, False, it
         s, fs = cand, f_cand
-        if abs(lam * step) <= 1e-13 * max(1.0, abs(s)):
+        if abs(lam * step) <= 1e-13 * abs(s):
             return s, True, it
     return s, abs(fs) <= 1e-10 * max(1.0, abs(s) ** 2), _NEWTON_MAX_ITER
 
@@ -299,8 +299,8 @@ def _damped_newton(alpha: float, tau: float, theta: np.ndarray) -> np.ndarray:
             f_cand = np.where(bad, _psi(cand, alpha, tau, theta[active]), f_cand)
         s[active] = cand
         fs[active] = f_cand
-        done = (np.abs(lam * step) <= 1e-13 * np.maximum(1.0, np.abs(cand))) | (
-            np.abs(f_cand) <= 1e-14 * np.maximum(1.0, np.abs(cand) ** 2)
+        done = (np.abs(lam * step) <= 1e-13 * np.abs(cand)) | (
+            np.abs(f_cand) <= 1e-14 * np.abs(cand) ** 2
         )
         idx = np.flatnonzero(active)
         active[idx[done]] = False

@@ -4,6 +4,7 @@ Everything goes through run_command (the same entry main() wraps), so exit
 codes and stream contents are asserted exactly as a shell user would see them.
 """
 
+import io
 import json
 import subprocess
 import sys
@@ -11,9 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fzwave
-from fzwave.cli import _table_csv, run_command
+from fzwave.cli import _grid_csv, run_command
 from fzwave.kernel import kernel_eps
 from fzwave.params import ModelParams
 
@@ -116,6 +119,8 @@ def test_kernel_json_output(capsys, tmp_path):
     assert sorted(doc) == ["meta", "t", "u", "x"]
     assert doc["meta"]["model"]["alpha"] == 0.25  # default model
     assert len(doc["x"]) == 11 and len(doc["u"]) == 1
+    field = kernel_eps(np.linspace(-1.0, 1.0, 11), [1.0], ModelParams(0.25, 0.45, 0.1))
+    assert doc["u"] == field.values.tolist()
 
 
 @pytest.mark.parametrize("cfg", [
@@ -132,10 +137,82 @@ def test_non_numeric_config_value_exits_two(capsys, tmp_path, cfg):
     assert err.startswith("error: ")
 
 
-def test_table_csv_matches_per_value_formatting():
-    cols = [[0.1, -0.0, 5e-324, 1e22], [1.0 / 3.0, 2.0, -1.5e-300, 123456789.0]]
-    want = "a,b\n" + "".join(f"{u:.17g},{v:.17g}\n" for u, v in zip(*cols))
-    assert _table_csv("a,b", cols) == want
+EDGE_VALUES = [0.1, -0.0, 5e-324, 1e22, 1.0 / 3.0, 2.0, -1.5e-300, 123456789.0]
+
+
+def test_grid_csv_matches_per_value_formatting():
+    # every edge value appears as an x, a t and in each value column
+    n = len(EDGE_VALUES)
+    u = np.array([[EDGE_VALUES[(i + j) % n] for j in range(n)] for i in range(n)])
+    v = u[::-1]
+    want = "x,t,u,v\n" + "".join(
+        f"{x:.17g},{t:.17g},{u[i, j]:.17g},{v[i, j]:.17g}\n"
+        for i, t in enumerate(EDGE_VALUES) for j, x in enumerate(EDGE_VALUES)
+    )
+    assert "".join(_grid_csv("x,t,u,v", EDGE_VALUES, EDGE_VALUES, u, v)) == want
+
+
+def _table_csv(header: str, columns: list) -> str:
+    """One row per index, formatted row by row: the writer's reference."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return header + "\n" + "".join(row % tuple(r) for r in np.column_stack(columns).tolist())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(nx=st.integers(1, 30), nt=st.integers(1, 5), n_values=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_grid_csv_matches_row_by_row_table(nx, nt, n_values, seed):
+    rng = np.random.default_rng(seed)
+    special = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e22, -1.5e-300])
+
+    def draw(*shape):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        pick = rng.random(shape) < 0.2
+        a[pick] = rng.choice(special, int(pick.sum()))
+        return a
+
+    x, ts = draw(nx), draw(nt)
+    values = [draw(nt, nx) for _ in range(n_values)]
+    header = ",".join(["x", "t"] + [f"v{k}" for k in range(n_values)])
+    want = _table_csv(header, [np.tile(x, nt), np.repeat(ts, nx)] + [v.ravel() for v in values])
+    assert "".join(_grid_csv(header, x, ts, *values)) == want
+
+
+class _RecordingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_csv_is_streamed_one_t_row_at_a_time(monkeypatch, tmp_path):
+    nx, ts = 10001, [round(0.08 * k, 6) for k in range(1, 26)]
+    args = ["kernel", "--alpha", "0", "--beta", "1", "--nx", str(nx), "--x-min", "-4",
+            "--x-max", "4", "--t-list", ",".join(map(str, ts))]
+    stdout = _RecordingStdout()
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", stdout)
+        assert run_command(args) == 0
+    text = stdout.getvalue()
+    lines = text.splitlines(keepends=True)
+    assert len(lines) == 1 + nx * len(ts)
+    longest_row = max(sum(map(len, lines[1 + k * nx:1 + (k + 1) * nx])) for k in range(len(ts)))
+    assert max(stdout.sizes) <= len(lines[0]) + longest_row
+    path = tmp_path / "field.csv"
+    assert run_command([*args, "--out", str(path)]) == 0
+    assert path.read_bytes() == text.encode()
+
+
+def test_unwritable_out_exits_two(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    rc, out, err = run(capsys, "kernel", "--alpha", "0", "--beta", "1", "--nx", "11",
+                       "--out", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: out=") and str(path) in err
 
 
 def test_import_loads_no_scipy():

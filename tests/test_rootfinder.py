@@ -145,7 +145,7 @@ def _counted_fallbacks(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("alpha, beta, tau", FIELD_SETTINGS)
+@pytest.mark.parametrize("alpha, beta, tau", FIELD_SETTINGS + [(0.1, 0.9, 0.2)])
 def test_table_roots_match_damped_newton_on_every_node(alpha, beta, tau, monkeypatch):
     theta = _field_theta(beta)
     fallbacks = _counted_fallbacks(monkeypatch)
