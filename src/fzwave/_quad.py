@@ -163,17 +163,30 @@ _CHEB_FIRST = 64  # intervals of the first table; doubled while the tail is too 
 _CHEB_MAX = 512
 
 
+def _cheb_coeffs(v: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant through v at cos(pi k/n), k = 0..n,
+    from one FFT of the even extension."""
+    n = v.size - 1
+    c = np.fft.fft(np.concatenate([v, v[-2:0:-1]]))[: n + 1] / n
+    c = c if np.iscomplexobj(v) else c.real
+    c[0] *= 0.5
+    c[n] *= 0.5
+    return c
+
+
 def log_cheb_table(f, lo: float, hi: float, budget: float, what: str):
     """Chebyshev interpolant of a smooth f(theta) in u = log(theta) over [lo, hi].
 
     f maps an array of theta to real or complex values. It is sampled at the
     n + 1 Chebyshev points of the second kind in u, lo and hi exactly among
-    them, and the coefficients come from one FFT of the even extension. The
-    table is accepted once the sum of its trailing n/8 coefficients, the
-    chopped tail that bounds the uniform interpolation error (Aurentz &
-    Trefethen 2017, "Chopping a Chebyshev series"), is at most ``budget``;
-    otherwise n doubles from 64 up to 512, after which NumericsError names
-    ``what``. Returns the series as a numpy Chebyshev in log(theta).
+    them, and the coefficients come from :func:`_cheb_coeffs`. The table is
+    accepted once the sum of its trailing n/8 coefficients, the chopped tail
+    that bounds the uniform interpolation error (Aurentz & Trefethen 2017,
+    "Chopping a Chebyshev series"), is at most ``budget``; otherwise n
+    doubles from 64 up to 512, after which NumericsError names ``what``. An
+    accepted series keeps only its shortest head whose dropped coefficients
+    sum to at most ``budget - tail``, so the head is still within ``budget``
+    of f. Returns the series as a numpy Chebyshev in log(theta).
     """
     u_lo, u_hi = math.log(lo), math.log(hi)
     n = _CHEB_FIRST
@@ -181,14 +194,13 @@ def log_cheb_table(f, lo: float, hi: float, budget: float, what: str):
         x = np.cos(np.pi * np.arange(n + 1) / n)
         theta = np.exp(0.5 * (u_hi + u_lo) + 0.5 * (u_hi - u_lo) * x)
         theta[0], theta[-1] = hi, lo
-        v = np.asarray(f(theta))
-        c = np.fft.fft(np.concatenate([v, v[-2:0:-1]]))[: n + 1] / n
-        c = c if np.iscomplexobj(v) else c.real
-        c[0] *= 0.5
-        c[n] *= 0.5
+        c = _cheb_coeffs(np.asarray(f(theta)))
         tail = float(np.sum(np.abs(c[-(n // 8):])))
         if tail <= budget:
-            return np.polynomial.Chebyshev(c, domain=[u_lo, u_hi])
+            # dropped[m]: the sum of |c_k| over k >= m, 0 when all are kept
+            dropped = np.append(np.cumsum(np.abs(c[::-1]))[::-1], 0.0)
+            keep = max(int(np.argmax(dropped <= budget - tail)), 1)
+            return np.polynomial.Chebyshev(c[:keep], domain=[u_lo, u_hi])
         if 2 * n > _CHEB_MAX:
             raise NumericsError(
                 f"Chebyshev {what} tail above budget at {n} intervals", achieved=tail

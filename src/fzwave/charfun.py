@@ -77,14 +77,25 @@ def zener_ratio(s, alpha: float, tau: float):
 
 
 def _psi(s, alpha: float, tau: float, theta):
-    """Array-friendly characteristic function; validation at the edges only."""
+    """Array-friendly characteristic function; validation at the edges only.
+
+    Defined at s = 0 too, where psi' is not: a winding contour may pass there.
+    """
     sa = s**alpha
     return s * s + theta * (1.0 + sa) / (1.0 + tau * sa)
 
 
-def _psi_prime(s, alpha: float, tau: float, theta):
+def _psi_pair(s, alpha: float, tau: float, theta):
+    """(psi, psi') from one complex power, s^(alpha-1) = s^alpha / s; psi is
+    bit for bit :func:`_psi`."""
     sa = s**alpha
-    return 2.0 * s + theta * alpha * (1.0 - tau) * s ** (alpha - 1.0) / (1.0 + tau * sa) ** 2
+    den = 1.0 + tau * sa
+    psi_s = s * s + theta * (1.0 + sa) / den
+    return psi_s, 2.0 * s + theta * alpha * (1.0 - tau) * (sa / s) / (den * den)
+
+
+def _psi_prime(s, alpha: float, tau: float, theta):
+    return _psi_pair(s, alpha, tau, theta)[1]
 
 
 def psi(s, p: CharParams):

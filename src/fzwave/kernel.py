@@ -1,16 +1,21 @@
 """Solution kernels: spectral signal, Fourier transform, limiting forms.
 
-Fields with 0 < beta < 1 are built in two stages. Stage 1,
-:func:`_spectral_signal`, maps the Gauss nodes rho_j to t -> S(theta(rho_j), t),
-the inverse Laplace transform of s / (s^2 + theta * zener_ratio(s)), or its
-integral over [0, t]: a closed form at alpha = 0, otherwise a conjugate-pole
-residue pair plus a branch-cut integral, both tabulated in log theta (zeros
-once per field, the spot-checked branch integral once per t). Stage 2,
-:func:`_fourier_field`, sums each row, damped by the Gaussian mollifier
-e^{-(eps*rho)^2/4}, against cos(rho*x): by chirp-z transforms on a uniform x
-grid, by a dense sweep on any other. The edges beta = 0, beta = 1 and the
-classical pair bypass the transform; :func:`_kernel_eps_impl` wraps the
-values of every route in a :class:`Field`.
+Fields with 0 < beta < 1 are built in two stages. Stage 1 starts from a
+node-only plan, :func:`_stage1`: the Gauss nodes rho_j, their damped weights,
+theta(rho_j), the zero pairs (one complex power per node per Newton step) and
+the chirp-z plan. The solver opens :func:`_shared_stage1` around each call, so
+the kernel and its time integral on one lattice share one plan and one
+zero-pair batch; no plan outlives that call. :func:`_spectral_signal` then
+maps the plan to t -> S(theta(rho_j), t), the inverse Laplace transform of
+s / (s^2 + theta * zener_ratio(s)), or its integral over [0, t]: a closed
+form at alpha = 0, otherwise the conjugate-pole residue pair plus a
+branch-cut integral, both tabulated in log theta by chopped Chebyshev series
+(zeros once per plan, the spot-checked branch integral once per t and mode).
+Stage 2, :func:`_fourier_field`, sums each row, damped by the Gaussian
+mollifier e^{-(eps*rho)^2/4}, against cos(rho*x): by chirp-z transforms on a
+uniform x grid, by a dense sweep on any other. The edges beta = 0, beta = 1
+and the classical pair bypass the transform; :func:`_kernel_eps_impl` wraps
+the values of every route in a :class:`Field`.
 
 Everything here is deterministic by construction: panel subdivision depends
 only on inputs, each row's chirp-z transform runs on its own FFT buffers, and
@@ -26,6 +31,8 @@ import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -98,15 +105,17 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         for name in ("q_max", "rho_max", "rel_tol", "abs_tol"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) and v > 0.0):
                 raise ValidationError(name, v, "positive real")
         if self.rel_tol < 1e-12:
             raise ValidationError(
                 "rel_tol", self.rel_tol,
                 ">= 1e-12 (tighter targets are below attainable rounding noise)",
             )
-        if not (isinstance(self.panels_per_period, (int, float)) and self.panels_per_period >= 4):
-            raise ValidationError("panels_per_period", self.panels_per_period, "integer >= 4")
+        n = self.panels_per_period
+        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 4):
+            raise ValidationError("panels_per_period", n, "integer >= 4")
 
     @classmethod
     def for_model(cls, p: ModelParams, **overrides) -> "QuadratureConfig":
@@ -279,33 +288,33 @@ def _branch_part(
 
 
 def _spectral_signal(
-    theta: np.ndarray, alpha: float, tau: float, q: QuadratureConfig, integrated: bool,
-    budget: float,
+    plan: _Stage1, p: ModelParams, q: QuadratureConfig, integrated: bool
 ) -> Callable[[float], np.ndarray]:
-    """Stage 1: the map t -> S(theta, t), or its integral over [0, t], for theta > 0.
+    """Stage 1: the map t -> S(theta, t), or its integral over [0, t], at plan.theta.
 
     At alpha = 0 every mode is cos(omega t) with omega = sqrt(2 theta/(1+tau)),
     integral sin(omega t)/omega (-> t as omega -> 0). Otherwise S is the
-    residue pair of the zeros s_z, located here once for every t, plus the
-    branch part; integrated, each residue term s e^{st}/psi'(s) becomes its
-    exact antiderivative (e^{st} - 1)/psi'(s). The branch part, smooth in
-    log theta, is integrated per t only at the points of a Chebyshev table
-    with tail <= budget, and at 8 nodes that must match the table.
+    residue pair of the plan's zeros s_z plus the branch part; integrated,
+    each residue term s e^{st}/psi'(s) becomes its exact antiderivative
+    (e^{st} - 1)/psi'(s). The branch part, smooth in log theta, is integrated
+    per t only at the points of a Chebyshev table within plan.budget, and at
+    8 nodes that must match the table.
     """
+    alpha, tau, theta = p.alpha, p.tau, plan.theta
     if alpha == 0.0:
         omega = np.sqrt(2.0 * theta / (1.0 + tau))
         if integrated:
             return lambda t: t * np.sinc(omega * t / math.pi)
         return lambda t: np.cos(t * omega)
 
-    s_z, psi_p = _zero_pair_batch(alpha, tau, theta)
+    s_z, psi_p = plan.roots
     u, lo, hi = np.log(theta), float(np.min(theta)), float(np.max(theta))
 
     def signal(t: float) -> np.ndarray:
         def branch(th: np.ndarray) -> np.ndarray:
             return _branch_part(th, t, alpha, tau, q, integrated)
 
-        table = log_cheb_table(branch, lo, hi, budget, "branch table")(u)
+        table = log_cheb_table(branch, lo, hi, plan.budget, "branch table")(u)
         _spot_check(table, lambda k: branch(theta[k]), q.abs_tol, q.rel_tol,
                     "Chebyshev branch table disagrees with the branch integral")
         residue = np.exp(s_z * t) - 1.0 if integrated else s_z * np.exp(s_z * t)
@@ -496,6 +505,69 @@ def _freq_scale(x: np.ndarray, ts: tuple, beta: float, tau: float) -> float:
     return x_scale + ts[-1] * (1.0 + beta) / (2.0 * math.sqrt(tau))
 
 
+@dataclass(frozen=True)
+class _Stage1:
+    """The node-only part of a field on (x, ts, p, q), shared by both modes.
+
+    ``weights`` are the Gauss weights times the mollifier damping, ``budget``
+    the uniform signal error the branch tables may carry, ``roots`` the zero
+    pairs (s_z, psi'(s_z)) of every node (None at alpha = 0), and ``fast`` the
+    chirp-z transform on ``x[half:]`` (None unless that grid is uniform).
+    """
+
+    rho: np.ndarray
+    weights: np.ndarray
+    theta: np.ndarray
+    budget: float
+    roots: tuple | None
+    half: int
+    fast: Callable | None
+
+
+# The stage-1 plans of the innermost open _shared_stage1() block, else None.
+_PLANS: ContextVar[dict | None] = ContextVar("fzwave_stage1_plans", default=None)
+
+
+@contextmanager
+def _shared_stage1():
+    """Within the block, fields on the same (x, ts, p, q) share one stage-1 plan.
+
+    The solver opens one per call, so its two convolution terms on one lattice
+    run a single zero-pair batch; plans die with the block.
+    """
+    token = _PLANS.set({})
+    try:
+        yield
+    finally:
+        _PLANS.reset(token)
+
+
+def _stage1(x: np.ndarray, ts: tuple, p: ModelParams, q: QuadratureConfig) -> _Stage1:
+    """Build, or inside a _shared_stage1() block reuse, the stage-1 plan of a field."""
+    plans = _PLANS.get()
+    key = (x.tobytes(), ts, p, q)
+    if plans is not None and key in plans:
+        return plans[key]
+    rho, wts = _rho_panels(_freq_scale(x, ts, p.beta, p.tau), q)
+    weights = wts * np.exp(-np.square(p.epsilon * rho) / 4.0)
+    # Gauss nodes are interior and beta > 0 here, so every theta is positive
+    theta = theta_of_rho(rho, p.beta)
+    half = x.size // 2 if _symmetric(x) else 0
+    plan = _Stage1(
+        rho=rho,
+        weights=weights,
+        theta=theta,
+        # a uniform signal error e moves a row by at most e * sum|w damp| / pi
+        budget=1e-2 * q.abs_tol * math.pi / float(np.sum(weights)),
+        roots=None if p.alpha == 0.0 else _zero_pair_batch(p.alpha, p.tau, theta),
+        half=half,
+        fast=_chirp_plan(q.rho_max, rho.size // _GL_NODES.size, x[half:]),
+    )
+    if plans is not None:
+        plans[key] = plan
+    return plan
+
+
 def _fourier_field(
     x: np.ndarray,
     ts: tuple,
@@ -509,19 +581,14 @@ def _fourier_field(
     even; uniform x takes the spot-checked chirp-z transform, any other x the
     dense sweep.
     """
-    rho, wts = _rho_panels(_freq_scale(x, ts, p.beta, p.tau), q)
-    damp = np.exp(-np.square(p.epsilon * rho) / 4.0)
-    # a uniform signal error e moves a row by at most e * sum|w damp| / pi; Gauss
-    # nodes are interior and beta > 0 here, so every theta is positive
-    budget = 1e-2 * q.abs_tol * math.pi / float(np.sum(wts * damp))
-    signal = _spectral_signal(theta_of_rho(rho, p.beta), p.alpha, p.tau, q, integrated, budget)
-    half = x.size // 2 if _symmetric(x) else 0
+    plan = _stage1(x, ts, p, q)
+    signal = _spectral_signal(plan, p, q, integrated)
+    rho, half, fast = plan.rho, plan.half, plan.fast
     xs = x[half:]
-    fast = _chirp_plan(q.rho_max, rho.size // _GL_NODES.size, xs)
     values = np.empty((len(ts), x.size))
 
     def row(i: int) -> None:
-        coeff = wts * damp * signal(ts[i]) / math.pi
+        coeff = plan.weights * signal(ts[i]) / math.pi
         if fast is None:
             values[i, half:] = _cosine_sweep(coeff, rho, xs)
         else:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import _CHEB_FIRST, log_cheb_table
-from .charfun import CharParams, _psi, _psi_prime
+from .charfun import CharParams, _psi, _psi_pair, _psi_prime
 from .errors import NumericsError, ValidationError
 
 _NODE_BUDGET = 200_000
@@ -317,9 +317,11 @@ def _zero_pair_batch(
     moves smoothly in log theta from i (theta -> 0) to i/sqrt(tau) (theta ->
     inf), so the damped Newton sweep runs only at the points of a Chebyshev
     table; every node then takes the interpolated root and one plain Newton
-    step, which squares the table's error (its tail is held to 1e-8). A
-    batch no larger than the first table is swept directly. Entries whose
-    residual fails are recomputed through find_zero_pair.
+    step, which squares the table's error (its error is held to 1e-8). A
+    batch no larger than the first table is swept directly. Each node pays
+    two complex powers: one for the Newton step, one for the residual and
+    the returned psi'. Entries whose residual fails are recomputed through
+    find_zero_pair.
     """
     theta = np.asarray(theta, dtype=float)
     if alpha == 0.0:
@@ -333,11 +335,13 @@ def _zero_pair_batch(
             float(np.min(theta)), float(np.max(theta)), 1e-8, "zero-pair table",
         )
         s = table(np.log(theta)) * np.sqrt(theta)
-        s -= _psi(s, alpha, tau, theta) / _psi_prime(s, alpha, tau, theta)
+        fs, dfs = _psi_pair(s, alpha, tau, theta)
+        s -= fs / dfs
     s = np.where(s.imag < 0.0, np.conj(s), s)
-    resid = np.abs(_psi(s, alpha, tau, theta))
-    bad = ~(resid <= 1e-10 * np.maximum(1.0, np.abs(s) ** 2))  # NaN fails too
-    for i in np.flatnonzero(bad):
-        pair = find_zero_pair(CharParams(alpha, tau, float(theta[i])))
-        s[i] = pair.s_z
-    return s, _psi_prime(s, alpha, tau, theta)
+    fs, dfs = _psi_pair(s, alpha, tau, theta)
+    bad = ~(np.abs(fs) <= 1e-10 * np.maximum(1.0, np.abs(s) ** 2))  # NaN fails too
+    if bad.any():
+        for i in np.flatnonzero(bad):
+            s[i] = find_zero_pair(CharParams(alpha, tau, float(theta[i]))).s_z
+        dfs[bad] = _psi_prime(s[bad], alpha, tau, theta[bad])
+    return s, dfs

@@ -29,6 +29,7 @@ from .kernel import (
     QuadratureConfig,
     _check_grids,
     _meta,
+    _shared_stage1,
     delta_eps,
     kernel_eps,
     kernel_eps_time_integrated,
@@ -279,9 +280,10 @@ def solve_field(
     x, ts = _check_grids(x_grid, t_list)
     if q is None:
         q = QuadratureConfig.for_model(p)
-    values = _contribution(x, ts, u0, p, q, integrated=False)
-    if not v0.is_zero:
-        values = values + _contribution(x, ts, v0, p, q, integrated=True)
+    with _shared_stage1():
+        values = _contribution(x, ts, u0, p, q, integrated=False)
+        if not v0.is_zero:
+            values = values + _contribution(x, ts, v0, p, q, integrated=True)
     meta = _meta(asdict(p), q)
     meta["initial"] = {"u0": u0.describe(), "v0": v0.describe()}
     return Field(x, ts, values, meta)

@@ -8,6 +8,8 @@ import pytest
 
 from fzwave.charfun import (
     CharParams,
+    _psi,
+    _psi_pair,
     branch_values,
     psi,
     psi_prime,
@@ -84,6 +86,26 @@ def test_psi_prime_matches_finite_differences():
             continue
         fd = (psi(s + h, P_BASE) - psi(s - h, P_BASE)) / (2.0 * h)
         assert abs(psi_prime(s, P_BASE) - fd) <= 1e-6 * max(abs(fd), 1.0)
+
+
+# (alpha, tau) of the six kernel table settings; two of them share (0.9, 0.9)
+PAIR_SETTINGS = [(0.25, 0.1), (0.6, 0.1), (0.9, 0.9), (0.5, 0.5), (0.1, 0.2)]
+
+
+@pytest.mark.parametrize("alpha, tau", PAIR_SETTINGS)
+def test_psi_pair_matches_the_power_formulas(alpha, tau):
+    # psi and psi' from one power s^alpha against the two-power formulas,
+    # |s| from 1e-6 to 1e6 in the closed upper-left quadrant off the cut
+    r = np.geomspace(1e-6, 1e6, 121)[:, None]
+    s = (r * np.exp(1j * np.linspace(0.5 * np.pi, 0.999 * np.pi, 9))).ravel()
+    for theta in (1e-4, 1.0, 1e4):
+        sa = s**alpha
+        ratio = theta * (1.0 + sa) / (1.0 + tau * sa)
+        slope = theta * alpha * (1.0 - tau) * s ** (alpha - 1.0) / (1.0 + tau * sa) ** 2
+        psi_s, dpsi = _psi_pair(s, alpha, tau, theta)
+        np.testing.assert_array_equal(psi_s, _psi(s, alpha, tau, theta))
+        assert np.max(np.abs(psi_s - (s * s + ratio)) / (np.abs(s * s) + np.abs(ratio))) <= 1e-14
+        assert np.max(np.abs(dpsi - (2.0 * s + slope)) / (np.abs(2.0 * s) + np.abs(slope))) <= 1e-14
 
 
 def test_conjugate_symmetry():

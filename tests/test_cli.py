@@ -128,6 +128,8 @@ def test_kernel_json_output(capsys, tmp_path):
     {"grid": {"t_list": [[0.5, 1.0]]}},
     {"grid": {"x_min": "a"}},
     {"quadrature": {"panels_per_period": "a"}},
+    {"quadrature": {"panels_per_period": 4.5}},
+    {"quadrature": {"abs_tol": True}},
 ])
 def test_non_numeric_config_value_exits_two(capsys, tmp_path, cfg):
     cfg_path = tmp_path / "cfg.json"

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fzwave._quad
 import fzwave.cli
 import fzwave.kernel
+import fzwave.rootfinder
 from fzwave.errors import NumericsError, ValidationError
 from fzwave.kernel import (
     Field,
@@ -271,7 +273,9 @@ def _field_nodes(p: ModelParams, t: float):
 def test_branch_table_matches_per_node_branch_part(alpha, beta, tau, t, integrated):
     p = ModelParams(alpha, beta, tau, 0.02)
     theta, q, budget = _field_nodes(p, t)
-    signal = fzwave.kernel._spectral_signal(theta, alpha, tau, q, integrated, budget)
+    plan = fzwave.kernel._stage1(np.linspace(-1.0, 1.0, 41), (t,), p, q)
+    np.testing.assert_array_equal(plan.theta, theta)
+    signal = fzwave.kernel._spectral_signal(plan, p, q, integrated)
     s_z, psi_p = fzwave.kernel._zero_pair_batch(alpha, tau, theta)
     if integrated:
         residue = 2.0 * np.real((np.exp(s_z * t) - 1.0) / psi_p)
@@ -288,16 +292,72 @@ def test_branch_table_matches_per_node_branch_part(alpha, beta, tau, t, integrat
 
 
 def test_branch_table_doubles_when_its_tail_is_too_large():
-    degrees = {}
+    # the last table sampled is the accepted one; the kept head may be shorter
+    sampled = {}
     for alpha, tau in ((0.25, 0.1), (0.9, 0.9)):
         p = ModelParams(alpha, 0.45, tau, 0.01)
         theta, q, budget = _field_nodes(p, 0.5)
-        table = fzwave.kernel.log_cheb_table(
-            lambda th: fzwave.kernel._branch_part(th, 0.5, alpha, tau, q),
-            theta[0], theta[-1], budget, "branch table",
-        )
-        degrees[alpha] = table.degree()
-    assert degrees == {0.25: 64, 0.9: 128}
+
+        def branch(th):
+            sampled[alpha] = th.size
+            return fzwave.kernel._branch_part(th, 0.5, alpha, tau, q)
+
+        fzwave.kernel.log_cheb_table(branch, theta[0], theta[-1], budget, "branch table")
+    assert sampled == {0.25: 65, 0.9: 129}
+
+
+def _chopped_and_full(f, lo, hi, budget, what):
+    """The table log_cheb_table returns, and the full series through its last samples."""
+    samples = []
+
+    def recorded(th):
+        samples.append(f(th))
+        return samples[-1]
+
+    table = fzwave._quad.log_cheb_table(recorded, lo, hi, budget, what)
+    full = np.polynomial.Chebyshev(fzwave._quad._cheb_coeffs(samples[-1]), domain=table.domain)
+    return table, full
+
+
+def _assert_shortest_head_within_budget(table, full, budget):
+    """table is the shortest head of full whose dropped part fits budget - tail."""
+    c = full.coef
+    n = c.size - 1
+    room = budget - np.sum(np.abs(c[-(n // 8):]))
+    keep = table.coef.size
+    np.testing.assert_array_equal(table.coef, c[:keep])
+    assert keep == 1 or np.sum(np.abs(c[keep - 1:])) > room
+    u = np.linspace(*full.domain, 2001)
+    assert np.max(np.abs(table(u) - full(u))) <= room
+
+
+@pytest.mark.parametrize("alpha, beta, tau", TABLE_SETTINGS)
+def test_chopped_branch_table_stays_within_budget(alpha, beta, tau):
+    p = ModelParams(alpha, beta, tau, 0.02)
+    theta, q, budget = _field_nodes(p, 0.5)
+    table, full = _chopped_and_full(
+        lambda th: fzwave.kernel._branch_part(th, 0.5, alpha, tau, q, True),
+        theta[0], theta[-1], budget, "branch table",
+    )
+    assert table.coef.size < full.coef.size
+    _assert_shortest_head_within_budget(table, full, budget)
+
+
+def test_root_table_is_chopped_to_its_budget(monkeypatch):
+    # s/sqrt(theta) is smooth enough in log theta that about a dozen of the
+    # 65 coefficients already meet the 1e-8 budget at the paper's model
+    tables = []
+
+    def recorded(f, lo, hi, budget, what):
+        tables.append((*_chopped_and_full(f, lo, hi, budget, what), budget))
+        return tables[-1][0]
+
+    monkeypatch.setattr(fzwave.rootfinder, "log_cheb_table", recorded)
+    theta, _, _ = _field_nodes(P_EXP, 0.5)
+    fzwave.rootfinder._zero_pair_batch(P_EXP.alpha, P_EXP.tau, theta)
+    [(table, full, budget)] = tables
+    assert table.coef.size <= 16
+    _assert_shortest_head_within_budget(table, full, budget)
 
 
 def test_cheb_table_without_a_falling_tail_raises():
@@ -479,6 +539,13 @@ def test_quadrature_config_validation():
         QuadratureConfig(panels_per_period=2)
     with pytest.raises(ValidationError):
         QuadratureConfig(rho_max=-1.0)
+    # a count must be a count, and a bool is no tolerance
+    for bad in ({"panels_per_period": 4.5}, {"panels_per_period": True},
+                {"panels_per_period": 8.0}, {"q_max": True}, {"rho_max": True},
+                {"rel_tol": True}, {"abs_tol": True}):
+        with pytest.raises(ValidationError):
+            QuadratureConfig(**bad)
+    assert QuadratureConfig(panels_per_period=5, abs_tol=1e-9).panels_per_period == 5
 
 
 def test_for_model_saturates_mollifier_bound():

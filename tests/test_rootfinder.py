@@ -32,6 +32,11 @@ def test_winding_counts_conjugate_pair_through_keyhole():
     assert winding_number((-2.0, 2.0, -2.0, 2.0), P_BASE) == 2
 
 
+def test_winding_contour_may_pass_through_the_origin():
+    # psi is finite at s = 0 (psi' is not), so a scan through it still counts
+    assert winding_number((-1.0, 1.0, 0.0, 2.0), P_BASE) == 1
+
+
 def test_winding_budget_exhaustion_raises():
     with pytest.raises(NumericsError):
         winding_number((-2.0, -1e-3, 1e-3, 2.0), P_BASE, node_budget=1)
@@ -166,8 +171,9 @@ def test_skewed_root_table_falls_back_to_certified_roots(monkeypatch):
     monkeypatch.setattr(fzwave.rootfinder, "log_cheb_table", skewed)
     fallbacks = _counted_fallbacks(monkeypatch)
     theta = _field_theta(0.45, n_panels=12, rho_max=20.0)
-    s, _ = fzwave.rootfinder._zero_pair_batch(0.25, 0.1, theta)
+    s, dpsi = fzwave.rootfinder._zero_pair_batch(0.25, 0.1, theta)
     assert len(fallbacks) == theta.size
+    np.testing.assert_array_equal(dpsi, _psi_prime(s, 0.25, 0.1, theta))
     for s_i, th in zip(s, theta):
         pair = find_zero_pair(CharParams(0.25, 0.1, float(th)))
         assert s_i == pair.s_z

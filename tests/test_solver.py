@@ -5,10 +5,17 @@ import math
 import numpy as np
 import pytest
 
+import fzwave.kernel
 from fzwave.errors import ValidationError
 from fzwave.kernel import Field, delta_eps, kernel_classical, kernel_eps
 from fzwave.params import ModelParams
-from fzwave.solver import InitialData, nonprop_solution, peak_metrics, solve_field
+from fzwave.solver import (
+    InitialData,
+    _contribution,
+    nonprop_solution,
+    peak_metrics,
+    solve_field,
+)
 
 P_EXP = ModelParams(alpha=0.25, beta=0.45, tau=0.1, epsilon=0.01)
 P_FLAT = ModelParams(alpha=0.25, beta=0.0, tau=0.1, epsilon=0.01)
@@ -131,6 +138,42 @@ def test_superposition_of_dirac_and_gaussian():
     np.testing.assert_allclose(
         both.values, u_only.values + v_only.values, rtol=0, atol=1e-12
     )
+
+
+def _counted_batches(monkeypatch) -> list:
+    sizes = []
+    batch = fzwave.kernel._zero_pair_batch
+
+    def counted(alpha, tau, theta):
+        sizes.append(theta.size)
+        return batch(alpha, tau, theta)
+
+    monkeypatch.setattr(fzwave.kernel, "_zero_pair_batch", counted)
+    return sizes
+
+
+def test_same_support_data_share_one_zero_pair_batch(monkeypatch):
+    # u0 and v0 with one support convolve on one difference lattice, so the
+    # kernel and its time integral share the stage-1 plan and its zero pairs
+    x = np.linspace(-0.5, 0.5, 21)
+    ts = (0.5,)
+    q = fzwave.kernel.QuadratureConfig.for_model(P_EXP)
+    u0 = InitialData.gaussian(width=0.1)
+    v0 = InitialData.gaussian(width=0.1, height=0.5)
+    batches = _counted_batches(monkeypatch)
+    sol = solve_field(u0, v0, x, ts, P_EXP)
+    assert len(batches) == 1
+    apart = (_contribution(x, ts, u0, P_EXP, q, integrated=False)
+             + _contribution(x, ts, v0, P_EXP, q, integrated=True))
+    assert len(batches) == 3
+    np.testing.assert_array_equal(sol.values, apart)
+    # no plan outlives its call
+    solve_field(u0, v0, x, ts, P_EXP)
+    assert len(batches) == 4
+    # a box v0 has another support, so another lattice and another batch
+    batches.clear()
+    solve_field(u0, InitialData.box(width=0.2), x, ts, P_EXP)
+    assert len(batches) == 2 and batches[0] != batches[1]
 
 
 def test_sampled_data_must_vanish_at_its_edges():
