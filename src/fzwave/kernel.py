@@ -2,20 +2,22 @@
 
 Fields with 0 < beta < 1 are built in two stages. Stage 1 starts from a
 node-only plan, :func:`_stage1`: the Gauss nodes rho_j, their damped weights,
-theta(rho_j), the zero pairs (one complex power per node per Newton step) and
-the chirp-z plan. The solver opens :func:`_shared_stage1` around each call, so
-the kernel and its time integral on one lattice share one plan and one
-zero-pair batch; no plan outlives that call. :func:`_spectral_signal` then
-maps the plan to t -> S(theta(rho_j), t), the inverse Laplace transform of
-s / (s^2 + theta * zener_ratio(s)), or its integral over [0, t]: a closed
-form at alpha = 0, otherwise the conjugate-pole residue pair plus a
-branch-cut integral, both tabulated in log theta by chopped Chebyshev series
-(zeros once per plan, the spot-checked branch integral once per t and mode).
-Stage 2, :func:`_fourier_field`, sums each row, damped by the Gaussian
-mollifier e^{-(eps*rho)^2/4}, against cos(rho*x): by chirp-z transforms on a
-uniform x grid, by a dense sweep on any other. The edges beta = 0, beta = 1
-and the classical pair bypass the transform; :func:`_kernel_eps_impl` wraps
-the values of every route in a :class:`Field`.
+theta(rho_j), the zero pairs (one real-arithmetic power per node per Newton
+step), the chirp-z plan and the cosines of its 8-point dense spot check. The
+solver passes one lattice of |x - y| values per convolution and opens
+:func:`_shared_stage1` around each call, so the kernel and its time integral
+on one lattice share one plan and one zero-pair batch; no plan outlives that
+call. :func:`_spectral_signal` then maps the plan to t -> S(theta(rho_j), t),
+the inverse Laplace transform of s / (s^2 + theta * zener_ratio(s)), or its
+integral over [0, t]: a closed form at alpha = 0, otherwise the conjugate-pole
+residue pair plus a branch-cut integral, both tabulated in log theta by
+chopped Chebyshev series (zeros once per plan, the spot-checked branch
+integral once per t and mode). Stage 2, :func:`_fourier_field`, sums each row,
+damped by the Gaussian mollifier e^{-(eps*rho)^2/4}, against cos(rho*x): by
+chirp-z transforms on a uniform x grid, each checked by one product with the
+plan's probe cosines, and by a dense sweep on any other. The edges beta = 0,
+beta = 1 and the classical pair bypass the transform; :func:`_kernel_eps_impl`
+wraps the values of every route in a :class:`Field`.
 
 Everything here is deterministic by construction: panel subdivision depends
 only on inputs, each row's chirp-z transform runs on its own FFT buffers, and
@@ -119,7 +121,11 @@ class QuadratureConfig:
 
     @classmethod
     def for_model(cls, p: ModelParams, **overrides) -> "QuadratureConfig":
-        """Config whose rho_max saturates the mollifier tail bound for p.epsilon."""
+        """Config whose rho_max saturates the mollifier tail bound for p.epsilon.
+
+        p is validated first, so a bad epsilon is reported as such.
+        """
+        validate_model(p)
         q = cls(**overrides)
         if "rho_max" in overrides:
             return q
@@ -463,11 +469,22 @@ def _chirp_plan(rho_max: float, n_panels: int, x: np.ndarray) -> Callable | None
     return sweep
 
 
+def _spot_indices(n: int) -> np.ndarray:
+    """8 fixed indices into n points, the first and last included."""
+    return np.unique(np.linspace(0, n - 1, 8).round().astype(int))
+
+
+def _probe_table(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """cos(rho_j x_k) at the spot-check points x_k of x, one row per point."""
+    table = np.outer(x[_spot_indices(x.size)], rho)
+    return np.cos(table, out=table)
+
+
 def _spot_check(fast: np.ndarray, exact_at: Callable, abs_tol: float, rel_tol: float,
                 what: str) -> None:
-    """exact_at(idx) at 8 fixed indices, the first and last included, must match
-    fast[idx] within max(abs_tol, rel_tol * |exact|); NumericsError(what) if not."""
-    idx = np.unique(np.linspace(0, fast.size - 1, 8).round().astype(int))
+    """exact_at(idx) at the _spot_indices of fast must match fast[idx] within
+    max(abs_tol, rel_tol * |exact|); NumericsError(what) if not."""
+    idx = _spot_indices(fast.size)
     exact = exact_at(idx)
     gap = np.abs(fast[idx] - exact)
     if np.any(gap > np.maximum(abs_tol, rel_tol * np.abs(exact))):
@@ -511,8 +528,9 @@ class _Stage1:
 
     ``weights`` are the Gauss weights times the mollifier damping, ``budget``
     the uniform signal error the branch tables may carry, ``roots`` the zero
-    pairs (s_z, psi'(s_z)) of every node (None at alpha = 0), and ``fast`` the
-    chirp-z transform on ``x[half:]`` (None unless that grid is uniform).
+    pairs (s_z, psi'(s_z)) of every node (None at alpha = 0), ``fast`` the
+    chirp-z transform on ``x[half:]`` (None unless that grid is uniform), and
+    ``probe`` the cosines of its dense spot check (None with ``fast``).
     """
 
     rho: np.ndarray
@@ -522,6 +540,7 @@ class _Stage1:
     roots: tuple | None
     half: int
     fast: Callable | None
+    probe: np.ndarray | None
 
 
 # The stage-1 plans of the innermost open _shared_stage1() block, else None.
@@ -553,6 +572,7 @@ def _stage1(x: np.ndarray, ts: tuple, p: ModelParams, q: QuadratureConfig) -> _S
     # Gauss nodes are interior and beta > 0 here, so every theta is positive
     theta = theta_of_rho(rho, p.beta)
     half = x.size // 2 if _symmetric(x) else 0
+    fast = _chirp_plan(q.rho_max, rho.size // _GL_NODES.size, x[half:])
     plan = _Stage1(
         rho=rho,
         weights=weights,
@@ -561,7 +581,8 @@ def _stage1(x: np.ndarray, ts: tuple, p: ModelParams, q: QuadratureConfig) -> _S
         budget=1e-2 * q.abs_tol * math.pi / float(np.sum(weights)),
         roots=None if p.alpha == 0.0 else _zero_pair_batch(p.alpha, p.tau, theta),
         half=half,
-        fast=_chirp_plan(q.rho_max, rho.size // _GL_NODES.size, x[half:]),
+        fast=fast,
+        probe=None if fast is None else _probe_table(rho, x[half:]),
     )
     if plans is not None:
         plans[key] = plan
@@ -583,17 +604,17 @@ def _fourier_field(
     """
     plan = _stage1(x, ts, p, q)
     signal = _spectral_signal(plan, p, q, integrated)
-    rho, half, fast = plan.rho, plan.half, plan.fast
-    xs = x[half:]
+    half, fast = plan.half, plan.fast
     values = np.empty((len(ts), x.size))
 
     def row(i: int) -> None:
         coeff = plan.weights * signal(ts[i]) / math.pi
         if fast is None:
-            values[i, half:] = _cosine_sweep(coeff, rho, xs)
+            values[i, half:] = _cosine_sweep(coeff, plan.rho, x[half:])
         else:
             values[i, half:] = fast(coeff)
-            _spot_check(values[i, half:], lambda k: _cosine_sweep(coeff, rho, xs[k]),
+            # the probe rows are the cosines at exactly these _spot_indices
+            _spot_check(values[i, half:], lambda _idx: plan.probe @ coeff,
                         1e-12 * float(np.sum(np.abs(coeff))), 0.0,
                         "chirp-z transform disagrees with the dense cosine sum")
 

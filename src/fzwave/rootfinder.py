@@ -319,8 +319,8 @@ def _zero_pair_batch(
     table; every node then takes the interpolated root and one plain Newton
     step, which squares the table's error (its error is held to 1e-8). A
     batch no larger than the first table is swept directly. Each node pays
-    two complex powers: one for the Newton step, one for the residual and
-    the returned psi'. Entries whose residual fails are recomputed through
+    two powers s^alpha (charfun._power): one for the Newton step, one for
+    the residual and the returned psi'. Entries whose residual fails are recomputed through
     find_zero_pair.
     """
     theta = np.asarray(theta, dtype=float)

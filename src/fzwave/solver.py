@@ -11,8 +11,10 @@ Initial data is one of four kinds. A ``dirac`` is absorbed analytically (the
 convolution is a translation of the kernel itself, so no quadrature error is
 added). ``gaussian`` and ``box`` profiles are sampled on the x-grid lattice
 and convolved by a direct trapezoid sum; ``sampled`` data is summed on its
-own grid. No transform-based convolution is used anywhere, so there are no
-periodization artifacts to control.
+own grid. Every difference x_i - y_j lands on one fine lattice, and the
+kernel, even in x, is evaluated once per |difference|. No transform-based
+convolution is used anywhere, so there are no periodization artifacts to
+control.
 """
 
 from __future__ import annotations
@@ -204,10 +206,13 @@ def _contribution(
     Distributed data is sampled on a lattice that refines the x-grid by an
     integer factor chosen so the spacing also resolves the mollifier scale
     (eps/4) and, for sampled data, the sample grid itself; every pairwise
-    difference x_i - y_j then lands on that single fine lattice, so the
-    kernel is evaluated once per difference and the trapezoid sum becomes a
-    strided correlation. Without the refinement a coarse x-grid undersamples
-    the kernel's eps-width features and silently loses mass.
+    difference x_i - y_j then lands on that single fine lattice. The kernel
+    is even in x, so it is evaluated once per |difference|, on the lattice
+    k_lo*hp .. k_hi*hp of absolute values (k_lo = 0 when the differences
+    straddle 0), and each row is gathered back onto the signed differences;
+    the trapezoid sum is then a strided correlation. Without the refinement a
+    coarse x-grid undersamples the kernel's eps-width features and silently
+    loses mass.
     """
     if data.is_zero:
         return np.zeros((len(ts), x.size))
@@ -246,15 +251,19 @@ def _contribution(
     samples = np.asarray(data.evaluate(y), dtype=float)
 
     # x_i - y_j = hp * (i*fine - j0 - jj); the difference lattice runs from
-    # k = -j1 (i = 0 against the rightmost sample) to k = (n-1)*fine - j0
-    d = hp * np.arange(-j1, (n - 1) * fine - j0 + 1)
+    # k = -j1 (i = 0 against the rightmost sample) to k = (n-1)*fine - j0.
+    # The kernel is even in x, so it is evaluated on |k| only: k_lo..k_hi.
+    k_first, k_last = -j1, (n - 1) * fine - j0
+    k_hi = max(abs(k_first), abs(k_last))
+    k_lo = 0 if k_first <= 0 <= k_last else min(abs(k_first), abs(k_last))
     w = np.full(m, hp)
     w[0] = w[-1] = 0.5 * hp
     coeffs = (w * samples)[::-1]
-    kfield = _kernel_field(d, ts, p, q, integrated)
+    kfield = _kernel_field(hp * np.arange(k_lo, k_hi + 1), ts, p, q, integrated)
+    gather = np.abs(np.arange(k_first, k_last + 1)) - k_lo
     out = np.empty((len(ts), n))
     for i in range(len(ts)):
-        out[i] = np.correlate(kfield.values[i], coeffs, mode="valid")[::fine]
+        out[i] = np.correlate(kfield.values[i][gather], coeffs, mode="valid")[::fine]
     return out
 
 

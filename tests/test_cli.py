@@ -139,6 +139,19 @@ def test_non_numeric_config_value_exits_two(capsys, tmp_path, cfg):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("command", [["kernel"], ["solve"], ["limits", "--case", "beta0"],
+                                     ["oracle"]])
+def test_bad_epsilon_exits_two_and_names_epsilon(capsys, tmp_path, command, eps):
+    # by flag and by config file: a usage error, never a traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": {"epsilon": eps}}))
+    for source in (["--eps", repr(eps)], ["--config", str(cfg_path)]):
+        rc, _, err = run(capsys, *command, *source)
+        assert rc == 2
+        assert err.startswith("error: epsilon=")
+
+
 EDGE_VALUES = [0.1, -0.0, 5e-324, 1e22, 1.0 / 3.0, 2.0, -1.5e-300, 123456789.0]
 
 

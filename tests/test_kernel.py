@@ -472,21 +472,30 @@ def test_dense_fallback_agrees_with_chirp_z_through_kernel_eps():
 
 
 def test_dense_sweep_sees_only_spot_check_points(monkeypatch):
-    sizes = []
-    sweep = fzwave.kernel._cosine_sweep
+    # on uniform grids the only dense cosines are the plan's 8 probe rows
+    sweeps, tables = [], []
+    sweep, probe_table = fzwave.kernel._cosine_sweep, fzwave.kernel._probe_table
 
-    def counted(coeff, rho, x):
-        sizes.append(x.size)
+    def counted_sweep(coeff, rho, x):
+        sweeps.append(x.size)
         return sweep(coeff, rho, x)
 
-    monkeypatch.setattr(fzwave.kernel, "_cosine_sweep", counted)
+    def counted_table(rho, x):
+        table = probe_table(rho, x)
+        tables.append(table.shape == (8, rho.size))
+        return table
+
+    monkeypatch.setattr(fzwave.kernel, "_cosine_sweep", counted_sweep)
+    monkeypatch.setattr(fzwave.kernel, "_probe_table", counted_table)
     p = ModelParams(0.25, 0.45, 0.1, 0.05)
     kernel_eps(np.linspace(-1.0, 1.0, 201), [0.5, 1.0], p)
-    assert sizes == [8, 8]
-    sizes.clear()
+    assert sweeps == []
+    assert tables == [True]
+    tables.clear()
     u0 = InitialData.gaussian(0.1, 0.2)
     solve_field(u0, InitialData.gaussian(0.1, 0.2, 0.5), np.linspace(-1.0, 1.0, 41), (0.5,), p)
-    assert sizes == [8, 8]
+    assert sweeps == []
+    assert tables == [True]
 
 
 # ------------------------------------------------------- time-fractional edge
@@ -551,6 +560,15 @@ def test_quadrature_config_validation():
 def test_for_model_saturates_mollifier_bound():
     q = QuadratureConfig.for_model(P_EXP)
     assert q.rho_max >= q.required_rho_max(P_EXP.epsilon)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+def test_for_model_names_a_bad_epsilon(eps):
+    # validated before rho_max divides by it
+    for overrides in ({}, {"rho_max": 900.0}):
+        with pytest.raises(ValidationError) as exc:
+            QuadratureConfig.for_model(ModelParams(0.25, 0.45, 0.1, eps), **overrides)
+        assert exc.value.field == "epsilon"
 
 
 def test_insufficient_rho_max_is_rejected():

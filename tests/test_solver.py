@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 import fzwave.kernel
+import fzwave.solver
 from fzwave.errors import ValidationError
-from fzwave.kernel import Field, delta_eps, kernel_classical, kernel_eps
+from fzwave.kernel import (
+    Field,
+    delta_eps,
+    kernel_classical,
+    kernel_eps,
+    kernel_eps_time_integrated,
+)
 from fzwave.params import ModelParams
 from fzwave.solver import (
     InitialData,
@@ -174,6 +181,55 @@ def test_same_support_data_share_one_zero_pair_batch(monkeypatch):
     batches.clear()
     solve_field(u0, InitialData.box(width=0.2), x, ts, P_EXP)
     assert len(batches) == 2 and batches[0] != batches[1]
+
+
+def _signed_lattice_row(x, t, data, p, integrated):
+    """Oracle: the trapezoid convolution with the kernel on every signed
+    difference x_i - y_j; returns the row and the lattice's integer offsets k."""
+    h = x[1] - x[0]
+    target = min(h, 0.25 * p.epsilon)
+    if data.kind == "sampled":
+        target = min(target, float(np.min(np.diff(data.samples.grid))))
+    fine = max(1, math.ceil(h / target - 1e-12))
+    lo, hi = data._support()
+    j0 = math.floor((lo - x[0]) / (h / fine)) - 1
+    j1 = max(math.ceil((hi - x[0]) / (h / fine)) + 1, j0 + 2)
+    w = np.full(j1 - j0 + 1, h / fine)
+    w[[0, -1]] *= 0.5
+    coeffs = (w * data.evaluate(x[0] + (h / fine) * np.arange(j0, j1 + 1)))[::-1]
+    k = np.arange(-j1, (x.size - 1) * fine - j0 + 1)
+    route = kernel_eps_time_integrated if integrated else kernel_eps
+    kern = route((h / fine) * k, [t], p).values[0]
+    return np.correlate(kern, coeffs, mode="valid")[::fine], k, h / fine
+
+
+@pytest.mark.parametrize("data, integrated", [
+    (InitialData.gaussian(0.3, 0.1), False),
+    (InitialData.box(-0.2, 0.5, 0.7), True),
+    (InitialData.sampled(np.linspace(-0.6, 0.6, 121),
+                         np.exp(-np.square(np.linspace(-0.6, 0.6, 121) / 0.1))), False),
+    (InitialData.gaussian(3.0, 0.1), False),  # every difference is negative
+])
+def test_kernel_runs_once_per_absolute_difference(monkeypatch, data, integrated):
+    x = np.linspace(-1.0, 1.0, 41)
+    q = fzwave.kernel.QuadratureConfig.for_model(P_EXP)
+    expected, k, hp = _signed_lattice_row(x, 0.5, data, P_EXP, integrated)
+    name = "kernel_eps_time_integrated" if integrated else "kernel_eps"
+    route, lattices = getattr(fzwave.solver, name), []
+
+    def recorded(x_grid, t_list, p, q=None):
+        lattices.append(np.asarray(x_grid))
+        return route(x_grid, t_list, p, q)
+
+    monkeypatch.setattr(fzwave.solver, name, recorded)
+    got = _contribution(x, (0.5,), data, P_EXP, q, integrated)[0]
+    (lattice,) = lattices
+    # k_lo = min|k| is 0 whenever the signed lattice straddles 0
+    np.testing.assert_array_equal(lattice, hp * np.arange(np.min(np.abs(k)),
+                                                          np.max(np.abs(k)) + 1))
+    assert lattice.size <= k.size
+    peak = float(np.max(np.abs(expected)))
+    assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, peak)
 
 
 def test_sampled_data_must_vanish_at_its_edges():
