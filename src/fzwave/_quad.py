@@ -74,6 +74,9 @@ _WG[1::2] = [
 ]
 
 
+_MAX_PANELS = 2000  # panels one adaptive_gk call may refine to
+
+
 def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
     """Apply the G7/K15 pair on each [lo_p, hi_p]; f maps nodes to (n,) or (n, m)."""
     half = 0.5 * (hi - lo)
@@ -95,7 +98,6 @@ def adaptive_gk(
     edges,
     rel_tol: float = 1e-6,
     abs_tol: float = 1e-8,
-    max_panels: int = 2000,
     what: str = "integral",
 ):
     """Integrate f over the union of panels defined by ``edges``.
@@ -103,8 +105,9 @@ def adaptive_gk(
     f takes a flat array of nodes and returns values of shape (n,) or (n, m);
     integration is carried out independently for each of the m components.
     Returns ``(integral, err_estimate)`` with shape (m,) each (scalars are
-    squeezed). Raises :class:`NumericsError` if the panel budget is exhausted
-    before every component reaches max(abs_tol, rel_tol * |I|).
+    squeezed). Raises :class:`NumericsError` if the budget of _MAX_PANELS
+    panels is exhausted before every component reaches
+    max(abs_tol, rel_tol * |I|).
     """
     edges = np.asarray(edges, dtype=float)
     lo = edges[:-1].copy()
@@ -118,9 +121,9 @@ def adaptive_gk(
         failing = total_err > tol
         if not failing.any():
             break
-        if len(lo) >= max_panels:
+        if len(lo) >= _MAX_PANELS:
             raise NumericsError(
-                f"panel budget ({max_panels}) exhausted while refining {what}",
+                f"panel budget ({_MAX_PANELS}) exhausted while refining {what}",
                 achieved=float(np.max(total_err / np.maximum(tol, 1e-300))),
             )
         # Bisect every panel carrying more than an equal share of some
@@ -130,7 +133,7 @@ def adaptive_gk(
         split = panel_score > 0.5 / len(lo)
         if not split.any():
             split[np.argmax(panel_score)] = True
-        n_allowed = max_panels - len(lo)
+        n_allowed = _MAX_PANELS - len(lo)
         if split.sum() > n_allowed:
             order = np.argsort(panel_score)[::-1]
             keep = np.zeros_like(split)

@@ -43,7 +43,7 @@ from .kernel import (
     spectral_kernel_alpha0,
 )
 from .laplace_oracle import BromwichConfig, bromwich_invert
-from .params import DEFAULT_EPSILON, ModelParams, validate_model
+from .params import DEFAULT_EPSILON, ModelParams
 from .rootfinder import find_zero_pair
 from .solver import InitialData, solve_field
 
@@ -109,7 +109,6 @@ class RunConfig:
     output: OutputSpec
 
     def __post_init__(self) -> None:
-        validate_model(self.model)
         u0 = self.initial.get("u0")
         v0 = self.initial.get("v0")
         if set(self.initial) != {"u0", "v0"} or not all(
@@ -205,6 +204,8 @@ def _load_config_file(path: str | None) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ValidationError("config", path, f"an existing JSON file ({path} not found)")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError("config", path, f"a readable UTF-8 JSON file ({e})")
     except json.JSONDecodeError as e:
         raise ValidationError("config", path, f"valid JSON ({e})")
     if not isinstance(cfg, dict):

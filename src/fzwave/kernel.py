@@ -42,7 +42,7 @@ import numpy as np
 from ._quad import adaptive_gk, geometric_edges, log_cheb_table
 from .charfun import CharParams, _psi_prime, branch_values, theta_of_rho, zener_ratio
 from .errors import NumericsError, ValidationError
-from .params import ModelParams, validate_model
+from .params import ModelParams
 from .rootfinder import _zero_pair_batch, find_zero_pair
 
 __all__ = [
@@ -61,6 +61,10 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _CHUNK = 1024  # fixed reduction width for deterministic cosine sweeps
+_Q_MAX = 1e6  # cap on every branch- and cut-integral truncation point
+_PANELS_PER_PERIOD = 8  # equal rho panels per 2*pi of the integrand's phase
+# rho nodes one field may ask for; each costs ~210 B of peak memory, ~0.9 GB in all
+_RHO_NODE_BUDGET = 4_000_000
 _erf = np.vectorize(math.erf, otypes=[float])
 
 
@@ -89,23 +93,22 @@ def delta_eps(x: np.ndarray | float, epsilon: float) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and truncation bounds for kernel and field assembly.
+    """Tolerances and truncation bound for kernel and field assembly.
 
-    q_max caps the branch-integral truncation point (the effective cut-off is
-    scale-dependent and never exceeds this). rho_max truncates the Fourier
-    integral and must honour the mollifier bound
+    rel_tol and abs_tol are the quadrature targets. rho_max truncates the
+    Fourier integral and must honour the mollifier bound
     rho_max >= (2/eps) * sqrt(ln(1/abs_tol)); use :meth:`for_model` to derive
-    it from a model's eps rather than guessing.
+    it from a model's eps rather than guessing. The branch-integral cap
+    (_Q_MAX) and the rho panel density (_PANELS_PER_PERIOD) are module
+    constants.
     """
 
-    q_max: float = 1e6
     rho_max: float = 860.0
     rel_tol: float = 1e-6
     abs_tol: float = 1e-8
-    panels_per_period: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("q_max", "rho_max", "rel_tol", "abs_tol"):
+        for name in ("rho_max", "rel_tol", "abs_tol"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and not isinstance(v, bool)
                     and math.isfinite(v) and v > 0.0):
@@ -115,17 +118,10 @@ class QuadratureConfig:
                 "rel_tol", self.rel_tol,
                 ">= 1e-12 (tighter targets are below attainable rounding noise)",
             )
-        n = self.panels_per_period
-        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 4):
-            raise ValidationError("panels_per_period", n, "integer >= 4")
 
     @classmethod
     def for_model(cls, p: ModelParams, **overrides) -> "QuadratureConfig":
-        """Config whose rho_max saturates the mollifier tail bound for p.epsilon.
-
-        p is validated first, so a bad epsilon is reported as such.
-        """
-        validate_model(p)
+        """Config whose rho_max saturates the mollifier tail bound for p.epsilon."""
         q = cls(**overrides)
         if "rho_max" in overrides:
             return q
@@ -218,7 +214,6 @@ def laplace_kernel_hat(rho: float, s: complex, p: ModelParams) -> complex:
 
     Reduces to 1/s when theta(rho) vanishes (rho = 0 or beta = 0).
     """
-    validate_model(p)
     if not (isinstance(rho, (int, float)) and rho >= 0.0 and math.isfinite(rho)):
         raise ValidationError("rho", rho, "[0, inf)")
     s = complex(s)
@@ -267,10 +262,10 @@ def _branch_part(
         # power-law tail ~ C*theta*q^(-4-a); push q out until it clears abs_tol
         c_tail = (1.0 - tau) * math.sin(alpha * math.pi) / (math.pi * tau * tau)
         q_pow = (c_tail * theta_top / ((3.0 + alpha) * q.abs_tol)) ** (1.0 / (3.0 + alpha))
-        q_cut = min(q.q_max, max(50.0 / t, q_pow))
+        q_cut = min(_Q_MAX, max(50.0 / t, q_pow))
         u_max = t * q_cut
     else:
-        q_cut = min(q.q_max, max(50.0 / t, 1e3 * math.sqrt(theta_top)))
+        q_cut = min(_Q_MAX, max(50.0 / t, 1e3 * math.sqrt(theta_top)))
         u_max = min(max(45.0, t * q_cut), 700.0)
 
     first = max(min(0.05, u_lo_scale / 8.0, u_max / 64.0), 1e-12)
@@ -338,7 +333,6 @@ def spectral_kernel(
     test before use; the imaginary residual of the explicitly summed pair is
     asserted below 1e-10 relative and then discarded.
     """
-    validate_model(p)
     if not (0.0 < p.alpha < 1.0):
         raise ValidationError(
             "alpha", p.alpha, "(0, 1) (the order-zero case has its own closed form)"
@@ -398,14 +392,21 @@ def _check_grids(x_grid, t_list) -> tuple[np.ndarray, tuple]:
 
 
 def _rho_panels(freq_scale: float, q: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights tiling (0, rho_max] at panels_per_period density.
+    """Gauss nodes and weights tiling (0, rho_max] at _PANELS_PER_PERIOD density.
 
     freq_scale is the largest phase rate (radians per unit rho) the integrand
     carries: the cos(rho x) sweep contributes max|x| and the spectral factor
-    contributes ~ t * d|s_z|/d rho through its oscillating pole pair.
+    contributes ~ t * d|s_z|/d rho through its oscillating pole pair. A node
+    count above _RHO_NODE_BUDGET is refused before anything is allocated.
     """
-    width = min(2.0 * math.pi / (q.panels_per_period * max(freq_scale, 1e-9)), 0.5)
+    width = min(2.0 * math.pi / (_PANELS_PER_PERIOD * max(freq_scale, 1e-9)), 0.5)
     n_panels = max(int(math.ceil(q.rho_max / width)), 1)
+    n_nodes = n_panels * _GL_NODES.size
+    if n_nodes > _RHO_NODE_BUDGET:
+        raise ValidationError(
+            "t_list", f"a latest t needing {n_nodes:,} rho nodes",
+            f"at most {_RHO_NODE_BUDGET:,} rho nodes (the count grows with max t and max|x|)",
+        )
     return _gauss_panels(np.linspace(0.0, q.rho_max, n_panels + 1))
 
 
@@ -653,7 +654,6 @@ def kernel_eps_time_integrated(
 def _kernel_eps_impl(
     x_grid, t_list, p: ModelParams, q: QuadratureConfig | None, integrated: bool
 ) -> Field:
-    validate_model(p)
     x, ts = _check_grids(x_grid, t_list)
     if q is None:
         q = QuadratureConfig.for_model(p)
@@ -804,7 +804,7 @@ def _tf_kernel_rows(
     psi = _tf_ray_angle(alpha)
     decay = math.cos(psi)
     phase = cmath.exp(1j * psi)
-    r_max_all = min(60.0 / (float(np.min(margin[live])) * decay), q.q_max)
+    r_max_all = min(60.0 / (float(np.min(margin[live])) * decay), _Q_MAX)
 
     peaks = np.zeros_like(y)
     peaks[live] = _tf_exponent_peak(y[live], t, alpha, tau, psi, r_max_all)
@@ -825,7 +825,7 @@ def _tf_kernel_rows(
         return out
     yy = y[conditioned]
     mm = margin[conditioned]
-    r_max = min(60.0 / (float(np.min(mm)) * decay), q.q_max)
+    r_max = min(60.0 / (float(np.min(mm)) * decay), _Q_MAX)
     first = max(min(0.02 / max(t, 1e-12), r_max / 64.0), 1e-12)
     edges = geometric_edges(0.0, r_max, first, ratio=1.7)
 

@@ -27,10 +27,12 @@ import numpy as np
 
 from .charfun import theta_of_rho
 from .errors import NumericsError, ValidationError
-from .params import ModelParams, validate_model
+from .params import ModelParams
 
 _T_GUARD = 1e-3
 _MAX_DOUBLINGS = 12
+_REL_TOL = 1e-7  # agreement of two consecutive Richardson levels
+_ABS_TOL = 1e-9  # bound on the truncation tail beyond p_max
 
 
 @dataclass(frozen=True)
@@ -63,19 +65,15 @@ def bromwich_invert(
     t: float,
     p: ModelParams,
     c: BromwichConfig = BromwichConfig(),
-    *,
-    rel_tol: float = 1e-7,
-    abs_tol: float = 1e-9,
 ) -> float:
     """Invert the Laplace-domain kernel at (rho, t) along the Bromwich line.
 
     Returns 1 - (e^(s0 t)/2pi) * Int Q(s0+ip) e^(ipt) dp, refined by node
     doubling with one Richardson extrapolation per level and accepted after
-    two consecutive levels agree to rel_tol. The truncation tail and the
+    two consecutive levels agree to 1e-7 relative. The truncation tail and the
     imaginary residual are checked explicitly; failure of either is an error,
     never a silent degradation.
     """
-    validate_model(p)
     if not (isinstance(rho, (int, float)) and rho >= 0.0 and math.isfinite(rho)):
         raise ValidationError("rho", rho, "[0, inf)")
     if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= _T_GUARD):
@@ -97,9 +95,9 @@ def bromwich_invert(
     # against e^{ipt} gains a 1/t factor; |int| <= (|Q(p_max)| + int |Q'|)/t
     # ~ 2(theta/tau) p_max^-3 / t per half-line. Safety factor 4.
     tail = 16.0 * (theta / p.tau) / (t * c.p_max**3) * amp
-    if tail > abs_tol:
+    if tail > _ABS_TOL:
         raise NumericsError(
-            f"Bromwich truncation tail {tail:.3e} exceeds abs_tol at p_max={c.p_max:g}; "
+            f"Bromwich truncation tail {tail:.3e} exceeds 1e-9 at p_max={c.p_max:g}; "
             "raise p_max rather than accept a silently truncated inversion",
             achieved=tail,
         )
@@ -124,7 +122,7 @@ def bromwich_invert(
         if prev_richardson is not None:
             achieved = abs(richardson - prev_richardson) * amp
             value_scale = max(abs(1.0 - amp * richardson.real), 1e-3)
-            if achieved <= rel_tol * value_scale:
+            if achieved <= _REL_TOL * value_scale:
                 result = richardson
                 break
         prev_richardson = richardson

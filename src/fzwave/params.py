@@ -38,12 +38,18 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Dimensionless parameter bundle used by every solver entry point."""
+    """Dimensionless parameter bundle used by every solver entry point.
+
+    Construction runs :func:`validate_model`, so every instance is valid.
+    """
 
     alpha: float
     beta: float
     tau: float
     epsilon: float = DEFAULT_EPSILON
+
+    def __post_init__(self) -> None:
+        validate_model(self)
 
 
 @dataclass(frozen=True)
@@ -121,11 +127,9 @@ def nondimensionalize(
         raise ValidationError(
             "alpha", p.alpha, "(0, 1) for nondimensionalization (time scale undefined at 0)"
         )
-    beta = p.beta  # range-checked via validate_model below
+    beta = p.beta  # range-checked by ModelParams below
 
-    model = validate_model(
-        ModelParams(alpha=alpha, beta=beta, tau=ts / te, epsilon=epsilon)
-    )
+    model = ModelParams(alpha=alpha, beta=beta, tau=ts / te, epsilon=epsilon)
 
     length = (te ** (2.0 / alpha) * rho / e_mod) ** (1.0 / (1.0 + beta))
     time = te ** (1.0 / alpha)

@@ -5,8 +5,9 @@ complex-conjugate pair in the closed left half-plane, both simple. The
 representative with positive imaginary part drives the oscillatory part of
 every kernel, so we locate it by damped Newton iteration from the elastic
 (``alpha = 0``) root and certify the count with an argument-principle winding
-integral over a rectangle. A quadtree bisection on winding counts serves as a
-derivative-free fallback when Newton stalls.
+integral over a rectangle. One vectorized damped Newton serves both a single
+zero and a whole batch; a quadtree bisection on winding counts gives it a
+second start when the first fails the residual test.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class ZeroPair:
 
     s_z: complex
     residual: float
-    iterations: int
 
     def __post_init__(self) -> None:
         if not self.s_z.imag > 0.0:
@@ -157,38 +157,9 @@ def winding_number(rect, p: CharParams, node_budget: int = _NODE_BUDGET) -> int:
     return int(n)
 
 
-def _elastic_root(tau: float, theta: float) -> complex:
-    return 1j * math.sqrt(2.0 * theta / (1.0 + tau))
-
-
-def _newton_polish(
-    s: complex, alpha: float, tau: float, theta: float
-) -> tuple[complex, bool, int]:
-    """Damped Newton; returns (s, converged, iterations)."""
-    fs = complex(_psi(s, alpha, tau, theta))
-    for it in range(1, _NEWTON_MAX_ITER + 1):
-        if abs(fs) <= 1e-14 * abs(s) ** 2:
-            return s, True, it  # residual at the rounding floor; no descent possible
-        d = complex(_psi_prime(s, alpha, tau, theta))
-        if d == 0:
-            return s, False, it
-        step = fs / d
-        lam = 1.0
-        for _ in range(20):
-            cand = s - lam * step
-            if cand.imag <= _CUT_CLEARANCE and cand.real <= 0.0:
-                lam *= 0.5  # keep clear of the branch cut
-                continue
-            f_cand = complex(_psi(cand, alpha, tau, theta))
-            if abs(f_cand) < abs(fs):
-                break
-            lam *= 0.5
-        else:
-            return s, False, it
-        s, fs = cand, f_cand
-        if abs(lam * step) <= 1e-13 * abs(s):
-            return s, True, it
-    return s, abs(fs) <= 1e-10 * max(1.0, abs(s) ** 2), _NEWTON_MAX_ITER
+def _elastic_root(tau: float, theta):
+    """The order-zero (alpha = 0) root i*sqrt(2*theta/(1+tau)), for scalar or array theta."""
+    return 1j * np.sqrt(2.0 * theta / (1.0 + tau))
 
 
 def _bisection_fallback(p: CharParams) -> complex:
@@ -222,32 +193,29 @@ def _bisection_fallback(p: CharParams) -> complex:
 def find_zero_pair(p: CharParams) -> ZeroPair:
     """Locate the upper-half-plane characteristic zero and certify it.
 
-    Newton iteration starts from the exact order-zero root
-    i*sqrt(2*theta/(1+tau)) and falls back to winding-count bisection if it
-    fails to converge. Certification re-runs the argument principle on a
-    small rectangle around the located zero and requires a count of exactly
-    one, which also confirms simplicity.
+    :func:`_damped_newton` starts from the exact order-zero root
+    i*sqrt(2*theta/(1+tau)) and, if the residual test fails there, runs
+    again from the winding-count bisection point. Certification re-runs the
+    argument principle on a small rectangle around the located zero and
+    requires a count of exactly one, which also confirms simplicity.
     """
     alpha, tau, theta = p.alpha, p.tau, p.theta
-    s0 = _elastic_root(tau, theta)
-    iterations = 0
-    if alpha == 0.0:
-        s = s0  # characteristic function is exactly quadratic here
-    else:
-        s, ok, iterations = _newton_polish(s0, alpha, tau, theta)
-        if not ok:
-            s, ok, more = _newton_polish(_bisection_fallback(p), alpha, tau, theta)
-            iterations += more
-            if not ok:
-                raise NumericsError(
-                    "Newton iteration failed to converge to a characteristic zero",
-                    achieved=abs(complex(_psi(s, alpha, tau, theta))),
-                )
-    if s.imag < 0.0:
-        s = s.conjugate()
-    residual = abs(complex(_psi(s, alpha, tau, theta)))
-    if residual > 1e-10 * max(1.0, abs(s) ** 2):
-        raise NumericsError("characteristic-zero residual too large", achieved=residual)
+
+    def polish(start: complex) -> complex:
+        s = complex(_damped_newton(alpha, tau, np.array([theta]), np.array([start]))[0])
+        return s.conjugate() if s.imag < 0.0 else s
+
+    def residual(s: complex) -> float:
+        return abs(complex(_psi(s, alpha, tau, theta)))
+
+    s = complex(_elastic_root(tau, theta))
+    if alpha != 0.0:  # at alpha = 0 the characteristic function is quadratic: s is exact
+        s = polish(s)
+        if not residual(s) <= 1e-10 * max(1.0, abs(s) ** 2):  # NaN fails too
+            s = polish(_bisection_fallback(p))
+    res = residual(s)
+    if not res <= 1e-10 * max(1.0, abs(s) ** 2):
+        raise NumericsError("characteristic-zero residual too large", achieved=res)
     if s.real > _CUT_CLEARANCE:
         raise NumericsError(
             f"located zero {s} lies in the open right half-plane, contradicting passivity"
@@ -270,12 +238,14 @@ def find_zero_pair(p: CharParams) -> ZeroPair:
         raise NumericsError(
             f"certification rectangle around {s} contains {count} zeros instead of 1"
         )
-    return ZeroPair(s_z=complex(s), residual=residual, iterations=iterations)
+    return ZeroPair(s_z=s, residual=res)
 
 
-def _damped_newton(alpha: float, tau: float, theta: np.ndarray) -> np.ndarray:
-    """Vectorized damped Newton from the elastic roots, one zero per theta."""
-    s = 1j * np.sqrt(2.0 * theta / (1.0 + tau))
+def _damped_newton(
+    alpha: float, tau: float, theta: np.ndarray, start: np.ndarray | None = None
+) -> np.ndarray:
+    """Vectorized damped Newton, one zero per theta, from start (default: the elastic roots)."""
+    s = _elastic_root(tau, theta) if start is None else np.array(start, dtype=complex)
     fs = _psi(s, alpha, tau, theta)
     active = np.ones(s.shape, dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
@@ -325,7 +295,7 @@ def _zero_pair_batch(
     """
     theta = np.asarray(theta, dtype=float)
     if alpha == 0.0:
-        s = 1j * np.sqrt(2.0 * theta / (1.0 + tau))
+        s = _elastic_root(tau, theta)
         return s, 2.0 * s
     if theta.size <= _CHEB_FIRST + 1:
         s = _damped_newton(alpha, tau, theta)

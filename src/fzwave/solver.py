@@ -32,11 +32,12 @@ from .kernel import (
     _check_grids,
     _meta,
     _shared_stage1,
+    _symmetric,
     delta_eps,
     kernel_eps,
     kernel_eps_time_integrated,
 )
-from .params import DEFAULT_EPSILON, ModelParams, validate_model
+from .params import DEFAULT_EPSILON, ModelParams
 
 __all__ = ["InitialData", "solve_field", "nonprop_solution", "peak_metrics"]
 
@@ -285,7 +286,6 @@ def solve_field(
     """
     if not isinstance(u0, InitialData) or not isinstance(v0, InitialData):
         raise ValidationError("u0/v0", type(u0).__name__, "InitialData instances")
-    validate_model(p)
     x, ts = _check_grids(x_grid, t_list)
     if q is None:
         q = QuadratureConfig.for_model(p)
@@ -349,11 +349,10 @@ def peak_metrics(f: Field, t_index: int) -> tuple:
     if not (0 <= t_index < len(f.t_list)):
         raise ValidationError("t_index", t_index, f"[0, {len(f.t_list)})")
     x = f.x_grid
-    scale = max(1.0, float(np.max(np.abs(x))))
-    if abs(x[0] + x[-1]) > 1e-12 * scale or np.max(np.abs(x + x[::-1])) > 1e-12 * scale:
+    if not _symmetric(x):
         raise ValidationError("x_grid", "asymmetric", "a grid symmetric about 0")
     v = f.values[t_index]
-    mask = x >= -1e-15 * scale
+    mask = x >= -1e-15 * max(1.0, float(np.max(np.abs(x))))
     xs, vs = x[mask], v[mask]
     if xs.size < 3:
         raise ValidationError("x_grid", xs.size, "at least 3 points with x >= 0")

@@ -4,11 +4,12 @@ Everything downstream needs E_alpha (and the two-parameter extension) only on
 and near the negative real axis, where the defining power series suffers
 catastrophic cancellation long before it stops converging: at alpha = 1/4 and
 z = -5 the largest series term exceeds the sum by ~270 orders of magnitude.
-The evaluator therefore runs up to three regimes and accepts a result only
-when its own error estimate meets the requested tolerance:
+The evaluator, :func:`mittag_leffler`, therefore runs up to three regimes and
+accepts a result only when its own error estimate meets the module's fixed
+relative tolerance, 1e-10:
 
-1. the power series, summed exactly-rounded, with a cancellation estimate
-   from the largest term;
+1. the power series (tried first for |z| <= 5), summed exactly-rounded, with
+   a cancellation estimate from the largest term;
 2. the large-argument expansion in the cone around the negative real axis,
    truncated at its smallest term;
 3. for real z < 0, the cut integral of the Laplace-domain form
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from math import fsum, lgamma
 
 import numpy as np
@@ -36,6 +36,8 @@ _EPS = 2.0 ** -52
 _TINY = 1e-300
 _MAX_SERIES_TERMS = 4000
 _MAX_ASYMP_TERMS = 400
+_SERIES_TOL = 1e-10  # relative error estimate a regime must reach to be accepted
+_SWITCH_RADIUS = 5.0  # |z| up to which the power series is tried first
 
 
 def _rgamma(x: float) -> float:
@@ -46,29 +48,6 @@ def _rgamma(x: float) -> float:
         return 1.0 / math.gamma(x)
     except OverflowError:
         return 0.0
-
-
-@dataclass(frozen=True)
-class MLParams:
-    """Evaluation parameters for the two-parameter Mittag-Leffler function."""
-
-    ml_alpha: float
-    ml_beta: float = 1.0
-    series_tol: float = 1e-10
-    switch_radius: float = 5.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.ml_alpha <= 1.0:
-            raise ValidationError("ml_alpha", self.ml_alpha, "(0, 1]")
-        if not self.ml_beta > 0.0:
-            raise ValidationError("ml_beta", self.ml_beta, "(0, inf)")
-        if not 0.0 < self.series_tol <= 1e-6:
-            raise ValidationError("series_tol", self.series_tol, "(0, 1e-6]")
-        if not self.switch_radius > 1.0:
-            raise ValidationError("switch_radius", self.switch_radius, "(1, inf)")
-
-    def evaluate(self, z: complex) -> complex:
-        return _evaluate(self, complex(z))
 
 
 def _series(a: float, b: float, z: complex) -> tuple[complex, float]:
@@ -208,10 +187,16 @@ def _spectral(a: float, b: float, lam: float) -> tuple[complex, float]:
     return complex(val), est
 
 
-def _evaluate(p: MLParams, z: complex) -> complex:
+def mittag_leffler(ml_alpha: float, ml_beta: float, z: complex) -> complex:
+    """Two-parameter Mittag-Leffler function E_{ml_alpha, ml_beta}(z), to _SERIES_TOL."""
+    if not 0.0 < ml_alpha <= 1.0:
+        raise ValidationError("ml_alpha", ml_alpha, "(0, 1]")
+    if not ml_beta > 0.0:
+        raise ValidationError("ml_beta", ml_beta, "(0, inf)")
+    z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValidationError("z", z, "finite complex")
-    a, b, tol = p.ml_alpha, p.ml_beta, p.series_tol
+    a, b, tol = ml_alpha, ml_beta, _SERIES_TOL
     if a == 1.0 and b == 1.0:
         return cmath.exp(z)
     if z == 0:
@@ -226,7 +211,7 @@ def _evaluate(p: MLParams, z: complex) -> complex:
             best_est, best_val = est, val
         return est <= tol
 
-    if abs(z) <= p.switch_radius:
+    if abs(z) <= _SWITCH_RADIUS:
         if consider(*_series(a, b, z)):
             return best_val
     # Large-argument expansion in the cone |arg(-z)| <= pi/4.
@@ -235,7 +220,7 @@ def _evaluate(p: MLParams, z: complex) -> complex:
             return best_val
     # The series guard is pessimistic only slightly past the switch radius;
     # give it a chance there before the heavier machinery.
-    if p.switch_radius < abs(z) <= 3.0 * p.switch_radius:
+    if _SWITCH_RADIUS < abs(z) <= 3.0 * _SWITCH_RADIUS:
         if consider(*_series(a, b, z)):
             return best_val
     if z.imag == 0.0 and z.real < 0.0 and a < 1.0:
@@ -246,18 +231,6 @@ def _evaluate(p: MLParams, z: complex) -> complex:
         "in any implemented regime",
         achieved=best_est,
     )
-
-
-def mittag_leffler(
-    ml_alpha: float,
-    ml_beta: float,
-    z: complex,
-    *,
-    series_tol: float = 1e-10,
-    switch_radius: float = 5.0,
-) -> complex:
-    """Two-parameter Mittag-Leffler function E_{ml_alpha, ml_beta}(z)."""
-    return MLParams(ml_alpha, ml_beta, series_tol, switch_radius).evaluate(z)
 
 
 def _check_relaxation_args(alpha: float, tau: float) -> None:

@@ -66,6 +66,17 @@ def test_missing_config_exits_two_and_names_file(capsys):
     assert "/nonexistent/cfg.json" in err
 
 
+def test_unreadable_config_exits_two_and_names_config(capsys, tmp_path):
+    # a directory, and a file that is not UTF-8: usage errors, never a traceback
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"model": {"tau": 0.1}} # caf\xe9'.encode("latin-1"))
+    for path in (tmp_path, latin1):
+        rc, out, err = run(capsys, "kernel", "--config", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: config=")
+
+
 def test_validation_error_exits_two(capsys):
     rc, _, err = run(capsys, "kernel", "--alpha", "1.5", "--nx", "11")
     assert rc == 2
@@ -127,8 +138,8 @@ def test_kernel_json_output(capsys, tmp_path):
     {"grid": {"t_list": ["a"]}},
     {"grid": {"t_list": [[0.5, 1.0]]}},
     {"grid": {"x_min": "a"}},
-    {"quadrature": {"panels_per_period": "a"}},
-    {"quadrature": {"panels_per_period": 4.5}},
+    {"quadrature": {"rel_tol": "a"}},
+    {"quadrature": {"rho_max": [860.0]}},
     {"quadrature": {"abs_tol": True}},
 ])
 def test_non_numeric_config_value_exits_two(capsys, tmp_path, cfg):
@@ -137,6 +148,15 @@ def test_non_numeric_config_value_exits_two(capsys, tmp_path, cfg):
     rc, _, err = run(capsys, "kernel", "--config", str(cfg_path))
     assert rc == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key", ["panels_per_period", "q_max"])
+def test_removed_quadrature_setting_exits_two(capsys, tmp_path, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"quadrature": {key: 8}}))
+    rc, _, err = run(capsys, "kernel", "--config", str(cfg_path))
+    assert rc == 2
+    assert err.startswith("error: quadrature=")
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])

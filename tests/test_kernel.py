@@ -545,16 +545,12 @@ def test_quadrature_config_validation():
     with pytest.raises(ValidationError):
         QuadratureConfig(rel_tol=1e-13)
     with pytest.raises(ValidationError):
-        QuadratureConfig(panels_per_period=2)
-    with pytest.raises(ValidationError):
         QuadratureConfig(rho_max=-1.0)
-    # a count must be a count, and a bool is no tolerance
-    for bad in ({"panels_per_period": 4.5}, {"panels_per_period": True},
-                {"panels_per_period": 8.0}, {"q_max": True}, {"rho_max": True},
-                {"rel_tol": True}, {"abs_tol": True}):
+    # a bool is no tolerance
+    for bad in ({"rho_max": True}, {"rel_tol": True}, {"abs_tol": True}):
         with pytest.raises(ValidationError):
             QuadratureConfig(**bad)
-    assert QuadratureConfig(panels_per_period=5, abs_tol=1e-9).panels_per_period == 5
+    assert QuadratureConfig(rel_tol=1e-5, abs_tol=1e-9).abs_tol == 1e-9
 
 
 def test_for_model_saturates_mollifier_bound():
@@ -569,6 +565,41 @@ def test_for_model_names_a_bad_epsilon(eps):
         with pytest.raises(ValidationError) as exc:
             QuadratureConfig.for_model(ModelParams(0.25, 0.45, 0.1, eps), **overrides)
         assert exc.value.field == "epsilon"
+
+
+@pytest.fixture
+def no_rho_grid(monkeypatch):
+    """Fail, before allocating, any rho panel grid the node budget should refuse."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rho panels were built")
+
+    linspace = np.linspace
+
+    def small_linspace(start, stop, num=50, *args, **kwargs):
+        if num > 10_000_000:
+            raise AssertionError(f"a {num}-point linspace was requested")
+        return linspace(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(fzwave.kernel, "_gauss_panels", refuse)
+    monkeypatch.setattr(np, "linspace", small_linspace)
+
+
+def test_rho_node_budget_refuses_a_long_time(no_rho_grid):
+    # at t = 1e6 the rho panels would hold about 2e10 nodes
+    with pytest.raises(ValidationError) as exc:
+        kernel_eps(np.linspace(-1.0, 1.0, 201), [1e6], P_EXP)
+    assert exc.value.field == "t_list"
+    assert "4,000,000" in str(exc.value)
+
+
+def test_rho_node_budget_exits_two_from_the_cli(no_rho_grid, capsys):
+    rc = fzwave.cli.run_command(["kernel", "--nx", "201", "--x-min", "-1", "--x-max", "1",
+                                 "--t-list", "1e6"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: t_list=")
 
 
 def test_insufficient_rho_max_is_rejected():

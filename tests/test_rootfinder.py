@@ -73,11 +73,32 @@ def test_zero_is_in_left_half_plane_and_upper():
     assert pair.s_z.imag > 0.0
 
 
+@pytest.mark.parametrize("alpha, tau, theta", [(0.25, 0.1, 1.0), (0.7, 0.4, 30.0)])
+def test_bisection_fallback_recovers_the_certified_root(alpha, tau, theta, monkeypatch):
+    p = CharParams(alpha=alpha, tau=tau, theta=theta)
+    expected = find_zero_pair(p).s_z
+    newton = fzwave.rootfinder._damped_newton
+    starts = []
+
+    def stalls_once(alpha, tau, theta, start=None):
+        starts.append(start)
+        if len(starts) == 1:
+            return np.array(start, dtype=complex)  # the unpolished elastic start
+        return newton(alpha, tau, theta, start)
+
+    monkeypatch.setattr(fzwave.rootfinder, "_damped_newton", stalls_once)
+    pair = find_zero_pair(p)
+    assert len(starts) == 2  # the second run starts from the bisection point
+    assert abs(starts[1][0] - expected) <= 1e-6 * abs(expected) < abs(starts[0][0] - expected)
+    assert abs(pair.s_z - expected) <= 1e-12 * abs(expected)
+    assert _winding_around(pair.s_z, p) == 1
+
+
 def test_zero_pair_validates_its_fields():
     with pytest.raises(ValidationError):
-        ZeroPair(s_z=1.0 - 1.0j, residual=0.0, iterations=1)
+        ZeroPair(s_z=1.0 - 1.0j, residual=0.0)
     with pytest.raises(ValidationError):
-        ZeroPair(s_z=-0.1 + 1.0j, residual=1.0, iterations=1)
+        ZeroPair(s_z=-0.1 + 1.0j, residual=1.0)
 
 
 def test_random_parameter_sweep_certifies():
