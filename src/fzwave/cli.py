@@ -133,7 +133,15 @@ def _initial_from_mapping(name: str, d: dict | None) -> InitialData:
     _require_keys(name, d, _DATA_KEYS)
     kwargs = {k: d[k] for k in ("center", "width", "height") if k in d}
     kind = d.get("kind")
+    # a key the kind does not use would otherwise be dropped without a word
+    if kind != "sampled" and "samples" in d:
+        raise ValidationError(f"{name}.samples", "<samples>", "no samples unless kind is sampled")
     if kind == "sampled":
+        for key in ("center", "width"):
+            if key in d:
+                raise ValidationError(
+                    f"{name}.{key}", d[key], "absent for sampled data (its samples place it)"
+                )
         s = d.get("samples")
         if not isinstance(s, dict) or set(s) - {"grid", "values"}:
             raise ValidationError(

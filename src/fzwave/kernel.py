@@ -2,22 +2,23 @@
 
 Fields with 0 < beta < 1 are built in two stages. Stage 1 starts from a
 node-only plan, :func:`_stage1`: the Gauss nodes rho_j, their damped weights,
-theta(rho_j), the zero pairs (one real-arithmetic power per node per Newton
-step), the chirp-z plan and the cosines of its 8-point dense spot check. The
-solver passes one lattice of |x - y| values per convolution and opens
-:func:`_shared_stage1` around each call, so the kernel and its time integral
-on one lattice share one plan and one zero-pair batch; no plan outlives that
-call. :func:`_spectral_signal` then maps the plan to t -> S(theta(rho_j), t),
-the inverse Laplace transform of s / (s^2 + theta * zener_ratio(s)), or its
-integral over [0, t]: a closed form at alpha = 0, otherwise the conjugate-pole
-residue pair plus a branch-cut integral, both tabulated in log theta by
-chopped Chebyshev series (zeros once per plan, the spot-checked branch
-integral once per t and mode). Stage 2, :func:`_fourier_field`, sums each row,
-damped by the Gaussian mollifier e^{-(eps*rho)^2/4}, against cos(rho*x): by
-chirp-z transforms on a uniform x grid, each checked by one product with the
-plan's probe cosines, and by a dense sweep on any other. The edges beta = 0,
-beta = 1 and the classical pair bypass the transform; :func:`_kernel_eps_impl`
-wraps the values of every route in a :class:`Field`.
+theta(rho_j) and the zero pairs (one real-arithmetic power per node per
+Newton step). A kernel's plan resolves the phase rates of its own x grid; the
+solver builds one plan per distinct initial datum, resolving x - y over the
+datum's support, with the panels cut short where a Gaussian datum's transform
+has decayed. :func:`_spectral_signal` then maps the plan to
+t -> S(theta(rho_j), t), the inverse Laplace transform of
+s / (s^2 + theta * zener_ratio(s)), or its integral over [0, t]: a closed form
+at alpha = 0, otherwise the conjugate-pole residue pair plus a branch-cut
+integral, both tabulated in log theta by chopped Chebyshev series (zeros once
+per plan, the spot-checked branch integral once per t and mode). Stage 2,
+:func:`_fourier_rows`, sums each row Re[sum_j c_j e^{i rho_j x}] with
+c_j = w_j e^{-(eps rho_j)^2/4} sum_d hat_d(rho_j) S_d(rho_j, t) / pi, where
+hat_d is a datum's Fourier transform (1 for the kernel itself): by chirp-z
+transforms on a uniform x grid, each checked against a dense sum at 8 points,
+and by a dense sweep on any other. The edges beta = 0, beta = 1 and the
+classical pair bypass the transform; :func:`_kernel_eps_impl` wraps the values
+of every route in a :class:`Field`.
 
 Everything here is deterministic by construction: panel subdivision depends
 only on inputs, each row's chirp-z transform runs on its own FFT buffers, and
@@ -33,8 +34,6 @@ import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -65,6 +64,7 @@ _Q_MAX = 1e6  # cap on every branch- and cut-integral truncation point
 _PANELS_PER_PERIOD = 8  # equal rho panels per 2*pi of the integrand's phase
 # rho nodes one field may ask for; each costs ~210 B of peak memory, ~0.9 GB in all
 _RHO_NODE_BUDGET = 4_000_000
+_RHO_MAX_MARGIN = 1.002  # factor over the tail bound at which rho panels are cut
 _erf = np.vectorize(math.erf, otypes=[float])
 
 
@@ -125,10 +125,13 @@ class QuadratureConfig:
         q = cls(**overrides)
         if "rho_max" in overrides:
             return q
-        return replace(q, rho_max=q.required_rho_max(p.epsilon) * 1.002)
+        return replace(q, rho_max=q.required_rho_max(p.epsilon) * _RHO_MAX_MARGIN)
 
-    def required_rho_max(self, epsilon: float) -> float:
-        return (2.0 / epsilon) * math.sqrt(math.log(1.0 / self.abs_tol))
+    def required_rho_max(self, epsilon: float, width: float = 0.0) -> float:
+        """Where e^{-(s rho)^2/4} falls to abs_tol, s = hypot(eps, width): the
+        mollifier alone, or its product with the transform of a Gaussian of
+        that width."""
+        return (2.0 / math.hypot(epsilon, width)) * math.sqrt(math.log(1.0 / self.abs_tol))
 
 
 @dataclass(frozen=True)
@@ -391,23 +394,32 @@ def _check_grids(x_grid, t_list) -> tuple[np.ndarray, tuple]:
     return x, tuple(arr.tolist())
 
 
-def _rho_panels(freq_scale: float, q: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights tiling (0, rho_max] at _PANELS_PER_PERIOD density.
+def _panel_edges(
+    freq_scale: float, q: QuadratureConfig, rho_cut: float | None = None
+) -> np.ndarray:
+    """Edges of the equal rho panels at _PANELS_PER_PERIOD density.
 
     freq_scale is the largest phase rate (radians per unit rho) the integrand
-    carries: the cos(rho x) sweep contributes max|x| and the spectral factor
-    contributes ~ t * d|s_z|/d rho through its oscillating pole pair. A node
-    count above _RHO_NODE_BUDGET is refused before anything is allocated.
+    carries: the e^{i rho x} sweep contributes the reach of x - y over the
+    output grid and the data, and the spectral factor contributes
+    ~ t * d|s_z|/d rho through its oscillating pole pair. The panels tile
+    (0, q.rho_max]; with rho_cut they stop at the first edge at or past it,
+    the head of the same tiling. A node count above _RHO_NODE_BUDGET is
+    refused before anything is allocated.
     """
     width = min(2.0 * math.pi / (_PANELS_PER_PERIOD * max(freq_scale, 1e-9)), 0.5)
     n_panels = max(int(math.ceil(q.rho_max / width)), 1)
-    n_nodes = n_panels * _GL_NODES.size
+    step = q.rho_max / n_panels
+    n_kept = n_panels if rho_cut is None else min(n_panels, max(math.ceil(rho_cut / step), 1))
+    n_nodes = n_kept * _GL_NODES.size
     if n_nodes > _RHO_NODE_BUDGET:
         raise ValidationError(
             "t_list", f"a latest t needing {n_nodes:,} rho nodes",
             f"at most {_RHO_NODE_BUDGET:,} rho nodes (the count grows with max t and max|x|)",
         )
-    return _gauss_panels(np.linspace(0.0, q.rho_max, n_panels + 1))
+    if n_kept == n_panels:
+        return np.linspace(0.0, q.rho_max, n_panels + 1)
+    return np.arange(n_kept + 1) * step  # linspace's own head: k * step
 
 
 def _gauss_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -420,18 +432,23 @@ def _gauss_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cosine_sweep(coeff: np.ndarray, rho: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j coeff_j cos(rho_j x) in fixed chunked order (thread-independent)."""
+    """Re sum_j coeff_j e^{i rho_j x} in fixed chunked order (thread-independent)."""
     out = np.zeros(x.size)
     for start in range(0, rho.size, _CHUNK):
+        c = coeff[start : start + _CHUNK, None]
         block = np.outer(rho[start : start + _CHUNK], x)
-        np.cos(block, out=block)
-        block *= coeff[start : start + _CHUNK, None]
+        if np.iscomplexobj(c):
+            block = c.real * np.cos(block) - c.imag * np.sin(block)
+        else:
+            np.cos(block, out=block)
+            block *= c
         out += block.sum(axis=0)
     return out
 
 
 def _chirp_plan(rho_max: float, n_panels: int, x: np.ndarray) -> Callable | None:
-    """The cosine sweep as eight chirp-z transforms; None unless x is uniform.
+    """The sum Re sum_j c_j e^{i rho_j x} as eight chirp-z transforms; None
+    unless x is uniform. The coefficients c_j may be real or complex.
 
     Node family k of the equal panels is the uniform grid c_k + p*delta, so
     for x_i = x0 + i*h its sum is Re[e^{i c_k x_i} sum_p b_p e^{i w p i}] with
@@ -470,15 +487,45 @@ def _chirp_plan(rho_max: float, n_panels: int, x: np.ndarray) -> Callable | None
     return sweep
 
 
+def _scattered_sums(f: np.ndarray, y: np.ndarray, delta: float, n_panels: int) -> np.ndarray:
+    """sum_m f_m e^{-i rho_j y_m} at every node rho_j of the first n_panels equal
+    panels of width delta, for any y; f holds one weight vector per row.
+
+    Node p*8 + k sits at p*delta + c_k; with p = a*B + b that is
+    a*B*delta + (b*delta + c_k), so the sums are one matrix product of
+    f_m e^{-i a B delta y_m} (one row per a and weight vector) and
+    e^{-i (b delta + c_k) y_m} (8B rows), accumulated over fixed chunks of m.
+    The exponentials are most of the cost, so B ~ sqrt(n_panels/8) makes the
+    two factors' row counts about equal. Nodes come back in panel order, as
+    from :func:`_gauss_panels`.
+    """
+    f = np.atleast_2d(f)
+    block = max(1, math.isqrt(n_panels // _GL_NODES.size))
+    outer = (block * delta) * np.arange(-(-n_panels // block))
+    inner = (delta * np.arange(block)[:, None] + 0.5 * delta * (1.0 + _GL_NODES)).ravel()
+    sums = np.zeros((f.shape[0] * outer.size, inner.size), dtype=complex)
+    for start in range(0, y.size, _CHUNK):
+        yc = y[start : start + _CHUNK]
+        left = f[:, None, start : start + _CHUNK] * np.exp(-1j * np.outer(outer, yc))
+        sums += left.reshape(-1, yc.size) @ np.exp(-1j * np.outer(inner, yc)).T
+    return sums.reshape(f.shape[0], -1)[:, : n_panels * _GL_NODES.size]
+
+
 def _spot_indices(n: int) -> np.ndarray:
     """8 fixed indices into n points, the first and last included."""
     return np.unique(np.linspace(0, n - 1, 8).round().astype(int))
 
 
-def _probe_table(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """cos(rho_j x_k) at the spot-check points x_k of x, one row per point."""
+def _probe_table(rho: np.ndarray, x: np.ndarray, real: bool) -> np.ndarray:
+    """e^{i rho_j x_k} at the spot-check points x_k of x, one row per point;
+    only its real part, cos(rho_j x_k), where the coefficients are real."""
     table = np.outer(x[_spot_indices(x.size)], rho)
-    return np.cos(table, out=table)
+    if real:
+        return np.cos(table, out=table)
+    probe = np.empty(table.shape, dtype=complex)
+    np.cos(table, out=probe.real)
+    np.sin(table, out=probe.imag)
+    return probe
 
 
 def _spot_check(fast: np.ndarray, exact_at: Callable, abs_tol: float, rel_tol: float,
@@ -525,13 +572,12 @@ def _freq_scale(x: np.ndarray, ts: tuple, beta: float, tau: float) -> float:
 
 @dataclass(frozen=True)
 class _Stage1:
-    """The node-only part of a field on (x, ts, p, q), shared by both modes.
+    """The node-only part of a field: what it needs of neither x nor the data.
 
     ``weights`` are the Gauss weights times the mollifier damping, ``budget``
     the uniform signal error the branch tables may carry, ``roots`` the zero
-    pairs (s_z, psi'(s_z)) of every node (None at alpha = 0), ``fast`` the
-    chirp-z transform on ``x[half:]`` (None unless that grid is uniform), and
-    ``probe`` the cosines of its dense spot check (None with ``fast``).
+    pairs (s_z, psi'(s_z)) of every node (None at alpha = 0), and ``rho_max``
+    and ``n_panels`` the extent and count of the equal panels.
     """
 
     rho: np.ndarray
@@ -539,85 +585,72 @@ class _Stage1:
     theta: np.ndarray
     budget: float
     roots: tuple | None
-    half: int
-    fast: Callable | None
-    probe: np.ndarray | None
+    rho_max: float
+    n_panels: int
 
 
-# The stage-1 plans of the innermost open _shared_stage1() block, else None.
-_PLANS: ContextVar[dict | None] = ContextVar("fzwave_stage1_plans", default=None)
-
-
-@contextmanager
-def _shared_stage1():
-    """Within the block, fields on the same (x, ts, p, q) share one stage-1 plan.
-
-    The solver opens one per call, so its two convolution terms on one lattice
-    run a single zero-pair batch; plans die with the block.
-    """
-    token = _PLANS.set({})
-    try:
-        yield
-    finally:
-        _PLANS.reset(token)
-
-
-def _stage1(x: np.ndarray, ts: tuple, p: ModelParams, q: QuadratureConfig) -> _Stage1:
-    """Build, or inside a _shared_stage1() block reuse, the stage-1 plan of a field."""
-    plans = _PLANS.get()
-    key = (x.tobytes(), ts, p, q)
-    if plans is not None and key in plans:
-        return plans[key]
-    rho, wts = _rho_panels(_freq_scale(x, ts, p.beta, p.tau), q)
+def _stage1(
+    x: np.ndarray,
+    ts: tuple,
+    p: ModelParams,
+    q: QuadratureConfig,
+    reach: float = 0.0,
+    rho_cut: float | None = None,
+) -> _Stage1:
+    """The stage-1 plan of a field on x from data within reach of 0 (by
+    default a point source at 0), its panels cut at rho_cut if given."""
+    edges = _panel_edges(_freq_scale(x, ts, p.beta, p.tau) + reach, q, rho_cut)
+    rho, wts = _gauss_panels(edges)
     weights = wts * np.exp(-np.square(p.epsilon * rho) / 4.0)
     # Gauss nodes are interior and beta > 0 here, so every theta is positive
     theta = theta_of_rho(rho, p.beta)
-    half = x.size // 2 if _symmetric(x) else 0
-    fast = _chirp_plan(q.rho_max, rho.size // _GL_NODES.size, x[half:])
-    plan = _Stage1(
+    return _Stage1(
         rho=rho,
         weights=weights,
         theta=theta,
         # a uniform signal error e moves a row by at most e * sum|w damp| / pi
         budget=1e-2 * q.abs_tol * math.pi / float(np.sum(weights)),
         roots=None if p.alpha == 0.0 else _zero_pair_batch(p.alpha, p.tau, theta),
-        half=half,
-        fast=fast,
-        probe=None if fast is None else _probe_table(rho, x[half:]),
+        rho_max=float(edges[-1]),
+        n_panels=edges.size - 1,
     )
-    if plans is not None:
-        plans[key] = plan
-    return plan
 
 
-def _fourier_field(
+def _fourier_rows(
     x: np.ndarray,
     ts: tuple,
     p: ModelParams,
     q: QuadratureConfig,
-    integrated: bool,
+    plan: _Stage1,
+    terms: list,
 ) -> np.ndarray:
-    """Stage 2: sum each row of the spectral signal against cos(rho x).
+    """Stage 2: each row Re sum_j c_j e^{i rho_j x}, c_j = w_j sum_d hat_d S_d(t) / pi.
 
-    A symmetric grid is summed on x >= 0 and mirrored, so rows are exactly
-    even; uniform x takes the spot-checked chirp-z transform, any other x the
-    dense sweep.
+    terms holds (hat, integrated) pairs: hat is a datum's Fourier transform at
+    plan.rho (a scalar for a point source at 0: 1.0 for the kernel itself) and
+    integrated selects S or its time integral, so data sharing a plan share
+    one transform per row. Real coefficients on a symmetric grid are summed
+    on x >= 0 and mirrored, so such rows are exactly even; uniform x takes the
+    spot-checked chirp-z transform, any other x the dense sweep.
     """
-    plan = _stage1(x, ts, p, q)
-    signal = _spectral_signal(plan, p, q, integrated)
-    half, fast = plan.half, plan.fast
+    signals = [(hat, _spectral_signal(plan, p, q, integrated)) for hat, integrated in terms]
+    real = not any(np.iscomplexobj(hat) for hat, _ in terms)
+    half = x.size // 2 if real and _symmetric(x) else 0
+    fast = _chirp_plan(plan.rho_max, plan.n_panels, x[half:])
+    probe = None if fast is None else _probe_table(plan.rho, x[half:], real)
     values = np.empty((len(ts), x.size))
 
     def row(i: int) -> None:
-        coeff = plan.weights * signal(ts[i]) / math.pi
+        parts = [hat * signal(ts[i]) for hat, signal in signals]
+        coeff = plan.weights * sum(parts[1:], parts[0]) / math.pi
         if fast is None:
             values[i, half:] = _cosine_sweep(coeff, plan.rho, x[half:])
         else:
             values[i, half:] = fast(coeff)
-            # the probe rows are the cosines at exactly these _spot_indices
-            _spot_check(values[i, half:], lambda _idx: plan.probe @ coeff,
+            # the probe rows are the exponentials at exactly these _spot_indices
+            _spot_check(values[i, half:], lambda _idx: (probe @ coeff).real,
                         1e-12 * float(np.sum(np.abs(coeff))), 0.0,
-                        "chirp-z transform disagrees with the dense cosine sum")
+                        "chirp-z transform disagrees with the dense sum")
 
     _map_rows(row, len(ts))
     values[:, :half] = values[:, ::-1][:, :half]
@@ -667,7 +700,7 @@ def _kernel_eps_impl(
         values = _tf_field(x, ts, p.alpha, p.tau, p.epsilon, q, integrated)
     else:
         _require_rho_max(q, p.epsilon)
-        values = _fourier_field(x, ts, p, q, integrated)
+        values = _fourier_rows(x, ts, p, q, _stage1(x, ts, p, q), [(1.0, integrated)])
     _check_even(x, values)
     return Field(x, ts, values, _meta(asdict(p), q))
 

@@ -26,6 +26,8 @@ from .errors import NumericsError, ValidationError
 _NODE_BUDGET = 200_000
 _CUT_CLEARANCE = 1e-9
 _NEWTON_MAX_ITER = 100
+# the winding-count descent stops at boxes this wide relative to their corner
+_BISECTION_STOP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -163,14 +165,19 @@ def _elastic_root(tau: float, theta):
 
 
 def _bisection_fallback(p: CharParams) -> complex:
-    """Quadtree descent on winding counts over the upper-left search window."""
+    """Quadtree descent on winding counts over the upper-left search window.
+
+    The descent stops once the box is 1e-7 of its corner's modulus wide:
+    winding_number pads a box whose edge passes within ~1e-8 of a zero, so
+    finer boxes no longer follow the zero. Newton polishes the centre.
+    """
     m = max(1.0, math.sqrt(2.0 * p.theta))
     re_lo, re_hi = -4.0 * m, _CUT_CLEARANCE
     im_lo, im_hi = _CUT_CLEARANCE, 4.0 * m
     if winding_number((re_lo, re_hi, im_lo, im_hi), p) < 1:
         raise NumericsError("no zero of the characteristic function in the search window")
     for _ in range(60):
-        if max(re_hi - re_lo, im_hi - im_lo) < 1e-12 * max(
+        if max(re_hi - re_lo, im_hi - im_lo) <= _BISECTION_STOP * max(
             1.0, abs(complex(re_lo, im_lo))
         ):
             break

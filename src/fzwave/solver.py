@@ -2,19 +2,23 @@
 
 The displacement is the spatial convolution of the initial displacement with
 the regularized solution kernel plus the convolution of the initial velocity
-with the time-integrated kernel. Kernel rows come from :mod:`fzwave.kernel`;
-this module owns the initial-data bookkeeping, the discrete convolution, the
-non-propagating closed form, and the peak metrics used to summarize wave
-profiles.
+with the time-integrated kernel. This module owns the initial-data
+bookkeeping, the assembly of those two terms, the non-propagating closed form,
+and the peak metrics used to summarize wave profiles.
 
-Initial data is one of four kinds. A ``dirac`` is absorbed analytically (the
-convolution is a translation of the kernel itself, so no quadrature error is
-added). ``gaussian`` and ``box`` profiles are sampled on the x-grid lattice
-and convolved by a direct trapezoid sum; ``sampled`` data is summed on its
-own grid. Every difference x_i - y_j lands on one fine lattice, and the
-kernel, even in x, is evaluated once per |difference|. No transform-based
-convolution is used anywhere, so there are no periodization artifacts to
-control.
+A kernel is convolved in the domain where it is computed. For 0 < beta < 1
+the kernel is a Fourier integral, so the field is the paper's generalized
+solution u^(rho, t) = u0^(rho) K^(rho, t) + v0^(rho) int_0^t K^ summed on the
+output grid: each datum has a transform in closed form about its centre
+(``gaussian``, ``box``, the exact transform of the linear interpolant of
+``sampled`` data, and a ``dirac``'s height), taken at the rho nodes of one
+stage-1 plan per distinct datum, and data sharing a plan share one transform
+per row. Gaussian data cut those nodes where the product of its transform and
+the mollifier meets the mollifier's own tail bound. At beta = 0 and beta = 1
+the kernel lives in x: distributed data are sampled on a lattice that refines
+the x grid and summed by the trapezoid rule against the kernel, evaluated
+once per |x_i - y_j|. A ``dirac`` is absorbed analytically on every route: its field is the kernel
+itself, translated and scaled, so no quadrature error is added.
 """
 
 from __future__ import annotations
@@ -27,11 +31,19 @@ import numpy as np
 from .errors import ValidationError
 from .fracops import SampledSignal
 from .kernel import (
+    _CHUNK,
+    _GL_NODES,
+    _RHO_MAX_MARGIN,
     Field,
     QuadratureConfig,
     _check_grids,
+    _fourier_rows,
     _meta,
-    _shared_stage1,
+    _require_rho_max,
+    _scattered_sums,
+    _spot_check,
+    _Stage1,
+    _stage1,
     _symmetric,
     delta_eps,
     kernel_eps,
@@ -44,8 +56,8 @@ __all__ = ["InitialData", "solve_field", "nonprop_solution", "peak_metrics"]
 _KINDS = ("dirac", "gaussian", "box", "sampled")
 
 # sampled data must vanish at its grid edges relative to its own maximum;
-# otherwise the trapezoid sum silently truncates mass that the kernel would
-# transport into the requested window
+# otherwise taking it as zero outside its grid silently truncates mass that
+# the kernel would transport into the requested window
 _EDGE_RTOL = 1e-10
 
 # local maxima below this fraction of the global maximum are quadrature
@@ -59,6 +71,21 @@ _GAUSS_SUPPORT_WIDTHS = 7.0
 # relative spacing jitter tolerated before an x-grid is rejected as
 # non-uniform for the lattice convolution
 _UNIFORM_RTOL = 1e-9
+
+# the slope-jump transform of sampled data serves nodes where it scales the
+# per-segment form's rounding by at most _JUMP_RTOL / eps (~45)
+_JUMP_RTOL = 1e-14
+
+# below those nodes each segment's transform is a Taylor series in rho L/2 up
+# to this value of rho L_max/2, truncated once a term is below _TAYLOR_TAIL
+_TAYLOR_Z = 1.0
+_TAYLOR_TAIL = 1e-17
+
+# (sin z - z cos z)/z^2 is summed as its Taylor series below this |z|, where
+# the closed form cancels; coefficients of z^(2n-1) in powers of z^2, n = 1..7
+_J1_SWITCH = 0.5
+_J1_SERIES = np.array([1 / 3, -1 / 30, 1 / 840, -1 / 45360, 1 / 3991680,
+                       -1 / 518918400, 1 / 93405312000])
 
 
 @dataclass(frozen=True)
@@ -172,7 +199,7 @@ class InitialData:
 
 
 # ---------------------------------------------------------------------------
-# Convolution assembly
+# Field assembly
 # ---------------------------------------------------------------------------
 
 
@@ -194,7 +221,22 @@ def _kernel_field(diff_grid, ts, p, q, integrated: bool) -> Field:
     return kernel_eps(diff_grid, ts, p, q)
 
 
-def _contribution(
+def _check_sampled_edges(data: InitialData) -> None:
+    vals = data.height * data.samples.values
+    amax = float(np.max(np.abs(vals)))
+    if amax > 0.0 and (
+        abs(vals[0]) > _EDGE_RTOL * amax or abs(vals[-1]) > _EDGE_RTOL * amax
+    ):
+        raise ValidationError(
+            "samples",
+            "nonzero at the grid edge",
+            "a sample grid covering the data's support (x_grid +- support); "
+            "extend the grid until the data decays, or the convolution is "
+            "silently truncated",
+        )
+
+
+def _lattice_contribution(
     x: np.ndarray,
     ts: tuple,
     data: InitialData,
@@ -202,7 +244,8 @@ def _contribution(
     q: QuadratureConfig,
     integrated: bool,
 ) -> np.ndarray:
-    """One convolution term (u0 against K, or v0 against the t-integral of K).
+    """One x-space convolution term (u0 against K, or v0 against the t-integral
+    of K) of distributed data, for the kernels that live in x (beta = 0, 1).
 
     Distributed data is sampled on a lattice that refines the x-grid by an
     integer factor chosen so the spacing also resolves the mollifier scale
@@ -215,28 +258,9 @@ def _contribution(
     coarse x-grid undersamples the kernel's eps-width features and silently
     loses mass.
     """
-    if data.is_zero:
-        return np.zeros((len(ts), x.size))
-    if data.kind == "dirac":
-        shifted = x - data.center
-        kfield = _kernel_field(shifted, ts, p, q, integrated)
-        return data.height * kfield.values
-
     h = _uniform_spacing(x, "convolution with distributed initial data")
     target = min(h, 0.25 * p.epsilon)
     if data.kind == "sampled":
-        vals = data.height * data.samples.values
-        amax = float(np.max(np.abs(vals)))
-        if amax > 0.0 and (
-            abs(vals[0]) > _EDGE_RTOL * amax or abs(vals[-1]) > _EDGE_RTOL * amax
-        ):
-            raise ValidationError(
-                "samples",
-                "nonzero at the grid edge",
-                "a sample grid covering the data's support (x_grid +- support); "
-                "extend the grid until the data decays, or the convolution is "
-                "silently truncated",
-            )
         target = min(target, float(np.min(np.diff(data.samples.grid))))
     fine = max(1, int(math.ceil(h / target - 1e-12)))
     hp = h / fine
@@ -268,6 +292,127 @@ def _contribution(
     return out
 
 
+def _plan_key(data: InitialData, p: ModelParams, q: QuadratureConfig) -> tuple:
+    """(kind, center, reach, rho_cut) of one datum; equal keys share a plan.
+
+    The reach is the support's half-width, so the plan's panels resolve every
+    phase rate |x - y| the lattice would have held (0 for a dirac). Gaussian
+    data cut the panels where the product of their transform's decay
+    e^{-(w rho)^2/4} and the mollifier's meets the mollifier's own tail bound;
+    the transforms of box and sampled data decay only algebraically and, like
+    a dirac, keep q.rho_max.
+    """
+    lo, hi = data._support()
+    center = 0.5 * (lo + hi) if data.kind == "sampled" else data.center
+    rho_cut = None
+    if data.kind == "gaussian":
+        rho_cut = min(q.rho_max,
+                      q.required_rho_max(p.epsilon, data.width) * _RHO_MAX_MARGIN)
+    return data.kind, center, 0.5 * (hi - lo), rho_cut
+
+
+def _j1(z: np.ndarray) -> np.ndarray:
+    """(sin z - z cos z)/z^2, stable down to z = 0."""
+    small = np.abs(z) < _J1_SWITCH
+    zs = np.where(small, 1.0, z)
+    closed = (np.sin(zs) - zs * np.cos(zs)) / (zs * zs)
+    return np.where(small, z * np.polynomial.polynomial.polyval(z * z, _J1_SERIES), closed)
+
+
+def _segment_transform(a, b, fa, fb, rho: np.ndarray) -> np.ndarray:
+    """sum_k int_{a_k}^{b_k} f_k(y) e^{-i rho y} dy for the lines f_k from fa_k to fb_k.
+
+    About its midpoint m a segment of length L gives, with z = rho L/2,
+    L e^{-i rho m} ((fa + fb)/2 sinc(z) - i (fb - fa)/2 j1(z)); both factors
+    are stable as rho -> 0. rho is taken in fixed chunks, so memory stays
+    bounded and the reduction order fixed.
+    """
+    length, mid = b - a, 0.5 * (a + b)
+    mean, slope = 0.5 * (fa + fb), 0.5 * (fb - fa)
+    out = np.empty(rho.size, dtype=complex)
+    rows = max(1, _CHUNK * 64 // length.size)
+    for start in range(0, rho.size, rows):
+        r = rho[start : start + rows, None]
+        z = 0.5 * length * r
+        shape = mean * np.sinc(z / math.pi) - 1j * slope * _j1(z)
+        out[start : start + rows] = (length * shape * np.exp(-1j * mid * r)).sum(axis=1)
+    return out
+
+
+def _taylor_rows(power: int) -> np.ndarray:
+    """Coefficients of z^0 .. z^power in sinc(z) (even powers) and -i j1(z) (odd)."""
+    k = np.arange(power + 1)
+    fact = np.array([math.factorial(int(n) + 1) for n in k], dtype=float)
+    even = np.where(k % 2 == 0, (-1.0) ** (k // 2) / fact, 0.0)
+    odd = np.where(k % 2 == 1, (-1.0) ** ((k - 1) // 2) * (k + 1) / (fact * (k + 2)), 0.0)
+    return even - 1j * odd
+
+
+def _sampled_transform(y: np.ndarray, values: np.ndarray, plan: _Stage1) -> np.ndarray:
+    """Exact Fourier transform of the linear interpolant of samples at y (zero
+    outside their grid, y about the plan's centre) at the plan's nodes.
+
+    The interpolant's u'' is its slope jumps J_k at y_k plus the end values'
+    dipoles, so -rho^2 u^ = sum_k J_k e^{-i rho y_k} + i rho (f_0 e^{-i rho y_0}
+    - f_N e^{-i rho y_N}). That division by rho^2 scales every term's
+    rounding by sum|J| / (rho^2 int|u|) against the per-segment form
+    (:func:`_segment_transform`), so it serves only nodes where
+    eps sum|J| <= _JUMP_RTOL rho^2 int|u|. Below them each segment's form is
+    summed as its Taylor series in z = rho L/2, the powers of L riding on the
+    weights, while rho L_max/2 <= _TAYLOR_Z; nodes past that (only a grid
+    whose segment lengths differ widely has them) take the per-segment form.
+    Every exponential sum is one kernel._scattered_sums call, and the result
+    must match the per-segment form at 8 spot nodes within 1e-12 of int|u|.
+    """
+    rho, delta = plan.rho, plan.rho_max / plan.n_panels
+    a, b, fa, fb = y[:-1], y[1:], values[:-1], values[1:]
+    length = b - a
+    mass = 0.5 * float(np.sum(length * (np.abs(fa) + np.abs(fb))))
+    jumps = np.diff((fb - fa) / length, prepend=0.0, append=0.0)
+    rho_jump = math.sqrt(np.finfo(float).eps * float(np.sum(np.abs(jumps))) / (_JUMP_RTOL * mass))
+    low = int(np.searchsorted(rho, rho_jump))
+    out = np.empty(rho.size, dtype=complex)
+    if low < rho.size:
+        sums = _scattered_sums(jumps, y, delta, plan.n_panels)[0, low:]
+        r = rho[low:]
+        ends = values[0] * np.exp(-1j * r * y[0]) - values[-1] * np.exp(-1j * r * y[-1])
+        out[low:] = -(sums + 1j * r * ends) / np.square(r)
+    l_max = float(np.max(length))
+    taylor = min(low, int(np.searchsorted(rho, 2.0 * _TAYLOR_Z / l_max, side="right")))
+    if taylor:
+        zeta = 0.5 * l_max * rho[:taylor]
+        power = 0
+        while zeta[-1] ** (power + 1) / math.factorial(power + 2) > _TAYLOR_TAIL:
+            power += 1
+        k = np.arange(power + 1)[:, None]
+        shape = np.where(k % 2 == 0, 0.5 * (fa + fb), 0.5 * (fb - fa))
+        weights = _taylor_rows(power)[:, None] * length * shape * (length / l_max) ** k
+        sums = _scattered_sums(weights, 0.5 * (a + b), delta, -(-taylor // _GL_NODES.size))
+        acc = sums[power, :taylor]
+        for k in range(power - 1, -1, -1):
+            acc = acc * zeta + sums[k, :taylor]
+        out[:taylor] = acc
+    out[taylor:low] = _segment_transform(a, b, fa, fb, rho[taylor:low])
+    _spot_check(out, lambda idx: _segment_transform(a, b, fa, fb, rho[idx]), 1e-12 * mass, 0.0,
+                "sample transform disagrees with the per-segment sum")
+    return out
+
+
+def _transform(data: InitialData, center: float, plan: _Stage1):
+    """int u(y + center) e^{-i rho y} dy of one datum at the plan's nodes: the
+    height of a dirac, a real array for Gaussian and box data."""
+    rho = plan.rho
+    if data.kind == "dirac":
+        return data.height
+    if data.kind == "sampled":
+        y = data.samples.grid - center
+        return data.height * _sampled_transform(y, data.samples.values, plan)
+    if data.kind == "gaussian":
+        return (data.height * data.width * math.sqrt(math.pi)) * np.exp(
+            -np.square(data.width * rho) / 4.0)
+    return (2.0 * data.height) * np.sin(0.5 * data.width * rho) / rho
+
+
 def solve_field(
     u0: InitialData,
     v0: InitialData,
@@ -283,18 +428,47 @@ def solve_field(
     returns the kernel field itself, bit for bit. The velocity term uses the
     exact per-term time antiderivatives inside the spectral assembly rather
     than a quadrature over t, so it adds no time-integration error.
+    ``meta["assembly"]`` records each datum's route (``zero``, ``kernel``,
+    ``fourier`` or ``lattice``) and, for ``fourier``, its plan's ``rho_nodes``
+    and ``rho_max``.
     """
     if not isinstance(u0, InitialData) or not isinstance(v0, InitialData):
         raise ValidationError("u0/v0", type(u0).__name__, "InitialData instances")
     x, ts = _check_grids(x_grid, t_list)
     if q is None:
         q = QuadratureConfig.for_model(p)
-    with _shared_stage1():
-        values = _contribution(x, ts, u0, p, q, integrated=False)
-        if not v0.is_zero:
-            values = values + _contribution(x, ts, v0, p, q, integrated=True)
+    parts, groups = [], {}
+    assembly = dict.fromkeys(("u0", "v0"))
+    for name, data, integrated in (("u0", u0, False), ("v0", v0, True)):
+        if data.is_zero:
+            assembly[name] = {"route": "zero"}
+            continue
+        if data.kind == "sampled":
+            _check_sampled_edges(data)
+        if 0.0 < p.beta < 1.0:
+            groups.setdefault(_plan_key(data, p, q), []).append((name, data, integrated))
+        elif data.kind == "dirac":
+            assembly[name] = {"route": "kernel"}
+            kfield = _kernel_field(x - data.center, ts, p, q, integrated)
+            parts.append(data.height * kfield.values)
+        else:
+            assembly[name] = {"route": "lattice"}
+            parts.append(_lattice_contribution(x, ts, data, p, q, integrated))
+    if groups:
+        _require_rho_max(q, p.epsilon)
+    for (kind, center, reach, rho_cut), members in groups.items():
+        shifted = x - center
+        plan = _stage1(shifted, ts, p, q, reach, rho_cut)
+        terms = []
+        for name, data, integrated in members:
+            assembly[name] = {"route": "kernel"} if kind == "dirac" else {
+                "route": "fourier", "rho_nodes": plan.rho.size, "rho_max": plan.rho_max}
+            terms.append((_transform(data, center, plan), integrated))
+        parts.append(_fourier_rows(shifted, ts, p, q, plan, terms))
+    values = sum(parts[1:], parts[0]) if parts else np.zeros((len(ts), x.size))
     meta = _meta(asdict(p), q)
     meta["initial"] = {"u0": u0.describe(), "v0": v0.describe()}
+    meta["assembly"] = assembly
     return Field(x, ts, values, meta)
 
 

@@ -365,3 +365,22 @@ def test_oracle_cross_checks_spectral_value(capsys):
     assert (rho, t) == (1.0, 1.0)
     assert diff == abs(s_spec - s_orac)
     assert diff <= 1e-5
+
+
+@pytest.mark.parametrize("name", ["u0", "v0"])
+@pytest.mark.parametrize("data, field", [
+    ({"kind": "gaussian", "samples": {"grid": [0.0, 1.0], "values": [0.0, 0.0]}}, "samples"),
+    ({"kind": "sampled", "center": 3.0,
+      "samples": {"grid": [-1.0, 0.0, 1.0], "values": [0.0, 1.0, 0.0]}}, "center"),
+    ({"kind": "sampled", "width": 0.5,
+      "samples": {"grid": [-1.0, 0.0, 1.0], "values": [0.0, 1.0, 0.0]}}, "width"),
+])
+def test_config_data_key_the_kind_does_not_use_exits_two(capsys, tmp_path, name, data, field):
+    # such a key used to be dropped without a word, and the run exited 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": {"beta": 0.0}, "initial": {name: data},
+                                    "grid": {"nx": 5, "t_list": [1.0]}}))
+    rc, out, err = run(capsys, "solve", "--config", str(cfg_path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {name}.{field}=")

@@ -261,7 +261,8 @@ def _field_nodes(p: ModelParams, t: float):
     """theta at the rho nodes of a 41-point field on [-1, 1], and its table budget."""
     q = QuadratureConfig.for_model(p)
     x = np.linspace(-1.0, 1.0, 41)
-    rho, wts = fzwave.kernel._rho_panels(fzwave.kernel._freq_scale(x, (t,), p.beta, p.tau), q)
+    scale = fzwave.kernel._freq_scale(x, (t,), p.beta, p.tau)
+    rho, wts = fzwave.kernel._gauss_panels(fzwave.kernel._panel_edges(scale, q))
     damp = np.exp(-np.square(p.epsilon * rho) / 4.0)
     budget = 1e-2 * q.abs_tol * math.pi / float(np.sum(wts * damp))
     return fzwave.kernel.theta_of_rho(rho, p.beta), q, budget
@@ -435,6 +436,47 @@ def test_chirp_z_transform_matches_dense_sweep(n_panels, rho_max, x0, h, n, symm
     assert np.max(np.abs(fast(coeff) - dense)) <= 1e-12 * np.sum(np.abs(coeff))
 
 
+@pytest.mark.parametrize("n_panels, rho_max, x0, h, n, seed", [
+    (1, 997.0, 0.3, 0.0197, 300, 1), (3, 640.0, -0.8, 0.0191, 85, 2),
+    (311, 85.8, -1.0, 0.05, 41, 3), (300, 860.0, -2.0, 0.01, 401, 4),
+])
+def test_chirp_z_transform_takes_complex_coefficients(n_panels, rho_max, x0, h, n, seed):
+    # data off the origin give complex coefficients: Re sum_j c_j e^{i rho_j x}
+    rho, _ = fzwave.kernel._gauss_panels(np.linspace(0.0, rho_max, n_panels + 1))
+    rng = np.random.default_rng(seed)
+    coeff = rng.standard_normal(rho.size) + 1j * rng.standard_normal(rho.size)
+    x = x0 + h * np.arange(n)
+    dense = np.real(np.exp(1j * np.outer(x, rho)) @ coeff)
+    np.testing.assert_allclose(fzwave.kernel._cosine_sweep(coeff, rho, x), dense,
+                               rtol=0.0, atol=1e-12 * np.sum(np.abs(coeff)))
+    fast = fzwave.kernel._chirp_plan(rho_max, n_panels, x)
+    assert np.max(np.abs(fast(coeff) - dense)) <= 1e-12 * np.sum(np.abs(coeff))
+
+
+@pytest.mark.parametrize("n_panels, rho_max, m, seed", [
+    (1, 50.0, 7, 1), (311, 85.8, 561, 2), (700, 860.0, 1201, 3), (64, 860.0, 2, 4),
+])
+def test_scattered_sums_match_the_dense_sum(n_panels, rho_max, m, seed):
+    # sum_m f_m e^{-i rho_j y_m} at any sample points, as a blocked product,
+    # for two weight vectors at once
+    rho, _ = fzwave.kernel._gauss_panels(np.linspace(0.0, rho_max, n_panels + 1))
+    rng = np.random.default_rng(seed)
+    f, y = rng.standard_normal((2, m)), np.sort(rng.uniform(-3.0, 3.0, m))
+    dense = f @ np.exp(-1j * np.outer(rho, y)).T
+    got = fzwave.kernel._scattered_sums(f, y, rho_max / n_panels, n_panels)
+    assert got.shape == dense.shape
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.sum(np.abs(f))
+
+
+def test_cut_panels_are_the_head_of_the_full_tiling():
+    q = QuadratureConfig.for_model(P_EXP)
+    full = fzwave.kernel._panel_edges(2.85, q)
+    cut = fzwave.kernel._panel_edges(2.85, q, rho_cut=85.6)
+    assert cut[-2] < 85.6 <= cut[-1] and cut.size < full.size
+    np.testing.assert_array_equal(cut, full[: cut.size])
+    np.testing.assert_array_equal(fzwave.kernel._panel_edges(2.85, q, rho_cut=2e3), full)
+
+
 def test_spot_check_catches_a_wrong_transform(monkeypatch, capsys):
     # the spot check recomputes the first point of every row densely
     plan = fzwave.kernel._chirp_plan
@@ -453,6 +495,9 @@ def test_spot_check_catches_a_wrong_transform(monkeypatch, capsys):
     x = np.linspace(-1.0, 1.0, 201)
     with pytest.raises(NumericsError, match="chirp-z"):
         kernel_eps(x, [0.5], P_EXP)
+    # off-centre data: complex coefficients, checked against the e^{i rho x} probe
+    with pytest.raises(NumericsError, match="chirp-z"):
+        solve_field(InitialData.gaussian(0.1, 0.1), InitialData.zero(), x, [0.5], P_EXP)
     rc = fzwave.cli.run_command(["kernel", "--nx", "21", "--t-list", "0.5"])
     assert rc == 3
     assert "chirp-z" in capsys.readouterr().err
@@ -472,7 +517,8 @@ def test_dense_fallback_agrees_with_chirp_z_through_kernel_eps():
 
 
 def test_dense_sweep_sees_only_spot_check_points(monkeypatch):
-    # on uniform grids the only dense cosines are the plan's 8 probe rows
+    # on uniform grids the only dense sums are the 8 probe rows of each
+    # transform: one for the kernel, one for the data sharing a plan
     sweeps, tables = [], []
     sweep, probe_table = fzwave.kernel._cosine_sweep, fzwave.kernel._probe_table
 
@@ -480,8 +526,8 @@ def test_dense_sweep_sees_only_spot_check_points(monkeypatch):
         sweeps.append(x.size)
         return sweep(coeff, rho, x)
 
-    def counted_table(rho, x):
-        table = probe_table(rho, x)
+    def counted_table(rho, x, real):
+        table = probe_table(rho, x, real)
         tables.append(table.shape == (8, rho.size))
         return table
 
@@ -591,6 +637,11 @@ def test_rho_node_budget_refuses_a_long_time(no_rho_grid):
         kernel_eps(np.linspace(-1.0, 1.0, 201), [1e6], P_EXP)
     assert exc.value.field == "t_list"
     assert "4,000,000" in str(exc.value)
+    # the cut panels of Gaussian data are counted before they are allocated too
+    with pytest.raises(ValidationError) as exc:
+        solve_field(InitialData.gaussian(0.0, 0.1), InitialData.zero(),
+                    np.linspace(-1.0, 1.0, 201), [1e6], P_EXP)
+    assert exc.value.field == "t_list"
 
 
 def test_rho_node_budget_exits_two_from_the_cli(no_rho_grid, capsys):

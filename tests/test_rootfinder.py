@@ -94,6 +94,23 @@ def test_bisection_fallback_recovers_the_certified_root(alpha, tau, theta, monke
     assert _winding_around(pair.s_z, p) == 1
 
 
+def test_bisection_fallback_stops_where_its_winding_counts_stop_informing(monkeypatch):
+    # descending to 1e-12 boxes took 129 winding counts here; below ~1e-8 the
+    # counts no longer follow the zero, and Newton polishes the point anyway
+    calls = []
+    count = fzwave.rootfinder.winding_number
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return count(*args, **kwargs)
+
+    expected = find_zero_pair(P_BASE).s_z
+    monkeypatch.setattr(fzwave.rootfinder, "winding_number", counted)
+    s = fzwave.rootfinder._bisection_fallback(P_BASE)
+    assert len(calls) <= 2 * 129 // 3
+    assert abs(s - expected) <= 1e-6 * abs(expected)
+
+
 def test_zero_pair_validates_its_fields():
     with pytest.raises(ValidationError):
         ZeroPair(s_z=1.0 - 1.0j, residual=0.0)

@@ -7,7 +7,7 @@ import pytest
 
 import fzwave.kernel
 import fzwave.solver
-from fzwave.errors import ValidationError
+from fzwave.errors import NumericsError, ValidationError
 from fzwave.kernel import (
     Field,
     delta_eps,
@@ -18,7 +18,7 @@ from fzwave.kernel import (
 from fzwave.params import ModelParams
 from fzwave.solver import (
     InitialData,
-    _contribution,
+    _lattice_contribution,
     nonprop_solution,
     peak_metrics,
     solve_field,
@@ -26,6 +26,7 @@ from fzwave.solver import (
 
 P_EXP = ModelParams(alpha=0.25, beta=0.45, tau=0.1, epsilon=0.01)
 P_FLAT = ModelParams(alpha=0.25, beta=0.0, tau=0.1, epsilon=0.01)
+P_EDGE = ModelParams(alpha=0.0, beta=1.0, tau=0.1, epsilon=0.01)  # the classical pair
 
 
 # ------------------------------------------------------------- initial data
@@ -160,27 +161,51 @@ def _counted_batches(monkeypatch) -> list:
 
 
 def test_same_support_data_share_one_zero_pair_batch(monkeypatch):
-    # u0 and v0 with one support convolve on one difference lattice, so the
-    # kernel and its time integral share the stage-1 plan and its zero pairs
+    # u0 and v0 with one plan key share the stage-1 plan and its zero pairs,
+    # and each row runs one transform on their summed coefficients
     x = np.linspace(-0.5, 0.5, 21)
     ts = (0.5,)
-    q = fzwave.kernel.QuadratureConfig.for_model(P_EXP)
     u0 = InitialData.gaussian(width=0.1)
     v0 = InitialData.gaussian(width=0.1, height=0.5)
     batches = _counted_batches(monkeypatch)
     sol = solve_field(u0, v0, x, ts, P_EXP)
     assert len(batches) == 1
-    apart = (_contribution(x, ts, u0, P_EXP, q, integrated=False)
-             + _contribution(x, ts, v0, P_EXP, q, integrated=True))
+    apart = (solve_field(u0, InitialData.zero(), x, ts, P_EXP).values
+             + solve_field(InitialData.zero(), v0, x, ts, P_EXP).values)
     assert len(batches) == 3
-    np.testing.assert_array_equal(sol.values, apart)
+    # one transform of a sum against the sum of two: equal up to rounding
+    # (measured 0.25 ulp of the peak; 45 ulps allowed)
+    peak = float(np.max(np.abs(apart)))
+    assert np.max(np.abs(sol.values - apart)) <= 1e-14 * max(1.0, peak)
     # no plan outlives its call
     solve_field(u0, v0, x, ts, P_EXP)
     assert len(batches) == 4
-    # a box v0 has another support, so another lattice and another batch
+    # a box v0 has another reach and rho_max, so another plan and another batch
     batches.clear()
     solve_field(u0, InitialData.box(width=0.2), x, ts, P_EXP)
     assert len(batches) == 2 and batches[0] != batches[1]
+
+
+@pytest.mark.parametrize("center", [0.0, 0.2])
+def test_dirac_data_at_one_centre_share_one_zero_pair_batch(monkeypatch, center):
+    # a dirac u0 and v0 at one centre are the kernel and its time integral on
+    # one shifted grid: one plan, one batch, one transform per row
+    x = np.linspace(-0.5, 0.5, 21)
+    ts = (0.25, 0.5)
+    u0, v0 = InitialData.dirac(center), InitialData.dirac(center, 0.5)
+    batches = _counted_batches(monkeypatch)
+    sol = solve_field(u0, v0, x, ts, P_EXP)
+    assert len(batches) == 1
+    apart = (kernel_eps(x - center, ts, P_EXP).values
+             + 0.5 * kernel_eps_time_integrated(x - center, ts, P_EXP).values)
+    assert len(batches) == 3
+    # measured 1.2 ulps of the peak
+    peak = float(np.max(np.abs(apart)))
+    assert np.max(np.abs(sol.values - apart)) <= 1e-14 * max(1.0, peak)
+    # diracs at two centres need two plans
+    batches.clear()
+    solve_field(u0, InitialData.dirac(center + 0.1), x, ts, P_EXP)
+    assert len(batches) == 2
 
 
 def _signed_lattice_row(x, t, data, p, integrated):
@@ -211,9 +236,10 @@ def _signed_lattice_row(x, t, data, p, integrated):
     (InitialData.gaussian(3.0, 0.1), False),  # every difference is negative
 ])
 def test_kernel_runs_once_per_absolute_difference(monkeypatch, data, integrated):
+    # the lattice serves the kernels that live in x; the classical pair is one
     x = np.linspace(-1.0, 1.0, 41)
-    q = fzwave.kernel.QuadratureConfig.for_model(P_EXP)
-    expected, k, hp = _signed_lattice_row(x, 0.5, data, P_EXP, integrated)
+    q = fzwave.kernel.QuadratureConfig.for_model(P_EDGE)
+    expected, k, hp = _signed_lattice_row(x, 0.5, data, P_EDGE, integrated)
     name = "kernel_eps_time_integrated" if integrated else "kernel_eps"
     route, lattices = getattr(fzwave.solver, name), []
 
@@ -222,7 +248,7 @@ def test_kernel_runs_once_per_absolute_difference(monkeypatch, data, integrated)
         return route(x_grid, t_list, p, q)
 
     monkeypatch.setattr(fzwave.solver, name, recorded)
-    got = _contribution(x, (0.5,), data, P_EXP, q, integrated)[0]
+    got = _lattice_contribution(x, (0.5,), data, P_EDGE, q, integrated)[0]
     (lattice,) = lattices
     # k_lo = min|k| is 0 whenever the signed lattice straddles 0
     np.testing.assert_array_equal(lattice, hp * np.arange(np.min(np.abs(k)),
@@ -230,6 +256,173 @@ def test_kernel_runs_once_per_absolute_difference(monkeypatch, data, integrated)
     assert lattice.size <= k.size
     peak = float(np.max(np.abs(expected)))
     assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, peak)
+
+
+# ------------------------------------------------------ spectral assembly
+
+
+SOLVE_DATA = (0.0, 0.1)  # centre and width of the benchmark's seed-0 data
+
+
+@pytest.mark.parametrize("center, width", [SOLVE_DATA, (0.3, 0.1), (-0.45, 0.07)])
+def test_gaussian_data_match_the_lattice_oracle(center, width):
+    # the spectral route against the x-space trapezoid convolution it replaces
+    x = np.linspace(-1.0, 1.0, 41)
+    u0 = InitialData.gaussian(center, width)
+    v0 = InitialData.gaussian(center, width, 0.5)
+    got = solve_field(u0, v0, x, [0.5], P_EXP).values[0]
+    want = (_signed_lattice_row(x, 0.5, u0, P_EXP, False)[0]
+            + _signed_lattice_row(x, 0.5, v0, P_EXP, True)[0])
+    assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
+
+
+def _box_oracle(x, t, center, width, p):
+    """int over the box of K_eps(x - y) dy: 30 panels of 16-point Gauss-Legendre."""
+    g, gw = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(center - 0.5 * width, center + 0.5 * width, 31)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    y = (mid[:, None] + half[:, None] * g).ravel()
+    wy = (half[:, None] * gw).ravel()
+    d = np.abs(x[:, None] - y[None, :])
+    points, back = np.unique(d, return_inverse=True)
+    rows = kernel_eps(points, [t], p).values[0][back].reshape(d.shape)
+    return rows @ wy
+
+
+@pytest.mark.parametrize("center", [0.0, 0.1])
+def test_box_data_match_gauss_legendre_in_y(center):
+    # a trapezoid sum over the box's jumps was first order: 5.5e-3 off at the centre
+    x = np.array([-0.3, -0.15, 0.0, 0.15, 0.3])
+    got = solve_field(InitialData.box(center, 0.3), InitialData.zero(), x, [0.5], P_EXP)
+    want = _box_oracle(x, 0.5, center, 0.3, P_EXP)
+    assert np.max(np.abs(got.values[0] - want)) <= 1e-8
+
+
+@pytest.mark.parametrize("nx", [48, 49])
+def test_box_centred_at_zero_is_even(nx):
+    x = np.linspace(-0.6, 0.6, nx)
+    f = solve_field(InitialData.box(0.0, 0.3), InitialData.box(0.0, 0.3, 0.5), x,
+                    [0.25, 0.5], P_EXP).values
+    assert np.max(np.abs(f - f[:, ::-1])) <= 1e-12 * float(np.max(np.abs(f)))
+
+
+def _gauss_legendre_transform(grid, values, rho):
+    """int of the linear interpolant times e^{-i rho y}: 64 points per segment."""
+    g, gw = np.polynomial.legendre.leggauss(64)
+    a, b = grid[:-1, None], grid[1:, None]
+    y = 0.5 * (a + b) + 0.5 * (b - a) * g
+    line = values[:-1, None] + (values[1:, None] - values[:-1, None]) * (y - a) / (b - a)
+    return np.sum(0.5 * (b - a) * gw * line * np.exp(-1j * rho * y))
+
+
+@pytest.mark.parametrize("rho", [1e-6, 1e-2, 1.0, 100.0, 800.0])
+def test_segment_transform_matches_gauss_legendre(rho):
+    # rough data on a jittered grid, segments short enough (rho L <= 16) for
+    # 64 Gauss points; |u^| <= int|u| sets the scale
+    rng = np.random.default_rng(7)
+    grid = np.linspace(-1.0, 1.0, 161) + rng.uniform(-0.3, 0.3, 161) * 0.0125
+    values = rng.standard_normal(161)
+    got = fzwave.solver._segment_transform(grid[:-1], grid[1:], values[:-1], values[1:],
+                                           np.array([rho]))[0]
+    want = _gauss_legendre_transform(grid, values, rho)
+    mass = float(np.sum(0.5 * (np.abs(values[:-1]) + np.abs(values[1:])) * np.diff(grid)))
+    assert abs(got - want) <= 1e-13 * mass
+
+
+def _sample_grid(jitter: float, n: int = 121) -> np.ndarray:
+    grid = np.linspace(-0.6, 0.6, n)
+    shift = np.random.default_rng(5).uniform(-jitter, jitter, n - 2) * (grid[1] - grid[0])
+    return grid + np.r_[0.0, shift, 0.0]
+
+
+def _rough(n: int) -> np.ndarray:
+    return np.r_[0.0, np.random.default_rng(6).standard_normal(n - 2), 0.0]
+
+
+def _sampled_case(case: str):
+    """Sample grid and values: smooth or rough (noise), on a uniform, jittered,
+    fine jittered or clustered grid."""
+    if case == "fine rough":  # slope jumps large enough for the Taylor sums to matter
+        grid = _sample_grid(0.3, 601)
+        return grid, _rough(601)
+    if case == "clustered rough":  # 1e-6 steps among 0.01 ones: Taylor, segments, jumps
+        grid = np.sort(np.r_[np.linspace(-0.6, 0.6, 121), 0.105 + 1e-6 * np.arange(1, 6)])
+        return grid, _rough(126)
+    shape, jitter = case.split()
+    grid = _sample_grid({"uniform": 0.0, "jittered": 0.3}[jitter])
+    if shape == "rough":
+        return grid, _rough(121)
+    return grid, np.exp(-np.square(grid / 0.1)) * np.cos(9.0 * grid)
+
+
+@pytest.mark.parametrize("case", ["smooth uniform", "smooth jittered", "rough uniform",
+                                  "rough jittered", "fine rough", "clustered rough"])
+def test_sampled_transform_matches_the_segment_sum_at_every_node(case):
+    grid, values = _sampled_case(case)
+    q = fzwave.kernel.QuadratureConfig.for_model(P_EXP)
+    plan = fzwave.kernel._stage1(np.linspace(-1.0, 1.0, 41), (0.5,), P_EXP, q, 0.6)
+    got = fzwave.solver._sampled_transform(grid, values, plan)
+    want = fzwave.solver._segment_transform(grid[:-1], grid[1:], values[:-1], values[1:],
+                                            plan.rho)
+    mass = 0.5 * np.sum(np.diff(grid) * (np.abs(values[:-1]) + np.abs(values[1:])))
+    assert np.max(np.abs(got - want)) <= 1e-13 * mass
+
+
+@pytest.mark.parametrize("case", ["rough uniform", "rough jittered", "fine rough"])
+def test_sample_transform_spot_check_catches_a_wrong_sum(monkeypatch, case):
+    # rough data keep |u^| up at every node, so a 1e-6 relative slip shows
+    exact = fzwave.solver._scattered_sums
+    monkeypatch.setattr(fzwave.solver, "_scattered_sums",
+                        lambda *args: exact(*args) * (1.0 + 1e-6))
+    data = InitialData.sampled(*_sampled_case(case))
+    with pytest.raises(NumericsError, match="sample transform"):
+        solve_field(data, InitialData.zero(), np.linspace(-1.0, 1.0, 41), [0.5], P_EXP)
+
+
+@pytest.mark.parametrize("center, width", [SOLVE_DATA, (0.3, 0.1)])
+def test_gaussian_rho_cut_is_converged(monkeypatch, center, width):
+    x = np.linspace(-1.0, 1.0, 41)
+    u0 = InitialData.gaussian(center, width)
+    v0 = InitialData.gaussian(center, width, 0.5)
+    q = fzwave.kernel.QuadratureConfig.for_model(P_EXP)
+    cut = solve_field(u0, v0, x, [0.5], P_EXP, q)
+    key = fzwave.solver._plan_key
+
+    def wider(data, p, q):
+        kind, c, reach, rho_cut = key(data, p, q)
+        return kind, c, reach, 1.5 * rho_cut
+
+    monkeypatch.setattr(fzwave.solver, "_plan_key", wider)
+    wide = solve_field(u0, v0, x, [0.5], P_EXP, q)
+    assert wide.meta["assembly"]["u0"]["rho_max"] >= 1.49 * cut.meta["assembly"]["u0"]["rho_max"]
+    assert np.max(np.abs(wide.values - cut.values)) <= 1e-2 * q.abs_tol
+
+
+def test_meta_records_each_datums_assembly():
+    x = np.linspace(-1.0, 1.0, 41)
+    q = fzwave.kernel.QuadratureConfig.for_model(P_EXP)
+    u0 = InitialData.gaussian(*SOLVE_DATA)
+    seed0 = solve_field(u0, InitialData.gaussian(*SOLVE_DATA, 0.5), x, [0.5], P_EXP).meta
+    assert seed0["assembly"]["u0"] == seed0["assembly"]["v0"]
+    assert seed0["assembly"]["u0"]["route"] == "fourier"
+    assert seed0["assembly"]["u0"]["rho_nodes"] <= 3000  # 24,984 on the full range
+    assert seed0["assembly"]["u0"]["rho_max"] < 0.11 * q.rho_max
+    boxed = solve_field(InitialData.dirac(), InitialData.box(width=0.2), x, [0.5], P_EXP).meta
+    assert boxed["assembly"]["u0"] == {"route": "kernel"}
+    assert boxed["assembly"]["v0"]["route"] == "fourier"
+    assert boxed["assembly"]["v0"]["rho_max"] == q.rho_max
+    flat = solve_field(u0, InitialData.zero(), x, [0.5], P_FLAT).meta
+    assert flat["assembly"] == {"u0": {"route": "lattice"}, "v0": {"route": "zero"}}
+
+
+def test_fourier_route_takes_a_non_uniform_grid():
+    # the dense sweep serves grids the chirp-z transform cannot
+    uniform = np.linspace(-0.8, 0.8, 9)
+    sparse = uniform[[0, 3, 4, 5, 8]]
+    u0, v0 = InitialData.gaussian(0.1, 0.1), InitialData.box(-0.2, 0.3)
+    full = solve_field(u0, v0, uniform, [0.5], P_EXP).values
+    got = solve_field(u0, v0, sparse, [0.5], P_EXP).values
+    np.testing.assert_allclose(got, full[:, [0, 3, 4, 5, 8]], rtol=0.0, atol=1e-12)
 
 
 def test_sampled_data_must_vanish_at_its_edges():
