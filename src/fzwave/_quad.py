@@ -2,8 +2,8 @@
 Chebyshev tables in log(theta).
 
 The package's one quadrature engine. The kernel assembly integrates one
-smooth decaying integrand per table point or spot-checked node, up to a few
-hundred at a time, all sharing the same integration variable (the
+smooth decaying integrand per table point, spot-checked node and mode, up to
+a thousand at a time, all sharing the same integration variable (the
 Mittag-Leffler cut integral is a single such integrand): a 7/15
 Gauss-Kronrod pair is applied to an explicit panel list, with panels bisected
 until every component meets max(abs_tol, rel_tol*|I|). The tables carry
@@ -168,9 +168,9 @@ _CHEB_MAX = 512
 
 def _cheb_coeffs(v: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients of the interpolant through v at cos(pi k/n), k = 0..n,
-    from one FFT of the even extension."""
-    n = v.size - 1
-    c = np.fft.fft(np.concatenate([v, v[-2:0:-1]]))[: n + 1] / n
+    from one FFT of the even extension, per column of a 2-d v."""
+    n = v.shape[0] - 1
+    c = np.fft.fft(np.concatenate([v, v[-2:0:-1]]), axis=0)[: n + 1] / n
     c = c if np.iscomplexobj(v) else c.real
     c[0] *= 0.5
     c[n] *= 0.5
@@ -178,18 +178,19 @@ def _cheb_coeffs(v: np.ndarray) -> np.ndarray:
 
 
 def log_cheb_table(f, lo: float, hi: float, budget: float, what: str):
-    """Chebyshev interpolant of a smooth f(theta) in u = log(theta) over [lo, hi].
+    """Chebyshev interpolants of a smooth f(theta) in u = log(theta) over [lo, hi].
 
-    f maps an array of theta to real or complex values. It is sampled at the
-    n + 1 Chebyshev points of the second kind in u, lo and hi exactly among
-    them, and the coefficients come from :func:`_cheb_coeffs`. The table is
-    accepted once the sum of its trailing n/8 coefficients, the chopped tail
-    that bounds the uniform interpolation error (Aurentz & Trefethen 2017,
-    "Chopping a Chebyshev series"), is at most ``budget``; otherwise n
-    doubles from 64 up to 512, after which NumericsError names ``what``. An
-    accepted series keeps only its shortest head whose dropped coefficients
-    sum to at most ``budget - tail``, so the head is still within ``budget``
-    of f. Returns the series as a numpy Chebyshev in log(theta).
+    f maps an array of theta to real or complex values, one column per table
+    (shape (n,) for one). It is sampled at the n + 1 Chebyshev points of the
+    second kind in u, lo and hi exactly among them; coefficients come from
+    :func:`_cheb_coeffs`. The tables are accepted once in every column the sum
+    of the trailing n/8 coefficients, the chopped tail that bounds the uniform
+    interpolation error (Aurentz & Trefethen 2017, "Chopping a Chebyshev
+    series"), is at most ``budget``; otherwise every column is resampled at
+    twice n, from 64 up to 512, after which NumericsError names ``what``. Each
+    column keeps its own shortest head whose dropped coefficients sum to at
+    most ``budget - tail``, so it stays within ``budget`` of f. Returns the
+    numpy Chebyshev in log(theta), or a list of them, one per column.
     """
     u_lo, u_hi = math.log(lo), math.log(hi)
     n = _CHEB_FIRST
@@ -197,17 +198,19 @@ def log_cheb_table(f, lo: float, hi: float, budget: float, what: str):
         x = np.cos(np.pi * np.arange(n + 1) / n)
         theta = np.exp(0.5 * (u_hi + u_lo) + 0.5 * (u_hi - u_lo) * x)
         theta[0], theta[-1] = hi, lo
-        c = _cheb_coeffs(np.asarray(f(theta)))
-        tail = float(np.sum(np.abs(c[-(n // 8):])))
-        if tail <= budget:
+        values = np.asarray(f(theta))
+        c = _cheb_coeffs(values.reshape(n + 1, -1))
+        tail = np.sum(np.abs(c[-(n // 8):]), axis=0)
+        if np.all(tail <= budget):
             # dropped[m]: the sum of |c_k| over k >= m, 0 when all are kept
-            dropped = np.append(np.cumsum(np.abs(c[::-1]))[::-1], 0.0)
-            keep = max(int(np.argmax(dropped <= budget - tail)), 1)
-            return np.polynomial.Chebyshev(c[:keep], domain=[u_lo, u_hi])
+            dropped = np.vstack([np.cumsum(np.abs(c[::-1]), axis=0)[::-1], np.zeros(c.shape[1])])
+            keep = np.maximum(np.argmax(dropped <= budget - tail, axis=0), 1)
+            tables = [np.polynomial.Chebyshev(c[:k, j], domain=[u_lo, u_hi])
+                      for j, k in enumerate(keep)]
+            return tables if values.ndim > 1 else tables[0]
         if 2 * n > _CHEB_MAX:
-            raise NumericsError(
-                f"Chebyshev {what} tail above budget at {n} intervals", achieved=tail
-            )
+            raise NumericsError(f"Chebyshev {what} tail above budget at {n} intervals",
+                                achieved=float(np.max(tail)))
         n *= 2
 
 

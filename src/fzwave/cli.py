@@ -8,12 +8,14 @@ solve   Displacement field from configured initial data.
 limits  General assembly next to a closed-form limit, side by side.
 oracle  Spectral kernel value vs. independent Bromwich inversion at (rho, t).
 
-Exit codes: 0 success, 2 validation/usage failure (including an --out path
-that cannot be opened for writing), 3 numerical non-convergence. Data goes to
---out (or stdout); diagnostics go to stderr only, so redirected output stays
-machine-readable. Field CSV uses the header ``x,t,u``, one row per sample,
-row-major in t then x, values printed with 17 significant digits (which
-round-trip float64 exactly). Rows are streamed one t at a time, and only
+Exit codes: 0 success, 1 stdout closed by its reader before all output was
+written (piped into ``head``, say; no traceback is printed), 2
+validation/usage failure (including an --out path that cannot be opened for
+writing), 3 numerical non-convergence. Data goes to --out (or stdout);
+diagnostics go to stderr only, so redirected output stays machine-readable.
+Field CSV uses the header ``x,t,u``, one row per sample, row-major in t then
+x, values printed with 17 significant digits (which round-trip float64
+exactly). Rows are streamed one t at a time, and only
 after the whole field is computed, so a numerical failure leaves no partial
 output. Running the same configuration twice produces byte-identical files
 regardless of FZWAVE_THREADS.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -463,8 +466,16 @@ def run_command(argv) -> int:
         return 3
 
 
-def main() -> None:  # pragma: no cover - thin wrapper
-    sys.exit(run_command(sys.argv[1:]))
+def main() -> None:
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early: point stdout at devnull (the Python docs'
+        # recipe), so the flush at shutdown has nothing to complain about
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover - python -m fzwave.cli

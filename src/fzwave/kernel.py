@@ -11,7 +11,8 @@ t -> S(theta(rho_j), t), the inverse Laplace transform of
 s / (s^2 + theta * zener_ratio(s)), or its integral over [0, t]: a closed form
 at alpha = 0, otherwise the conjugate-pole residue pair plus a branch-cut
 integral, both tabulated in log theta by chopped Chebyshev series (zeros once
-per plan, the spot-checked branch integral once per t and mode). Stage 2,
+per plan; per t, one adaptive pass for the spot-checked branch integral of
+every mode). Stage 2,
 :func:`_fourier_rows`, sums each row Re[sum_j c_j e^{i rho_j x}] with
 c_j = w_j e^{-(eps rho_j)^2/4} sum_d hat_d(rho_j) S_d(rho_j, t) / pi, where
 hat_d is a datum's Fourier transform (1 for the kernel itself): by chirp-z
@@ -246,83 +247,95 @@ def spectral_kernel_alpha0(rho, t, beta: float, tau: float):
     return float(out) if np.isscalar(rho) and np.isscalar(t) else out
 
 
-def _branch_part(
-    theta: np.ndarray,
-    t: float,
-    alpha: float,
-    tau: float,
-    q: QuadratureConfig,
-    integrated: bool = False,
-) -> np.ndarray:
-    """Branch-cut part of S(., t) for a vector of theta > 0 values.
-
-    With integrated=True, returns its exact time integral over [0, t]: the
-    branch integrand gains (1 - e^{-qt})/q, an exact antiderivative of e^{-qt}.
-    """
-    theta_top = float(np.max(theta))
-    u_lo_scale = min(1.0, t * math.sqrt(float(np.min(theta))))
+def _branch_span(top: float, t: float, alpha: float, tau: float, q: QuadratureConfig,
+                 integrated: bool) -> float:
+    """Where a mode's branch integral in u = qt ends, for theta up to top: the
+    time integral's tail ~ C*theta*q^(-4-a) must clear abs_tol, e^{-u} 700 at most."""
     if integrated:
-        # power-law tail ~ C*theta*q^(-4-a); push q out until it clears abs_tol
         c_tail = (1.0 - tau) * math.sin(alpha * math.pi) / (math.pi * tau * tau)
-        q_pow = (c_tail * theta_top / ((3.0 + alpha) * q.abs_tol)) ** (1.0 / (3.0 + alpha))
-        q_cut = min(_Q_MAX, max(50.0 / t, q_pow))
-        u_max = t * q_cut
-    else:
-        q_cut = min(_Q_MAX, max(50.0 / t, 1e3 * math.sqrt(theta_top)))
-        u_max = min(max(45.0, t * q_cut), 700.0)
+        q_pow = (c_tail * top / ((3.0 + alpha) * q.abs_tol)) ** (1.0 / (3.0 + alpha))
+        return t * min(_Q_MAX, max(50.0 / t, q_pow))
+    return min(max(45.0, t * min(_Q_MAX, max(50.0 / t, 1e3 * math.sqrt(top)))), 700.0)
 
-    first = max(min(0.05, u_lo_scale / 8.0, u_max / 64.0), 1e-12)
-    edges = geometric_edges(0.0, u_max, first, ratio=1.7)
+
+def _branch_part(theta: np.ndarray, t: float, alpha: float, tau: float, q: QuadratureConfig,
+                 modes: tuple = (False,)) -> np.ndarray:
+    """Branch-cut part of S(., t) at theta > 0, one row per mode; a mode flagged
+    True is its exact time integral over [0, t] (the integrand gains
+    (1 - e^{-qt})/q). All modes weigh one Im[1/(q^2 + theta F(q))], so they are
+    one adaptive pass, out to the widest mode's span from the smallest first
+    width (e^{-u} adds nothing past u = 700)."""
+    u_lo_scale = min(1.0, t * math.sqrt(float(np.min(theta))))
+    spans = [_branch_span(float(np.max(theta)), t, alpha, tau, q, m) for m in modes]
+    first = max(min(0.05, u_lo_scale / 8.0, min(spans) / 64.0), 1e-12)
+    edges = geometric_edges(0.0, max(spans), first, ratio=1.7)
 
     def f(u: np.ndarray) -> np.ndarray:
         qq = u / t
         fp = branch_values(qq, alpha, tau)[0]
-        a = np.square(qq)[:, None] + np.outer(fp.real, theta)
+        a = np.outer(fp.real, theta)
+        a += np.square(qq)[:, None]
         b = np.outer(fp.imag, theta)
-        core = -b / (a * a + b * b) / math.pi
-        if integrated:
-            w = np.where(u > 1e-8, -np.expm1(-u) / np.where(u > 0, u, 1.0), 1.0 - 0.5 * u)
-            return core * (qq * t * w)[:, None]
-        return core * (qq * np.exp(-u) / t)[:, None]
+        a *= a
+        a += np.square(b)
+        core = np.divide(b, a, out=b)
+        core /= -math.pi  # -b / (a^2 + b^2) / pi, to the bit
+        out = np.empty((u.size, len(modes), theta.size))
+        for k, integrated in enumerate(modes):
+            if integrated:  # q t (1 - e^{-u})/u
+                w = np.where(u > 1e-8, -np.expm1(-u) / np.where(u > 0, u, 1.0), 1.0 - 0.5 * u)
+                weight = qq * t * w
+            else:
+                weight = qq * np.exp(-u) / t
+            np.multiply(core, weight[:, None], out=out[:, k])
+        return out.reshape(u.size, -1)
 
-    val, _err = adaptive_gk(
-        f, edges, rel_tol=q.rel_tol, abs_tol=q.abs_tol, what="branch integral"
-    )
-    return np.atleast_1d(val)
+    val, _err = adaptive_gk(f, edges, rel_tol=q.rel_tol, abs_tol=q.abs_tol,
+                            what="branch integral")
+    return np.reshape(val, (len(modes), theta.size))
 
 
-def _spectral_signal(
-    plan: _Stage1, p: ModelParams, q: QuadratureConfig, integrated: bool
-) -> Callable[[float], np.ndarray]:
-    """Stage 1: the map t -> S(theta, t), or its integral over [0, t], at plan.theta.
+def _spectral_signal(plan: _Stage1, p: ModelParams, q: QuadratureConfig,
+                     modes: tuple) -> Callable[[float], list]:
+    """Stage 1: t -> [S(theta, t) per mode] at plan.theta, a mode flagged True
+    taking S's integral over [0, t] instead.
 
     At alpha = 0 every mode is cos(omega t) with omega = sqrt(2 theta/(1+tau)),
     integral sin(omega t)/omega (-> t as omega -> 0). Otherwise S is the
     residue pair of the plan's zeros s_z plus the branch part; integrated,
     each residue term s e^{st}/psi'(s) becomes its exact antiderivative
     (e^{st} - 1)/psi'(s). The branch part, smooth in log theta, is integrated
-    per t only at the points of a Chebyshev table within plan.budget, and at
-    8 nodes that must match the table.
+    per t, all modes in one pass, only at the points of a Chebyshev table
+    within plan.budget and at 8 nodes where every mode's table must match it.
     """
     alpha, tau, theta = p.alpha, p.tau, plan.theta
     if alpha == 0.0:
         omega = np.sqrt(2.0 * theta / (1.0 + tau))
-        if integrated:
-            return lambda t: t * np.sinc(omega * t / math.pi)
-        return lambda t: np.cos(t * omega)
+        return lambda t: [t * np.sinc(omega * t / math.pi) if integrated
+                          else np.cos(t * omega) for integrated in modes]
 
     s_z, psi_p = plan.roots
     u, lo, hi = np.log(theta), float(np.min(theta)), float(np.max(theta))
+    spot = theta[_spot_indices(theta.size)]
 
-    def signal(t: float) -> np.ndarray:
+    def signal(t: float) -> list:
+        direct = []  # the spot nodes' branch integrals, from the first pass
+
         def branch(th: np.ndarray) -> np.ndarray:
-            return _branch_part(th, t, alpha, tau, q, integrated)
+            extra = spot[:0] if direct else spot
+            vals = _branch_part(np.concatenate([th, extra]), t, alpha, tau, q, modes)
+            direct.append(vals[:, th.size :])
+            return vals[:, : th.size].T
 
-        table = log_cheb_table(branch, lo, hi, plan.budget, "branch table")(u)
-        _spot_check(table, lambda k: branch(theta[k]), q.abs_tol, q.rel_tol,
-                    "Chebyshev branch table disagrees with the branch integral")
-        residue = np.exp(s_z * t) - 1.0 if integrated else s_z * np.exp(s_z * t)
-        return table + 2.0 * np.real(residue / psi_p)
+        tables = log_cheb_table(branch, lo, hi, plan.budget, "branch table")
+        out = []
+        for integrated, table, exact in zip(modes, tables, direct[0]):
+            values = table(u)
+            _spot_check(values, lambda _idx: exact, q.abs_tol, q.rel_tol,
+                        "Chebyshev branch table disagrees with the branch integral")
+            residue = np.exp(s_z * t) - 1.0 if integrated else s_z * np.exp(s_z * t)
+            out.append(values + 2.0 * np.real(residue / psi_p))
+        return out
 
     return signal
 
@@ -360,7 +373,7 @@ def spectral_kernel(
     residue = pole_sum.real
     im_resid = abs(pole_sum.imag)
 
-    branch = float(_branch_part(np.array([theta]), float(t), p.alpha, p.tau, q)[0])
+    branch = float(_branch_part(np.array([theta]), float(t), p.alpha, p.tau, q)[0, 0])
     total = branch + residue
     if im_resid > 1e-10 * max(1.0, abs(total)):
         raise NumericsError(
@@ -495,19 +508,23 @@ def _scattered_sums(f: np.ndarray, y: np.ndarray, delta: float, n_panels: int) -
     a*B*delta + (b*delta + c_k), so the sums are one matrix product of
     f_m e^{-i a B delta y_m} (one row per a and weight vector) and
     e^{-i (b delta + c_k) y_m} (8B rows), accumulated over fixed chunks of m.
-    The exponentials are most of the cost, so B ~ sqrt(n_panels/8) makes the
-    two factors' row counts about equal. Nodes come back in panel order, as
-    from :func:`_gauss_panels`.
+    The 8B inner rows are products of B coarse rows e^{-i b delta y_m} and 8
+    fine rows e^{-i c_k y_m}, so each chunk takes A + B + 8 exponentials for
+    A = n_panels/B outer rows; B ~ sqrt(n_panels) keeps that near its least,
+    2 sqrt(n_panels), while the product's size does not depend on B. Nodes
+    come back in panel order, as from :func:`_gauss_panels`.
     """
     f = np.atleast_2d(f)
-    block = max(1, math.isqrt(n_panels // _GL_NODES.size))
+    block = max(1, math.isqrt(n_panels))
     outer = (block * delta) * np.arange(-(-n_panels // block))
-    inner = (delta * np.arange(block)[:, None] + 0.5 * delta * (1.0 + _GL_NODES)).ravel()
-    sums = np.zeros((f.shape[0] * outer.size, inner.size), dtype=complex)
+    coarse = delta * np.arange(block)
+    fine = 0.5 * delta * (1.0 + _GL_NODES)
+    sums = np.zeros((f.shape[0] * outer.size, block * fine.size), dtype=complex)
     for start in range(0, y.size, _CHUNK):
         yc = y[start : start + _CHUNK]
         left = f[:, None, start : start + _CHUNK] * np.exp(-1j * np.outer(outer, yc))
-        sums += left.reshape(-1, yc.size) @ np.exp(-1j * np.outer(inner, yc)).T
+        inner = np.exp(-1j * np.outer(coarse, yc))[:, None, :] * np.exp(-1j * np.outer(fine, yc))
+        sums += left.reshape(-1, yc.size) @ inner.reshape(-1, yc.size).T
     return sums.reshape(f.shape[0], -1)[:, : n_panels * _GL_NODES.size]
 
 
@@ -633,7 +650,7 @@ def _fourier_rows(
     on x >= 0 and mirrored, so such rows are exactly even; uniform x takes the
     spot-checked chirp-z transform, any other x the dense sweep.
     """
-    signals = [(hat, _spectral_signal(plan, p, q, integrated)) for hat, integrated in terms]
+    signal = _spectral_signal(plan, p, q, tuple(integrated for _, integrated in terms))
     real = not any(np.iscomplexobj(hat) for hat, _ in terms)
     half = x.size // 2 if real and _symmetric(x) else 0
     fast = _chirp_plan(plan.rho_max, plan.n_panels, x[half:])
@@ -641,7 +658,7 @@ def _fourier_rows(
     values = np.empty((len(ts), x.size))
 
     def row(i: int) -> None:
-        parts = [hat * signal(ts[i]) for hat, signal in signals]
+        parts = [hat * s for (hat, _), s in zip(terms, signal(ts[i]))]
         coeff = plan.weights * sum(parts[1:], parts[0]) / math.pi
         if fast is None:
             values[i, half:] = _cosine_sweep(coeff, plan.rho, x[half:])

@@ -263,6 +263,27 @@ def test_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
+def test_reader_closing_early_exits_1_without_a_traceback():
+    # as in `fzwave kernel ... | head -1`: about 1 MB of CSV, one line read
+    pkg_root = str(Path(fzwave.__file__).resolve().parents[1])
+    argv = ["kernel", "--alpha", "0", "--beta", "1", "--nx", "10001", "--t-list", "0.5,1"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fzwave", *argv],
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root, "FZWAVE_THREADS": "1"},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == b"x,t,u\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    # no traceback, and no "Exception ignored" notice from the flush at shutdown
+    assert err == ""
+
+
 # -------------------------------------------------------------------- solve
 
 

@@ -276,7 +276,7 @@ def test_branch_table_matches_per_node_branch_part(alpha, beta, tau, t, integrat
     theta, q, budget = _field_nodes(p, t)
     plan = fzwave.kernel._stage1(np.linspace(-1.0, 1.0, 41), (t,), p, q)
     np.testing.assert_array_equal(plan.theta, theta)
-    signal = fzwave.kernel._spectral_signal(plan, p, q, integrated)
+    signal = fzwave.kernel._spectral_signal(plan, p, q, (integrated,))
     s_z, psi_p = fzwave.kernel._zero_pair_batch(alpha, tau, theta)
     if integrated:
         residue = 2.0 * np.real((np.exp(s_z * t) - 1.0) / psi_p)
@@ -286,10 +286,44 @@ def test_branch_table_matches_per_node_branch_part(alpha, beta, tau, t, integrat
     ends = theta[[0, -1]]
     per_node = np.concatenate([
         fzwave.kernel._branch_part(np.r_[ends, theta[i : i + 1024]], t, alpha, tau, q,
-                                   integrated)[2:]
+                                   (integrated,))[0, 2:]
         for i in range(0, theta.size, 1024)
     ])
-    assert np.max(np.abs(signal(t) - residue - per_node)) <= budget
+    assert np.max(np.abs(signal(t)[0] - residue - per_node)) <= budget
+
+
+def _per_mode_branch(theta, t, alpha, tau, q, integrated, u_end):
+    """One mode's branch part from its own adaptive pass, its own first panel
+    width, out to u_end."""
+    span = fzwave.kernel._branch_span(float(theta[-1]), t, alpha, tau, q, integrated)
+    first = max(min(0.05, min(1.0, t * math.sqrt(theta[0])) / 8.0, span / 64.0), 1e-12)
+
+    def f(u):
+        qq = u / t
+        fp = fzwave.kernel.branch_values(qq, alpha, tau)[0]
+        a, b = np.square(qq)[:, None] + np.outer(fp.real, theta), np.outer(fp.imag, theta)
+        weight = -np.expm1(-u) if integrated else qq * np.exp(-u) / t  # q t (1 - e^-u)/u
+        return -b / (a * a + b * b) / math.pi * weight[:, None]
+
+    edges = fzwave._quad.geometric_edges(0.0, u_end, first, ratio=1.7)
+    return fzwave._quad.adaptive_gk(f, edges, q.rel_tol, q.abs_tol)[0]
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0])
+@pytest.mark.parametrize("alpha, beta, tau", TABLE_SETTINGS)
+def test_fused_branch_modes_match_per_mode_passes(alpha, beta, tau, t):
+    # K and its time integral share one pass that ends with the wider of the
+    # two; stopping the time integral at its own, narrower span where K's is
+    # wider drops a tail of up to 1.8e-8 at (0.9, 0.45, 0.9), t = 2, so the
+    # per-mode passes run to the shared end too
+    theta, q, _ = _field_nodes(ModelParams(alpha, beta, tau, 0.02), t)
+    theta = np.geomspace(theta[0], theta[-1], 65)
+    u_end = max(fzwave.kernel._branch_span(theta[-1], t, alpha, tau, q, integrated)
+                for integrated in (False, True))
+    fused = fzwave.kernel._branch_part(theta, t, alpha, tau, q, (False, True))
+    for integrated, got in zip((False, True), fused):
+        want = _per_mode_branch(theta, t, alpha, tau, q, integrated, u_end)
+        assert np.all(np.abs(got - want) <= np.maximum(q.abs_tol, q.rel_tol * np.abs(want)))
 
 
 def test_branch_table_doubles_when_its_tail_is_too_large():
@@ -301,7 +335,7 @@ def test_branch_table_doubles_when_its_tail_is_too_large():
 
         def branch(th):
             sampled[alpha] = th.size
-            return fzwave.kernel._branch_part(th, 0.5, alpha, tau, q)
+            return fzwave.kernel._branch_part(th, 0.5, alpha, tau, q)[0]
 
         fzwave.kernel.log_cheb_table(branch, theta[0], theta[-1], budget, "branch table")
     assert sampled == {0.25: 65, 0.9: 129}
@@ -337,7 +371,7 @@ def test_chopped_branch_table_stays_within_budget(alpha, beta, tau):
     p = ModelParams(alpha, beta, tau, 0.02)
     theta, q, budget = _field_nodes(p, 0.5)
     table, full = _chopped_and_full(
-        lambda th: fzwave.kernel._branch_part(th, 0.5, alpha, tau, q, True),
+        lambda th: fzwave.kernel._branch_part(th, 0.5, alpha, tau, q, (True,))[0],
         theta[0], theta[-1], budget, "branch table",
     )
     assert table.coef.size < full.coef.size
@@ -372,8 +406,7 @@ def test_branch_spot_check_catches_a_wrong_table(monkeypatch, capsys):
     build = fzwave.kernel.log_cheb_table
 
     def off_by_1e_6(*args):
-        table = build(*args)
-        return lambda u: table(u) + 1e-6
+        return [table + 1e-6 for table in build(*args)]
 
     monkeypatch.setattr(fzwave.kernel, "log_cheb_table", off_by_1e_6)
     with pytest.raises(NumericsError, match="branch table"):
@@ -403,6 +436,24 @@ def test_branch_quadrature_integrates_only_table_points(monkeypatch):
     assert nodes[0] > 25_000
     assert max(columns) <= fzwave._quad._CHEB_MAX + 1
     assert sum(columns) < 0.01 * nodes[0]
+
+
+def test_one_branch_quadrature_per_row(monkeypatch):
+    # K, its time integral and the spot checks of both come from one adaptive pass
+    calls = []
+    quad = fzwave.kernel.adaptive_gk
+
+    def counted_quad(*args, **kwargs):
+        calls.append(1)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(fzwave.kernel, "adaptive_gk", counted_quad)
+    u0, v0 = InitialData.gaussian(0.0, 0.1), InitialData.gaussian(0.0, 0.1, 0.5)
+    solve_field(u0, v0, np.linspace(-1.0, 1.0, 41), (0.5,), P_EXP)
+    assert len(calls) == 1
+    calls.clear()
+    kernel_eps(np.linspace(-1.0, 1.0, 201), [0.25, 0.5, 0.75, 1.0], P_EXP)
+    assert len(calls) == 4
 
 
 # --------------------------------------------------------- rho -> x transform
