@@ -8,7 +8,8 @@ Mittag-Leffler cut integral is a single such integrand): a 7/15
 Gauss-Kronrod pair is applied to an explicit panel list, with panels bisected
 until every component meets max(abs_tol, rel_tol*|I|). The tables carry
 those integrals, and the zero pairs, from their Chebyshev points to every
-spectral node.
+spectral node, all tables of one domain through one recurrence basis
+(:func:`eval_tables`).
 
 Evaluation counts, panel order, and summation order are pure functions of the
 integrand values, so results are reproducible across runs and thread counts.
@@ -164,6 +165,7 @@ def adaptive_gk(
 
 _CHEB_FIRST = 64  # intervals of the first table; doubled while the tail is too large
 _CHEB_MAX = 512
+_EVAL_BLOCK = 4096  # nodes per block of eval_tables' basis, so its memory is fixed
 
 
 def _cheb_coeffs(v: np.ndarray) -> np.ndarray:
@@ -190,7 +192,8 @@ def log_cheb_table(f, lo: float, hi: float, budget: float, what: str):
     twice n, from 64 up to 512, after which NumericsError names ``what``. Each
     column keeps its own shortest head whose dropped coefficients sum to at
     most ``budget - tail``, so it stays within ``budget`` of f. Returns the
-    numpy Chebyshev in log(theta), or a list of them, one per column.
+    numpy Chebyshev in log(theta), or a list of them, one per column; they
+    carry the coefficients and domain, and :func:`eval_tables` evaluates them.
     """
     u_lo, u_hi = math.log(lo), math.log(hi)
     n = _CHEB_FIRST
@@ -212,6 +215,45 @@ def log_cheb_table(f, lo: float, hi: float, budget: float, what: str):
             raise NumericsError(f"Chebyshev {what} tail above budget at {n} intervals",
                                 achieved=float(np.max(tail)))
         n *= 2
+
+
+def eval_tables(tables, u: np.ndarray) -> np.ndarray:
+    """Chebyshev tables sharing one domain at u, one row per table: complex
+    if any table is.
+
+    u maps to x by the tables' own mapparms(), as in Chebyshev.__call__.
+    T_0..T_{n-1}(x) come from the three-term recurrence, in place, over
+    blocks of _EVAL_BLOCK nodes, and each block takes one matrix product
+    with the coefficients, zero-padded to the longest table; complex tables
+    add one row per table for the imaginary parts.
+    """
+    off, scl = tables[0].mapparms()
+    n = max(t.coef.size for t in tables)
+    cplx = any(np.iscomplexobj(t.coef) for t in tables)
+    coef = np.zeros(((1 + cplx) * len(tables), n))
+    for i, t in enumerate(tables):
+        coef[i, : t.coef.size] = t.coef.real
+        if cplx:
+            coef[len(tables) + i, : t.coef.size] = t.coef.imag
+    out = np.empty((len(tables), u.size), dtype=complex if cplx else float)
+    basis = np.empty((n, min(u.size, _EVAL_BLOCK)))
+    for start in range(0, u.size, _EVAL_BLOCK):
+        x = off + scl * u[start : start + _EVAL_BLOCK]
+        b = basis[:, : x.size]
+        b[0] = 1.0
+        if n > 1:
+            b[1] = x
+        x *= 2.0
+        for k in range(2, n):
+            np.multiply(x, b[k - 1], out=b[k])
+            b[k] -= b[k - 2]
+        seg = out[:, start : start + x.size]
+        if cplx:
+            vals = coef @ b
+            seg.real, seg.imag = vals[: len(tables)], vals[len(tables) :]
+        else:
+            np.matmul(coef, b, out=seg)
+    return out
 
 
 def geometric_edges(lo: float, hi: float, first: float, ratio: float = 1.8) -> np.ndarray:

@@ -12,7 +12,8 @@ s / (s^2 + theta * zener_ratio(s)), or its integral over [0, t]: a closed form
 at alpha = 0, otherwise the conjugate-pole residue pair plus a branch-cut
 integral, both tabulated in log theta by chopped Chebyshev series (zeros once
 per plan; per t, one adaptive pass for the spot-checked branch integral of
-every mode). Stage 2,
+every mode) and read at every node through one recurrence basis and matrix
+product (_quad.eval_tables). Stage 2,
 :func:`_fourier_rows`, sums each row Re[sum_j c_j e^{i rho_j x}] with
 c_j = w_j e^{-(eps rho_j)^2/4} sum_d hat_d(rho_j) S_d(rho_j, t) / pi, where
 hat_d is a datum's Fourier transform (1 for the kernel itself): by chirp-z
@@ -31,15 +32,15 @@ across rows of the time grid).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from ._quad import adaptive_gk, geometric_edges, log_cheb_table
+from ._quad import adaptive_gk, eval_tables, geometric_edges, log_cheb_table
 from .charfun import CharParams, _psi_prime, branch_values, theta_of_rho, zener_ratio
 from .errors import NumericsError, ValidationError
 from .params import ModelParams
@@ -63,7 +64,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _CHUNK = 1024  # fixed reduction width for deterministic cosine sweeps
 _Q_MAX = 1e6  # cap on every branch- and cut-integral truncation point
 _PANELS_PER_PERIOD = 8  # equal rho panels per 2*pi of the integrand's phase
-# rho nodes one field may ask for; each costs ~210 B of peak memory, ~0.9 GB in all
+# rho nodes one field may ask for; each costs ~220 B of peak memory, ~0.9 GB in all
 _RHO_NODE_BUDGET = 4_000_000
 _RHO_MAX_MARGIN = 1.002  # factor over the tail bound at which rho panels are cut
 _erf = np.vectorize(math.erf, otypes=[float])
@@ -304,9 +305,11 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, q: QuadratureConfig,
     integral sin(omega t)/omega (-> t as omega -> 0). Otherwise S is the
     residue pair of the plan's zeros s_z plus the branch part; integrated,
     each residue term s e^{st}/psi'(s) becomes its exact antiderivative
-    (e^{st} - 1)/psi'(s). The branch part, smooth in log theta, is integrated
-    per t, all modes in one pass, only at the points of a Chebyshev table
-    within plan.budget and at 8 nodes where every mode's table must match it.
+    (e^{st} - 1)/psi'(s), both from one e^{st} per t. The branch part,
+    smooth in log theta, is integrated per t, all modes in one pass, only at
+    the points of a Chebyshev table within plan.budget and at 8 nodes where
+    every mode's table must match it; one _quad.eval_tables call reads every
+    mode's table at the nodes.
     """
     alpha, tau, theta = p.alpha, p.tau, plan.theta
     if alpha == 0.0:
@@ -327,15 +330,15 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, q: QuadratureConfig,
             direct.append(vals[:, th.size :])
             return vals[:, : th.size].T
 
-        tables = log_cheb_table(branch, lo, hi, plan.budget, "branch table")
-        out = []
-        for integrated, table, exact in zip(modes, tables, direct[0]):
-            values = table(u)
+        tables = eval_tables(log_cheb_table(branch, lo, hi, plan.budget, "branch table"), u)
+        growth = np.exp(s_z * t)
+        for integrated, values, exact in zip(modes, tables, direct[0]):
             _spot_check(values, lambda _idx: exact, q.abs_tol, q.rel_tol,
                         "Chebyshev branch table disagrees with the branch integral")
-            residue = np.exp(s_z * t) - 1.0 if integrated else s_z * np.exp(s_z * t)
-            out.append(values + 2.0 * np.real(residue / psi_p))
-        return out
+            residue = growth - 1.0 if integrated else s_z * growth
+            residue /= psi_p
+            values += 2.0 * residue.real
+        return list(tables)
 
     return signal
 
@@ -528,9 +531,13 @@ def _scattered_sums(f: np.ndarray, y: np.ndarray, delta: float, n_panels: int) -
     return sums.reshape(f.shape[0], -1)[:, : n_panels * _GL_NODES.size]
 
 
+@functools.lru_cache(maxsize=64)
 def _spot_indices(n: int) -> np.ndarray:
-    """8 fixed indices into n points, the first and last included."""
-    return np.unique(np.linspace(0, n - 1, 8).round().astype(int))
+    """8 fixed indices into n points, the first and last included (read-only,
+    computed once per n)."""
+    idx = np.unique(np.linspace(0, n - 1, 8).round().astype(int))
+    idx.flags.writeable = False
+    return idx
 
 
 def _probe_table(rho: np.ndarray, x: np.ndarray, real: bool) -> np.ndarray:
@@ -572,6 +579,10 @@ def _map_rows(worker, n_rows: int):
         for i in range(n_rows):
             worker(i)
     else:
+        # imported here: concurrent.futures pulls in logging, which a
+        # one-worker process never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(worker, range(n_rows)))
 

@@ -4,8 +4,9 @@ The dispersion function has exactly two zeros off the branch cut: a
 complex-conjugate pair in the closed left half-plane, both simple. The
 representative with positive imaginary part drives the oscillatory part of
 every kernel, so we locate it by damped Newton iteration from the elastic
-(``alpha = 0``) root and certify the count with an argument-principle winding
-integral over a rectangle. One vectorized damped Newton serves both a single
+(``alpha = 0``) root, or for a batch from one fixed-point step past it, and
+certify the count with an argument-principle winding integral over a
+rectangle. One vectorized damped Newton serves both a single
 zero and a whole batch; a quadtree bisection on winding counts gives it a
 second start when the first fails the residual test.
 """
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _CHEB_FIRST, log_cheb_table
-from .charfun import CharParams, _psi, _psi_pair, _psi_prime
+from ._quad import _CHEB_FIRST, eval_tables, log_cheb_table
+from .charfun import CharParams, _power, _psi, _psi_pair, _psi_prime
 from .errors import NumericsError, ValidationError
 
 _NODE_BUDGET = 200_000
@@ -164,6 +165,14 @@ def _elastic_root(tau: float, theta):
     return 1j * np.sqrt(2.0 * theta / (1.0 + tau))
 
 
+def _fixed_point_start(alpha: float, tau: float, theta: np.ndarray) -> np.ndarray:
+    """One step of the fixed point s = i*sqrt(theta*F(s)) of psi(s) = 0 from the
+    elastic root, F the Zener ratio: the principal root keeps s in the upper
+    left quadrant, and the step saves about two damped Newton sweeps."""
+    sa = _power(_elastic_root(tau, theta), alpha)
+    return 1j * np.sqrt(theta * (1.0 + sa) / (1.0 + tau * sa))
+
+
 def _bisection_fallback(p: CharParams) -> complex:
     """Quadtree descent on winding counts over the upper-left search window.
 
@@ -293,25 +302,31 @@ def _zero_pair_batch(
     thousands of wave numbers need their zero pair at once. s/sqrt(theta)
     moves smoothly in log theta from i (theta -> 0) to i/sqrt(tau) (theta ->
     inf), so the damped Newton sweep runs only at the points of a Chebyshev
-    table; every node then takes the interpolated root and one plain Newton
-    step, which squares the table's error (its error is held to 1e-8). A
-    batch no larger than the first table is swept directly. Each node pays
-    two powers s^alpha (charfun._power): one for the Newton step, one for
-    the residual and the returned psi'. Entries whose residual fails are recomputed through
-    find_zero_pair.
+    table, from one fixed-point step past the elastic root
+    (:func:`_fixed_point_start`); every node then takes the root from
+    :func:`_quad.eval_tables` and one plain Newton step, which squares the
+    table's error (its error is held to 1e-8). A batch no larger than the
+    first table is swept directly from the same start. Each node pays two
+    powers s^alpha (charfun._power): one for the Newton step, one for the
+    residual and the returned psi'. Entries whose residual fails are
+    recomputed through find_zero_pair.
     """
     theta = np.asarray(theta, dtype=float)
     if alpha == 0.0:
         s = _elastic_root(tau, theta)
         return s, 2.0 * s
+
+    def sweep(th: np.ndarray) -> np.ndarray:
+        return _damped_newton(alpha, tau, th, _fixed_point_start(alpha, tau, th))
+
     if theta.size <= _CHEB_FIRST + 1:
-        s = _damped_newton(alpha, tau, theta)
+        s = sweep(theta)
     else:
-        table = log_cheb_table(
-            lambda th: _damped_newton(alpha, tau, th) / np.sqrt(th),
-            float(np.min(theta)), float(np.max(theta)), 1e-8, "zero-pair table",
-        )
-        s = table(np.log(theta)) * np.sqrt(theta)
+        table = log_cheb_table(lambda th: sweep(th) / np.sqrt(th),
+                               float(np.min(theta)), float(np.max(theta)), 1e-8,
+                               "zero-pair table")
+        s = eval_tables([table], np.log(theta))[0]
+        s *= np.sqrt(theta)
         fs, dfs = _psi_pair(s, alpha, tau, theta)
         s -= fs / dfs
     s = np.where(s.imag < 0.0, np.conj(s), s)

@@ -263,6 +263,19 @@ def test_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
+def test_import_loads_no_thread_pool():
+    # concurrent.futures pulls in logging; only a multi-worker row loop needs it
+    pkg_root = str(Path(fzwave.__file__).resolve().parents[1])
+    code = ("import sys, fzwave, fzwave.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_reader_closing_early_exits_1_without_a_traceback():
     # as in `fzwave kernel ... | head -1`: about 1 MB of CSV, one line read
     pkg_root = str(Path(fzwave.__file__).resolve().parents[1])

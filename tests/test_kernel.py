@@ -395,6 +395,75 @@ def test_root_table_is_chopped_to_its_budget(monkeypatch):
     _assert_shortest_head_within_budget(table, full, budget)
 
 
+def _solve_data_input():
+    """The solve_data benchmark's seed-0 input: Gaussian u0 and v0 on 41 x, t = 0.5."""
+    u0, v0 = InitialData.gaussian(0.0, 0.1), InitialData.gaussian(0.0, 0.1, 0.5)
+    return u0, v0, np.linspace(-1.0, 1.0, 41), (0.5,), P_EXP
+
+
+def test_eval_tables_matches_chebyshev_call():
+    # 28,848 nodes of kernel_eps on 201 x by 4 t cross the block edge 7 times;
+    # real branch tables of two lengths, the complex root table, and both mixed
+    q = QuadratureConfig.for_model(P_EXP)
+    plan = fzwave.kernel._stage1(np.linspace(-1.0, 1.0, 201), (0.25, 0.5, 0.75, 1.0), P_EXP, q)
+    theta = plan.theta
+    assert theta.size > 7 * fzwave._quad._EVAL_BLOCK
+    lo, hi = float(theta[0]), float(theta[-1])
+    branch = fzwave._quad.log_cheb_table(
+        lambda th: fzwave.kernel._branch_part(th, 0.5, P_EXP.alpha, P_EXP.tau, q,
+                                              (False, True)).T,
+        lo, hi, plan.budget, "branch table")
+    roots = fzwave._quad.log_cheb_table(
+        lambda th: fzwave.rootfinder._damped_newton(P_EXP.alpha, P_EXP.tau, th) / np.sqrt(th),
+        lo, hi, 1e-8, "zero-pair table")
+    assert branch[0].coef.size != branch[1].coef.size and np.iscomplexobj(roots.coef)
+    u = np.log(theta)
+    for tables in (branch, [roots], [branch[0], roots, branch[1]]):
+        got = fzwave._quad.eval_tables(tables, u)
+        assert got.shape == (len(tables), u.size)
+        for row, table in zip(got, tables):
+            assert np.max(np.abs(row - table(u))) <= 1e-14 * np.sum(np.abs(table.coef))
+
+
+def test_root_table_sweeps_start_one_fixed_point_step_in(monkeypatch):
+    # the elastic start needed 5 damped Newton sweeps at the solve_data plan
+    sweeps = []
+    prime = fzwave.rootfinder._psi_prime
+
+    def counted(*args):
+        sweeps.append(1)
+        return prime(*args)
+
+    monkeypatch.setattr(fzwave.rootfinder, "_psi_prime", counted)
+    solve_field(*_solve_data_input())
+    assert 1 <= len(sweeps) <= 3
+
+
+@pytest.mark.parametrize("alpha, beta, tau", TABLE_SETTINGS)
+def test_fixed_point_start_finds_the_elastic_start_roots(alpha, beta, tau):
+    rf = fzwave.rootfinder
+    theta = np.geomspace(1e-6, 1e6, 129)
+    oracle = rf._damped_newton(alpha, tau, theta)
+    fixed = rf._damped_newton(alpha, tau, theta, rf._fixed_point_start(alpha, tau, theta))
+    assert np.max(np.abs(fixed - oracle) / np.abs(oracle)) <= 1e-13
+    theta, _, _ = _field_nodes(ModelParams(alpha, beta, tau, 0.02), 0.5)
+    s, _ = rf._zero_pair_batch(alpha, tau, theta)
+    oracle = rf._damped_newton(alpha, tau, theta)
+    assert np.max(np.abs(s - oracle) / np.abs(oracle)) <= 1e-13
+
+
+def test_solve_field_runs_no_polynomial_evaluation(monkeypatch):
+    calls = []
+
+    def spy(self, arg):
+        calls.append(np.size(arg))
+        return np.polynomial.polynomial.polyval(arg, [0.0])
+
+    monkeypatch.setattr(np.polynomial.Chebyshev, "__call__", spy)
+    solve_field(*_solve_data_input())
+    assert calls == []
+
+
 def test_cheb_table_without_a_falling_tail_raises():
     # a kink at theta = 1: the coefficients fall only like 1/k^2
     with pytest.raises(NumericsError, match="kinked table"):
@@ -448,8 +517,7 @@ def test_one_branch_quadrature_per_row(monkeypatch):
         return quad(*args, **kwargs)
 
     monkeypatch.setattr(fzwave.kernel, "adaptive_gk", counted_quad)
-    u0, v0 = InitialData.gaussian(0.0, 0.1), InitialData.gaussian(0.0, 0.1, 0.5)
-    solve_field(u0, v0, np.linspace(-1.0, 1.0, 41), (0.5,), P_EXP)
+    solve_field(*_solve_data_input())
     assert len(calls) == 1
     calls.clear()
     kernel_eps(np.linspace(-1.0, 1.0, 201), [0.25, 0.5, 0.75, 1.0], P_EXP)
