@@ -16,17 +16,21 @@ every mode) and read at every node through one recurrence basis and matrix
 product (_quad.eval_tables). Stage 2,
 :func:`_fourier_rows`, sums each row Re[sum_j c_j e^{i rho_j x}] with
 c_j = w_j e^{-(eps rho_j)^2/4} sum_d hat_d(rho_j) S_d(rho_j, t) / pi, where
-hat_d is a datum's Fourier transform (1 for the kernel itself): by chirp-z
-transforms on a uniform x grid, each checked against a dense sum at 8 points,
-and by a dense sweep on any other. The edges beta = 0, beta = 1 and the
-classical pair bypass the transform; :func:`_kernel_eps_impl` wraps the values
-of every route in a :class:`Field`.
+hat_d is a datum's Fourier transform (1 for the kernel itself). On rows of
+at most _FACTORED_MAX points (after mirroring) and on any non-uniform x, the
+sum is one exact factored matrix product (:func:`_factored_plan`), once the
+plan's nodes are checked to be the equal panels it factors over; wider
+uniform rows take chirp-z transforms, each checked against a dense sum at 8
+points. The edges beta = 0, beta = 1 and the classical pair bypass the
+transform; :func:`_kernel_eps_impl` wraps the values of every route in a
+:class:`Field`.
 
 Everything here is deterministic by construction: panel subdivision depends
-only on inputs, each row's chirp-z transform runs on its own FFT buffers, and
-the dense sweep reduces in a fixed chunked order, so a run with
-FZWAVE_THREADS=8 is byte-identical to a serial one (threads only split work
-across rows of the time grid).
+only on inputs, each row's transform runs on its own buffers, and every sum
+reduces in a fixed order, so a run with FZWAVE_THREADS=8 is byte-identical to
+a serial one (threads only split work across rows of the time grid). The
+factored product runs in blocks that BLAS keeps on one thread
+(_SERIAL_MNK), so BLAS's own thread count does not change its bits either.
 """
 
 from __future__ import annotations
@@ -64,9 +68,16 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _CHUNK = 1024  # fixed reduction width for deterministic cosine sweeps
 _Q_MAX = 1e6  # cap on every branch- and cut-integral truncation point
 _PANELS_PER_PERIOD = 8  # equal rho panels per 2*pi of the integrand's phase
-# rho nodes one field may ask for; each costs ~220 B of peak memory, ~0.9 GB in all
+# rho nodes one field may ask for; each costs ~205 B of peak memory (~215 B where
+# chirp-z and its probe serve the rows), ~0.85 GB in all
 _RHO_NODE_BUDGET = 4_000_000
 _RHO_MAX_MARGIN = 1.002  # factor over the tail bound at which rho panels are cut
+# widest uniform row (after mirroring) that the factored sum serves: its cost
+# grows with the width, and past about 256 points chirp-z and its check cost less
+_FACTORED_MAX = 256
+# OpenBLAS keeps a matrix product on one thread while m*n*k <= 65536 * its
+# GEMM_MULTITHREAD_THRESHOLD (4 by default); threaded, it tiles and rounds differently
+_SERIAL_MNK = 1 << 18
 _erf = np.vectorize(math.erf, otypes=[float])
 
 
@@ -503,31 +514,93 @@ def _chirp_plan(rho_max: float, n_panels: int, x: np.ndarray) -> Callable | None
     return sweep
 
 
+def _panel_factors(y: np.ndarray, delta: float, n_panels: int,
+                   sign: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The exponentials e^{sign i rho_j y} of the first n_panels equal panels of
+    width delta, split into two tables whose products give every node.
+
+    Node p*8 + k sits at p*delta + c_k; with p = a*B + b, B = isqrt(n_panels),
+    that is a*B*delta + (b*delta + c_k), so e^{i rho y} is exactly the product
+    of an outer row e^{i a B delta y} (A = ceil(n_panels/B) rows) and an inner
+    row e^{i (b delta + c_k) y} (8B rows, b-major), every phase at most
+    rho_max*|y| as in the direct sum. The inner rows are products of B coarse
+    rows e^{i b delta y} and 8 fine rows e^{i c_k y}, so the tables take
+    A + B + 8 exponentials per point, near the least, 2 sqrt(n_panels).
+    """
+    block = max(1, math.isqrt(n_panels))
+    n_outer = -(-n_panels // block)
+    rates = np.concatenate([(block * delta) * np.arange(n_outer), delta * np.arange(block),
+                            0.5 * delta * (1.0 + _GL_NODES)])
+    table = np.exp(1j * np.outer(sign * rates, y))  # outer, coarse and fine rows
+    coarse, fine = table[n_outer : n_outer + block], table[n_outer + block :]
+    return table[:n_outer], (coarse[:, None, :] * fine).reshape(-1, y.size)
+
+
+def _factored_plan(rho_max: float, n_panels: int, x: np.ndarray) -> Callable:
+    """The sum Re sum_j c_j e^{i rho_j x} on any x as one matrix product per
+    row; the coefficients c_j may be real or complex.
+
+    With the tables of :func:`_panel_factors`, built once per field, the sum
+    is Re sum_a e^{i a B delta x} (C e^{i (b delta + c_k) x})_a, where C holds
+    the coefficients as A rows of 8B, zero-padded past the last panel: an
+    (A x 8B)(8B x n) product, weighted by the outer rows and summed over a in
+    fixed order. It runs in real arithmetic on the inner table's interleaved
+    real and imaginary parts, complex coefficients as their real rows over
+    their imaginary rows, in blocks of at most _SERIAL_MNK multiply-adds,
+    each at least 2 x 2 (numpy hands a single row or column to gemv, which
+    threads sooner): BLAS runs every block on one thread, so the bits do not
+    depend on its thread count. The sum is exact to rounding, so it needs no
+    spot check; its cost grows with n, so chirp-z takes wide uniform rows.
+    """
+    outer, inner = _panel_factors(x, rho_max / n_panels, n_panels)
+    n_rows, depth = outer.shape[0], inner.shape[0]
+    cells = max(4, _SERIAL_MNK // depth)  # output entries per block
+    width, n_blocks = _even_blocks(2 * x.size, max(2, math.isqrt(cells)))
+    # each point's Re and Im side by side, zero columns past the last; as blocks (blocks, 8B, width)
+    table = np.zeros((depth, n_blocks * width))
+    table[:, : 2 * x.size] = inner.view(float)
+    table = table.reshape(depth, n_blocks, width).transpose(1, 0, 2)
+
+    def sweep(coeff: np.ndarray) -> np.ndarray:
+        parts = (coeff.real, coeff.imag) if np.iscomplexobj(coeff) else (coeff,)
+        rows, row_blocks = _even_blocks(len(parts) * n_rows, cells // width)
+        c = np.zeros((row_blocks * rows, depth))  # per call: rows run on threads
+        for k, part in enumerate(parts):
+            c[k * n_rows : (k + 1) * n_rows].reshape(-1)[: coeff.size] = part
+        prod = np.empty((row_blocks * rows, n_blocks * width))
+        np.matmul(c.reshape(row_blocks, 1, rows, depth), table,
+                  out=prod.reshape(row_blocks, rows, n_blocks, width).transpose(0, 2, 1, 3))
+        sums = [prod[k * n_rows : (k + 1) * n_rows, : 2 * x.size].view(complex)
+                for k in range(len(parts))]
+        total = sums[0] if len(sums) == 1 else sums[0] + 1j * sums[1]
+        total *= outer
+        return total.real.sum(axis=0)
+
+    return sweep
+
+
+def _even_blocks(total: int, most: int) -> tuple[int, int]:
+    """Size and count of the fewest equal blocks of at most `most` that cover total."""
+    count = -(-total // most)
+    return -(-total // count), count
+
+
 def _scattered_sums(f: np.ndarray, y: np.ndarray, delta: float, n_panels: int) -> np.ndarray:
     """sum_m f_m e^{-i rho_j y_m} at every node rho_j of the first n_panels equal
     panels of width delta, for any y; f holds one weight vector per row.
 
-    Node p*8 + k sits at p*delta + c_k; with p = a*B + b that is
-    a*B*delta + (b*delta + c_k), so the sums are one matrix product of
-    f_m e^{-i a B delta y_m} (one row per a and weight vector) and
-    e^{-i (b delta + c_k) y_m} (8B rows), accumulated over fixed chunks of m.
-    The 8B inner rows are products of B coarse rows e^{-i b delta y_m} and 8
-    fine rows e^{-i c_k y_m}, so each chunk takes A + B + 8 exponentials for
-    A = n_panels/B outer rows; B ~ sqrt(n_panels) keeps that near its least,
-    2 sqrt(n_panels), while the product's size does not depend on B. Nodes
-    come back in panel order, as from :func:`_gauss_panels`.
+    With the tables of :func:`_panel_factors` (sign -1), the sums are one
+    matrix product of f_m e^{-i a B delta y_m} (one row per a and weight
+    vector) and e^{-i (b delta + c_k) y_m} (8B rows), accumulated over fixed
+    chunks of m. Nodes come back in panel order, as from :func:`_gauss_panels`.
     """
     f = np.atleast_2d(f)
-    block = max(1, math.isqrt(n_panels))
-    outer = (block * delta) * np.arange(-(-n_panels // block))
-    coarse = delta * np.arange(block)
-    fine = 0.5 * delta * (1.0 + _GL_NODES)
-    sums = np.zeros((f.shape[0] * outer.size, block * fine.size), dtype=complex)
+    sums = 0.0
     for start in range(0, y.size, _CHUNK):
         yc = y[start : start + _CHUNK]
-        left = f[:, None, start : start + _CHUNK] * np.exp(-1j * np.outer(outer, yc))
-        inner = np.exp(-1j * np.outer(coarse, yc))[:, None, :] * np.exp(-1j * np.outer(fine, yc))
-        sums += left.reshape(-1, yc.size) @ inner.reshape(-1, yc.size).T
+        outer, inner = _panel_factors(yc, delta, n_panels, -1.0)
+        left = f[:, None, start : start + _CHUNK] * outer
+        sums = sums + left.reshape(-1, yc.size) @ inner.T
     return sums.reshape(f.shape[0], -1)[:, : n_panels * _GL_NODES.size]
 
 
@@ -535,7 +608,8 @@ def _scattered_sums(f: np.ndarray, y: np.ndarray, delta: float, n_panels: int) -
 def _spot_indices(n: int) -> np.ndarray:
     """8 fixed indices into n points, the first and last included (read-only,
     computed once per n)."""
-    idx = np.unique(np.linspace(0, n - 1, 8).round().astype(int))
+    idx = np.linspace(0, n - 1, 8).round().astype(int)
+    idx = idx[np.diff(idx, prepend=-1) > 0]  # ascending, so this drops the repeats
     idx.flags.writeable = False
     return idx
 
@@ -644,6 +718,17 @@ def _stage1(
     )
 
 
+def _check_panel_nodes(plan: _Stage1) -> None:
+    """The factored sum of stage 2 splits e^{i rho x} over node p*8 + k at
+    p*delta + c_k: plan.rho must be that lattice to a few ulps of rho_max."""
+    delta = plan.rho_max / plan.n_panels
+    lattice = (delta * np.arange(plan.n_panels))[:, None] + 0.5 * delta * (1.0 + _GL_NODES)
+    gap = float(np.max(np.abs(plan.rho - lattice.ravel())))
+    if not gap <= 8.0 * np.spacing(plan.rho_max):  # NaN fails too
+        raise NumericsError("rho nodes are off the equal Gauss panels that stage 2 factors",
+                            achieved=gap)
+
+
 def _fourier_rows(
     x: np.ndarray,
     ts: tuple,
@@ -658,23 +743,27 @@ def _fourier_rows(
     plan.rho (a scalar for a point source at 0: 1.0 for the kernel itself) and
     integrated selects S or its time integral, so data sharing a plan share
     one transform per row. Real coefficients on a symmetric grid are summed
-    on x >= 0 and mirrored, so such rows are exactly even; uniform x takes the
-    spot-checked chirp-z transform, any other x the dense sweep.
+    on x >= 0 and mirrored, so such rows are exactly even. Uniform rows wider
+    than _FACTORED_MAX points take the spot-checked chirp-z transform, every
+    other row the factored sum.
     """
     signal = _spectral_signal(plan, p, q, tuple(integrated for _, integrated in terms))
     real = not any(np.iscomplexobj(hat) for hat, _ in terms)
     half = x.size // 2 if real and _symmetric(x) else 0
-    fast = _chirp_plan(plan.rho_max, plan.n_panels, x[half:])
-    probe = None if fast is None else _probe_table(plan.rho, x[half:], real)
+    xs = x[half:]
+    chirp = _chirp_plan(plan.rho_max, plan.n_panels, xs) if xs.size > _FACTORED_MAX else None
+    if chirp is None:
+        _check_panel_nodes(plan)  # the factored sum has no spot check to catch a stray node
+        sweep, probe = _factored_plan(plan.rho_max, plan.n_panels, xs), None
+    else:
+        sweep, probe = chirp, _probe_table(plan.rho, xs, real)
     values = np.empty((len(ts), x.size))
 
     def row(i: int) -> None:
         parts = [hat * s for (hat, _), s in zip(terms, signal(ts[i]))]
         coeff = plan.weights * sum(parts[1:], parts[0]) / math.pi
-        if fast is None:
-            values[i, half:] = _cosine_sweep(coeff, plan.rho, x[half:])
-        else:
-            values[i, half:] = fast(coeff)
+        values[i, half:] = sweep(coeff)
+        if probe is not None:
             # the probe rows are the exponentials at exactly these _spot_indices
             _spot_check(values[i, half:], lambda _idx: (probe @ coeff).real,
                         1e-12 * float(np.sum(np.abs(coeff))), 0.0,

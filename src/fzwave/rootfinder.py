@@ -176,11 +176,13 @@ def _fixed_point_start(alpha: float, tau: float, theta: np.ndarray) -> np.ndarra
 def _bisection_fallback(p: CharParams) -> complex:
     """Quadtree descent on winding counts over the upper-left search window.
 
-    The descent stops once the box is 1e-7 of its corner's modulus wide:
-    winding_number pads a box whose edge passes within ~1e-8 of a zero, so
-    finer boxes no longer follow the zero. Newton polishes the centre.
+    The window is four times |s_z|'s bound sqrt(theta/tau) on a side, so it
+    holds the zero however strongly the model damps it. The descent stops
+    once the box is 1e-7 of its corner's modulus wide: winding_number pads a
+    box whose edge passes within ~1e-8 of a zero, so finer boxes no longer
+    follow the zero. Newton polishes the centre.
     """
-    m = max(1.0, math.sqrt(2.0 * p.theta))
+    m = max(1.0, math.sqrt(p.theta / p.tau))
     re_lo, re_hi = -4.0 * m, _CUT_CLEARANCE
     im_lo, im_hi = _CUT_CLEARANCE, 4.0 * m
     if winding_number((re_lo, re_hi, im_lo, im_hi), p) < 1:
@@ -308,32 +310,35 @@ def _zero_pair_batch(
     table's error (its error is held to 1e-8). A batch no larger than the
     first table is swept directly from the same start. Each node pays two
     powers s^alpha (charfun._power): one for the Newton step, one for the
-    residual and the returned psi'. Entries whose residual fails are
-    recomputed through find_zero_pair.
+    residual and the returned psi'. Table samples and nodes alike that fail
+    the residual test are recomputed through find_zero_pair.
     """
     theta = np.asarray(theta, dtype=float)
     if alpha == 0.0:
         s = _elastic_root(tau, theta)
         return s, 2.0 * s
 
+    def certified(s: np.ndarray, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """s in the upper half-plane and psi'(s), each root that fails the
+        residual test replaced by find_zero_pair's."""
+        s = np.where(s.imag < 0.0, np.conj(s), s)
+        fs, dfs = _psi_pair(s, alpha, tau, th)
+        bad = ~(np.abs(fs) <= 1e-10 * np.maximum(1.0, np.abs(s) ** 2))  # NaN fails too
+        if bad.any():
+            for i in np.flatnonzero(bad):
+                s[i] = find_zero_pair(CharParams(alpha, tau, float(th[i]))).s_z
+            dfs[bad] = _psi_prime(s[bad], alpha, tau, th[bad])
+        return s, dfs
+
     def sweep(th: np.ndarray) -> np.ndarray:
         return _damped_newton(alpha, tau, th, _fixed_point_start(alpha, tau, th))
 
     if theta.size <= _CHEB_FIRST + 1:
-        s = sweep(theta)
-    else:
-        table = log_cheb_table(lambda th: sweep(th) / np.sqrt(th),
-                               float(np.min(theta)), float(np.max(theta)), 1e-8,
-                               "zero-pair table")
-        s = eval_tables([table], np.log(theta))[0]
-        s *= np.sqrt(theta)
-        fs, dfs = _psi_pair(s, alpha, tau, theta)
-        s -= fs / dfs
-    s = np.where(s.imag < 0.0, np.conj(s), s)
+        return certified(sweep(theta), theta)
+    table = log_cheb_table(lambda th: certified(sweep(th), th)[0] / np.sqrt(th),
+                           float(np.min(theta)), float(np.max(theta)), 1e-8, "zero-pair table")
+    s = eval_tables([table], np.log(theta))[0]
+    s *= np.sqrt(theta)
     fs, dfs = _psi_pair(s, alpha, tau, theta)
-    bad = ~(np.abs(fs) <= 1e-10 * np.maximum(1.0, np.abs(s) ** 2))  # NaN fails too
-    if bad.any():
-        for i in np.flatnonzero(bad):
-            s[i] = find_zero_pair(CharParams(alpha, tau, float(theta[i]))).s_z
-        dfs[bad] = _psi_prime(s[bad], alpha, tau, theta[bad])
-    return s, dfs
+    s -= fs / dfs
+    return certified(s, theta)

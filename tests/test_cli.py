@@ -276,6 +276,20 @@ def test_import_loads_no_thread_pool():
     assert proc.stdout == "[]\n"
 
 
+def test_kernel_run_loads_no_masked_arrays():
+    # numpy.ma costs ~15 ms and 1.2 MB to import, and np.unique pulls it in
+    pkg_root = str(Path(fzwave.__file__).resolve().parents[1])
+    code = ("import sys, numpy as np, fzwave; "
+            "fzwave.kernel_eps(np.linspace(-1, 1, 41), [0.5], fzwave.ModelParams(0.25, 0.45, 0.1)); "
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_reader_closing_early_exits_1_without_a_traceback():
     # as in `fzwave kernel ... | head -1`: about 1 MB of CSV, one line read
     pkg_root = str(Path(fzwave.__file__).resolve().parents[1])

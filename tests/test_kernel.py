@@ -611,13 +611,14 @@ def test_spot_check_catches_a_wrong_transform(monkeypatch, capsys):
         return sweep
 
     monkeypatch.setattr(fzwave.kernel, "_chirp_plan", off_by_1e_9)
-    x = np.linspace(-1.0, 1.0, 201)
+    # chirp-z serves uniform rows wider than 256 points after mirroring
+    x = np.linspace(-1.0, 1.0, 1201)
     with pytest.raises(NumericsError, match="chirp-z"):
         kernel_eps(x, [0.5], P_EXP)
     # off-centre data: complex coefficients, checked against the e^{i rho x} probe
     with pytest.raises(NumericsError, match="chirp-z"):
         solve_field(InitialData.gaussian(0.1, 0.1), InitialData.zero(), x, [0.5], P_EXP)
-    rc = fzwave.cli.run_command(["kernel", "--nx", "21", "--t-list", "0.5"])
+    rc = fzwave.cli.run_command(["kernel", "--nx", "1201", "--t-list", "0.5"])
     assert rc == 3
     assert "chirp-z" in capsys.readouterr().err
 
@@ -628,16 +629,88 @@ def test_fourier_rows_are_exactly_even_on_symmetric_grids():
 
 
 def test_dense_fallback_agrees_with_chirp_z_through_kernel_eps():
-    # same max|x|, so the same rho panels; x >= 0 is [0, 0.2, 0.8] (dense)
-    # against a uniform [0, 0.2, ..., 0.8] (chirp-z)
+    # same max|x|, so the same rho panels; x >= 0 is [0, 0.2, 0.8] (the
+    # factored sum) against a uniform 601-point [0, 0.8] (chirp-z)
     sparse = kernel_eps([-0.8, -0.2, 0.0, 0.2, 0.8], [0.5, 1.0], P_EXP).values
-    full = kernel_eps(np.linspace(-0.8, 0.8, 9), [0.5, 1.0], P_EXP).values
-    np.testing.assert_allclose(sparse, full[:, [0, 3, 4, 5, 8]], rtol=0.0, atol=1e-12)
+    full = kernel_eps(np.linspace(-0.8, 0.8, 1201), [0.5, 1.0], P_EXP).values
+    np.testing.assert_allclose(sparse, full[:, [0, 450, 600, 750, 1200]], rtol=0.0, atol=1e-12)
+
+
+def test_only_wide_uniform_rows_build_a_chirp_plan_and_probe(monkeypatch):
+    built = []
+    chirp_plan, probe_table = fzwave.kernel._chirp_plan, fzwave.kernel._probe_table
+
+    def counted_plan(*args):
+        built.append("chirp")
+        return chirp_plan(*args)
+
+    def counted_table(*args):
+        built.append("probe")
+        return probe_table(*args)
+
+    monkeypatch.setattr(fzwave.kernel, "_chirp_plan", counted_plan)
+    monkeypatch.setattr(fzwave.kernel, "_probe_table", counted_table)
+    solve_field(*_solve_data_input())
+    kernel_eps(np.linspace(-1.0, 1.0, 201), [0.25, 0.5, 0.75, 1.0], P_EXP)  # cli_export's A
+    assert built == []
+    kernel_eps(np.linspace(-1.0, 1.0, 1201), [0.5], P_EXP)
+    assert built == ["chirp", "probe"]
+
+
+# x*rho below ~1e4 rad, as for the chirp-z test above
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_panels=st.integers(1, 400),
+    rho_max=st.floats(1.0, 1000.0),
+    x0=st.floats(-3.0, 3.0),
+    h=st.floats(1e-3, 0.02),
+    n=st.integers(1, 300),
+    uniform=st.booleans(),
+    complex_coeff=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_panels=1, rho_max=997.0, x0=0.3, h=0.0197, n=300, uniform=True,
+         complex_coeff=False, seed=1)
+@example(n_panels=3, rho_max=640.0, x0=-2.9, h=0.02, n=257, uniform=False,
+         complex_coeff=True, seed=2)
+@example(n_panels=311, rho_max=85.8, x0=0.0, h=0.05, n=21, uniform=True,
+         complex_coeff=False, seed=3)
+def test_factored_sum_matches_dense_sweep(n_panels, rho_max, x0, h, n, uniform,
+                                          complex_coeff, seed):
+    rho, _ = fzwave.kernel._gauss_panels(np.linspace(0.0, rho_max, n_panels + 1))
+    rng = np.random.default_rng(seed)
+    coeff = rng.standard_normal(rho.size)
+    if complex_coeff:
+        coeff = coeff + 1j * rng.standard_normal(rho.size)
+    x = x0 + h * (np.arange(n) if uniform else np.cumsum(rng.uniform(0.0, 2.0, n)))
+    fast = fzwave.kernel._factored_plan(rho_max, n_panels, x)
+    dense = fzwave.kernel._cosine_sweep(coeff, rho, x)
+    assert np.max(np.abs(fast(coeff) - dense)) <= 1e-12 * np.sum(np.abs(coeff))
+
+
+def test_a_node_off_the_panel_lattice_is_refused(monkeypatch, capsys):
+    # the factored sum has no spot check: its plan must be the equal panels
+    panels = fzwave.kernel._gauss_panels
+
+    def one_node_off(edges):
+        nodes, weights = panels(edges)
+        nodes[nodes.size // 2] *= 1.0 + 1e-9
+        return nodes, weights
+
+    monkeypatch.setattr(fzwave.kernel, "_gauss_panels", one_node_off)
+    with pytest.raises(NumericsError, match="equal Gauss panels"):
+        kernel_eps(np.linspace(-1.0, 1.0, 41), [0.5], P_EXP)
+    with pytest.raises(NumericsError, match="equal Gauss panels"):
+        solve_field(*_solve_data_input())
+    rc = fzwave.cli.run_command(["kernel", "--nx", "21", "--x-min", "-1", "--x-max", "1",
+                                 "--t-list", "0.5"])
+    assert rc == 3
+    assert "equal Gauss panels" in capsys.readouterr().err
 
 
 def test_dense_sweep_sees_only_spot_check_points(monkeypatch):
-    # on uniform grids the only dense sums are the 8 probe rows of each
-    # transform: one for the kernel, one for the data sharing a plan
+    # on uniform chirp-z grids the only dense sums are the 8 probe rows of
+    # each transform: one for the kernel, one for the data sharing a plan
     sweeps, tables = [], []
     sweep, probe_table = fzwave.kernel._cosine_sweep, fzwave.kernel._probe_table
 
@@ -653,12 +726,12 @@ def test_dense_sweep_sees_only_spot_check_points(monkeypatch):
     monkeypatch.setattr(fzwave.kernel, "_cosine_sweep", counted_sweep)
     monkeypatch.setattr(fzwave.kernel, "_probe_table", counted_table)
     p = ModelParams(0.25, 0.45, 0.1, 0.05)
-    kernel_eps(np.linspace(-1.0, 1.0, 201), [0.5, 1.0], p)
+    kernel_eps(np.linspace(-1.0, 1.0, 1201), [0.5, 1.0], p)
     assert sweeps == []
     assert tables == [True]
     tables.clear()
     u0 = InitialData.gaussian(0.1, 0.2)
-    solve_field(u0, InitialData.gaussian(0.1, 0.2, 0.5), np.linspace(-1.0, 1.0, 41), (0.5,), p)
+    solve_field(u0, InitialData.gaussian(0.1, 0.2, 0.5), np.linspace(-1.0, 1.0, 1201), (0.5,), p)
     assert sweeps == []
     assert tables == [True]
 

@@ -111,6 +111,17 @@ def test_bisection_fallback_stops_where_its_winding_counts_stop_informing(monkey
     assert abs(s - expected) <= 1e-6 * abs(expected)
 
 
+@pytest.mark.parametrize("theta", [150.0, 211.6, 1e3, 1e4])
+def test_strongly_damped_roots_are_found_inside_their_bound(theta):
+    # Newton from the elastic root fails here, and a search window sized by
+    # sqrt(2 theta) held no zero; |s_z|^2 <= theta/tau bounds it
+    p = CharParams(alpha=0.9, tau=0.01, theta=theta)
+    pair = find_zero_pair(p)
+    assert abs(pair.s_z) ** 2 <= theta / p.tau
+    assert abs(psi(pair.s_z, p)) <= 1e-10 * abs(pair.s_z) ** 2
+    assert _winding_around(pair.s_z, p) == 1
+
+
 def test_zero_pair_validates_its_fields():
     with pytest.raises(ValidationError):
         ZeroPair(s_z=1.0 - 1.0j, residual=0.0)
@@ -214,3 +225,26 @@ def test_skewed_root_table_falls_back_to_certified_roots(monkeypatch):
     for s_i, th in zip(s, theta):
         pair = find_zero_pair(CharParams(0.25, 0.1, float(th)))
         assert s_i == pair.s_z
+
+
+def test_failed_table_samples_are_replaced_by_certified_roots(monkeypatch):
+    # spoil every 5th root the table's sweeps return: exactly those samples
+    # take find_zero_pair, and the batch keeps its clean roots
+    theta = _field_theta(0.45)
+    clean, _ = fzwave.rootfinder._zero_pair_batch(0.25, 0.1, theta)
+    newton = fzwave.rootfinder._damped_newton
+    spoiled = []
+
+    def spoils_samples(alpha, tau, th, start=None):
+        s = newton(alpha, tau, th, start)
+        if th.size > 1:  # a table sweep, not find_zero_pair's own one-root run
+            s[::5] *= 1.0 + 1e-3
+            spoiled.extend(th[::5].tolist())
+        return s
+
+    monkeypatch.setattr(fzwave.rootfinder, "_damped_newton", spoils_samples)
+    fallbacks = _counted_fallbacks(monkeypatch)
+    s, dpsi = fzwave.rootfinder._zero_pair_batch(0.25, 0.1, theta)
+    assert spoiled and fallbacks == spoiled
+    assert np.max(np.abs(s - clean) / np.abs(clean)) <= 1e-12
+    np.testing.assert_array_equal(dpsi, _psi_prime(s, 0.25, 0.1, theta))
