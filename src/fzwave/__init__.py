@@ -14,7 +14,6 @@ from .errors import FzwaveError, NumericsError, ValidationError
 from .fracops import SampledSignal, caputo_derivative, l_operator_apply, symmetrized_derivative
 from .kernel import (
     Field,
-    QuadratureConfig,
     SpectralKernel,
     delta_eps,
     kernel_classical,
@@ -40,7 +39,6 @@ __all__ = [
     "ModelParams",
     "NumericsError",
     "PhysicalParams",
-    "QuadratureConfig",
     "SampledSignal",
     "Scales",
     "SpectralKernel",

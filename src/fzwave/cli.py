@@ -36,7 +36,6 @@ from .charfun import CharParams, theta_of_rho
 from .errors import NumericsError, ValidationError
 from .kernel import (
     Field,
-    QuadratureConfig,
     _check_grids,
     delta_eps,
     kernel_classical,
@@ -77,7 +76,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.nx, int) or isinstance(self.nx, bool) or self.nx < 3:
             raise ValidationError("nx", self.nx, "an integer >= 3")
-        if not (all(isinstance(v, (int, float)) and math.isfinite(v)
+        if not (all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
                     for v in (self.x_min, self.x_max)) and self.x_min < self.x_max):
             raise ValidationError(
                 "x_min/x_max", (self.x_min, self.x_max), "finite with x_min < x_max"
@@ -103,10 +102,9 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one invocation needs: model, quadrature, grid, data, output."""
+    """Everything one invocation needs: model, grid, data, output."""
 
     model: ModelParams
-    quadrature: QuadratureConfig
     grid: GridSpec
     initial: dict
     output: OutputSpec
@@ -126,6 +124,14 @@ def _require_keys(section: str, mapping: dict, allowed: tuple) -> None:
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
         raise ValidationError(section, unknown, f"keys from {sorted(allowed)}")
+
+
+def _require_numbers(name: str, value) -> None:
+    """A JSON number or list of numbers: true and false, which Python would
+    take for 1 and 0, and strings are refused."""
+    items = value if isinstance(value, list) else [value]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
+        raise ValidationError(name, value, "a number or a list of numbers")
 
 
 def _initial_from_mapping(name: str, d: dict | None) -> InitialData:
@@ -150,6 +156,8 @@ def _initial_from_mapping(name: str, d: dict | None) -> InitialData:
             raise ValidationError(
                 f"{name}.samples", s, "an object {'grid': [...], 'values': [...]}"
             )
+        for key in ("grid", "values"):
+            _require_numbers(f"{name}.samples.{key}", s.get(key))
         return InitialData.sampled(
             s.get("grid"), s.get("values"), height=kwargs.get("height", 1.0)
         )
@@ -158,7 +166,7 @@ def _initial_from_mapping(name: str, d: dict | None) -> InitialData:
 
 def _config_from_sources(file_cfg: dict, args: argparse.Namespace) -> RunConfig:
     """Merge config-file values with flag overrides and fill defaults."""
-    _require_keys("config", file_cfg, ("model", "quadrature", "grid", "initial", "output"))
+    _require_keys("config", file_cfg, ("model", "grid", "initial", "output"))
     model_d = dict(file_cfg.get("model", {}))
     _require_keys("model", model_d, _MODEL_KEYS)
     for flag, key in (("alpha", "alpha"), ("beta", "beta"), ("tau", "tau"), ("eps", "epsilon")):
@@ -172,12 +180,10 @@ def _config_from_sources(file_cfg: dict, args: argparse.Namespace) -> RunConfig:
         epsilon=model_d.get("epsilon", DEFAULT_EPSILON),
     )
 
-    quad_d = dict(file_cfg.get("quadrature", {}))
-    _require_keys("quadrature", quad_d, tuple(QuadratureConfig.__dataclass_fields__))
-    quadrature = QuadratureConfig.for_model(model, **quad_d)
-
     grid_d = dict(file_cfg.get("grid", {}))
     _require_keys("grid", grid_d, _GRID_KEYS)
+    if "t_list" in grid_d:
+        _require_numbers("t_list", grid_d["t_list"])
     for flag, key in (("x_min", "x_min"), ("x_max", "x_max"), ("nx", "nx")):
         v = getattr(args, flag, None)
         if v is not None:
@@ -204,7 +210,7 @@ def _config_from_sources(file_cfg: dict, args: argparse.Namespace) -> RunConfig:
         output_d["format"] = args.format
     output = OutputSpec(**output_d)
 
-    return RunConfig(model, quadrature, grid, initial, output)
+    return RunConfig(model, grid, initial, output)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -311,7 +317,7 @@ def _cmd_roots(args: argparse.Namespace) -> int:
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
     cfg = _config_from_sources(_load_config_file(args.config), args)
-    field = kernel_eps(cfg.grid.x_grid(), cfg.grid.t_list, cfg.model, cfg.quadrature)
+    field = kernel_eps(cfg.grid.x_grid(), cfg.grid.t_list, cfg.model)
     _emit_field(field, cfg.output)
     return 0
 
@@ -320,7 +326,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     cfg = _config_from_sources(_load_config_file(args.config), args)
     field = solve_field(
         cfg.initial["u0"], cfg.initial["v0"],
-        cfg.grid.x_grid(), cfg.grid.t_list, cfg.model, cfg.quadrature,
+        cfg.grid.x_grid(), cfg.grid.t_list, cfg.model,
     )
     _emit_field(field, cfg.output)
     return 0
@@ -341,17 +347,17 @@ def _cmd_limits(args: argparse.Namespace) -> int:
     # each case runs the general assembly at a near-limit order next to the
     # dedicated closed form / limit route
     if args.case == "beta0":
-        gen = kernel_eps(x, ts, ModelParams(m.alpha, beta, m.tau, m.epsilon), None)
+        gen = kernel_eps(x, ts, ModelParams(m.alpha, beta, m.tau, m.epsilon))
         row = np.asarray(delta_eps(x, m.epsilon))
         limit = np.vstack([row for _ in ts])
     elif args.case == "beta1":
-        gen = kernel_eps(x, ts, ModelParams(m.alpha, beta, m.tau, m.epsilon), None)
+        gen = kernel_eps(x, ts, ModelParams(m.alpha, beta, m.tau, m.epsilon))
         limit = kernel_time_fractional(x, ts, m.alpha, m.tau, m.epsilon).values
     elif args.case == "alpha0":
-        gen = kernel_eps(x, ts, ModelParams(alpha, m.beta, m.tau, m.epsilon), None)
-        limit = kernel_eps(x, ts, ModelParams(0.0, m.beta, m.tau, m.epsilon), None).values
+        gen = kernel_eps(x, ts, ModelParams(alpha, m.beta, m.tau, m.epsilon))
+        limit = kernel_eps(x, ts, ModelParams(0.0, m.beta, m.tau, m.epsilon)).values
     elif args.case == "classical":
-        gen = kernel_eps(x, ts, ModelParams(alpha, beta, m.tau, m.epsilon), None)
+        gen = kernel_eps(x, ts, ModelParams(alpha, beta, m.tau, m.epsilon))
         limit = kernel_classical(x, ts, m.tau, m.epsilon).values
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError("case", args.case, "beta0|beta1|alpha0|classical")
@@ -366,11 +372,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _config_from_sources(_load_config_file(args.config), args)
     rho = args.rho if args.rho is not None else 1.0
     t = args.t if args.t is not None else 1.0
-    m, q = cfg.model, cfg.quadrature
+    m = cfg.model
     if m.alpha == 0.0:
         spectral = float(spectral_kernel_alpha0(rho, t, m.beta, m.tau))
     else:
-        spectral = spectral_kernel(rho, t, m, q).total
+        spectral = spectral_kernel(rho, t, m).total
     oracle = bromwich_invert(rho, t, m, BromwichConfig())
     chunks = _grid_csv("rho,t,s_spectral,s_oracle,abs_diff", [rho], [t],
                        [[spectral]], [[oracle]], [[abs(spectral - oracle)]])

@@ -29,8 +29,11 @@ Everything here is deterministic by construction: panel subdivision depends
 only on inputs, each row's transform runs on its own buffers, and every sum
 reduces in a fixed order, so a run with FZWAVE_THREADS=8 is byte-identical to
 a serial one (threads only split work across rows of the time grid). The
-factored product runs in blocks that BLAS keeps on one thread
-(_SERIAL_MNK), so BLAS's own thread count does not change its bits either.
+factored sum and the sampled-data sums are matrix products run in blocks
+that BLAS keeps on one thread (:func:`_serial_product`), so BLAS's own
+thread count does not change their bits either. Every quadrature, table and
+spot check aims at the fixed targets _ABS_TOL and _REL_TOL, and the Fourier
+integral ends at :func:`_rho_max`, which follows from eps.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import functools
 import math
 import os
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -51,7 +54,6 @@ from .params import ModelParams
 from .rootfinder import _zero_pair_batch, find_zero_pair
 
 __all__ = [
-    "QuadratureConfig",
     "SpectralKernel",
     "Field",
     "delta_eps",
@@ -72,12 +74,18 @@ _PANELS_PER_PERIOD = 8  # equal rho panels per 2*pi of the integrand's phase
 # chirp-z and its probe serve the rows), ~0.85 GB in all
 _RHO_NODE_BUDGET = 4_000_000
 _RHO_MAX_MARGIN = 1.002  # factor over the tail bound at which rho panels are cut
+# the accuracy every quadrature, table and spot check of a field aims at
+_ABS_TOL = 1e-8
+_REL_TOL = 1e-6
 # widest uniform row (after mirroring) that the factored sum serves: its cost
 # grows with the width, and past about 256 points chirp-z and its check cost less
 _FACTORED_MAX = 256
 # OpenBLAS keeps a matrix product on one thread while m*n*k <= 65536 * its
 # GEMM_MULTITHREAD_THRESHOLD (4 by default); threaded, it tiles and rounds differently
 _SERIAL_MNK = 1 << 18
+# points per chunk of _scattered_sums, the depth of its product: 32 x 32 blocks of
+# outputs at _SERIAL_MNK (1024 points, 16 x 16 blocks, made a sampled solve 1.3x slower)
+_SCATTER_CHUNK = 256
 _erf = np.vectorize(math.erf, otypes=[float])
 
 
@@ -104,47 +112,12 @@ def delta_eps(x: np.ndarray | float, epsilon: float) -> np.ndarray | float:
     )
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and truncation bound for kernel and field assembly.
-
-    rel_tol and abs_tol are the quadrature targets. rho_max truncates the
-    Fourier integral and must honour the mollifier bound
-    rho_max >= (2/eps) * sqrt(ln(1/abs_tol)); use :meth:`for_model` to derive
-    it from a model's eps rather than guessing. The branch-integral cap
-    (_Q_MAX) and the rho panel density (_PANELS_PER_PERIOD) are module
-    constants.
-    """
-
-    rho_max: float = 860.0
-    rel_tol: float = 1e-6
-    abs_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        for name in ("rho_max", "rel_tol", "abs_tol"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and math.isfinite(v) and v > 0.0):
-                raise ValidationError(name, v, "positive real")
-        if self.rel_tol < 1e-12:
-            raise ValidationError(
-                "rel_tol", self.rel_tol,
-                ">= 1e-12 (tighter targets are below attainable rounding noise)",
-            )
-
-    @classmethod
-    def for_model(cls, p: ModelParams, **overrides) -> "QuadratureConfig":
-        """Config whose rho_max saturates the mollifier tail bound for p.epsilon."""
-        q = cls(**overrides)
-        if "rho_max" in overrides:
-            return q
-        return replace(q, rho_max=q.required_rho_max(p.epsilon) * _RHO_MAX_MARGIN)
-
-    def required_rho_max(self, epsilon: float, width: float = 0.0) -> float:
-        """Where e^{-(s rho)^2/4} falls to abs_tol, s = hypot(eps, width): the
-        mollifier alone, or its product with the transform of a Gaussian of
-        that width."""
-        return (2.0 / math.hypot(epsilon, width)) * math.sqrt(math.log(1.0 / self.abs_tol))
+def _rho_max(epsilon: float, width: float = 0.0) -> float:
+    """Where the Fourier integral is cut: _RHO_MAX_MARGIN past the rho at which
+    e^{-(s rho)^2/4}, s = hypot(eps, width), falls to _ABS_TOL (the mollifier
+    alone, or its product with the transform of a Gaussian of that width)."""
+    tail = (2.0 / math.hypot(epsilon, width)) * math.sqrt(math.log(1.0 / _ABS_TOL))
+    return tail * _RHO_MAX_MARGIN
 
 
 @dataclass(frozen=True)
@@ -170,8 +143,12 @@ class SpectralKernel:
             )
 
 
-def _meta(model: dict, quadrature: QuadratureConfig | None) -> dict:
-    snap = asdict(quadrature) if quadrature is not None else None
+def _meta(model: dict, quadrature: bool) -> dict:
+    """The model and, unless the values are a closed form, the accuracy targets
+    they were computed to."""
+    snap = None
+    if quadrature:
+        snap = {"rho_max": _rho_max(model["epsilon"]), "rel_tol": _REL_TOL, "abs_tol": _ABS_TOL}
     return {"model": dict(model), "quadrature": snap}
 
 
@@ -259,18 +236,17 @@ def spectral_kernel_alpha0(rho, t, beta: float, tau: float):
     return float(out) if np.isscalar(rho) and np.isscalar(t) else out
 
 
-def _branch_span(top: float, t: float, alpha: float, tau: float, q: QuadratureConfig,
-                 integrated: bool) -> float:
+def _branch_span(top: float, t: float, alpha: float, tau: float, integrated: bool) -> float:
     """Where a mode's branch integral in u = qt ends, for theta up to top: the
-    time integral's tail ~ C*theta*q^(-4-a) must clear abs_tol, e^{-u} 700 at most."""
+    time integral's tail ~ C*theta*q^(-4-a) must clear _ABS_TOL, e^{-u} 700 at most."""
     if integrated:
         c_tail = (1.0 - tau) * math.sin(alpha * math.pi) / (math.pi * tau * tau)
-        q_pow = (c_tail * top / ((3.0 + alpha) * q.abs_tol)) ** (1.0 / (3.0 + alpha))
+        q_pow = (c_tail * top / ((3.0 + alpha) * _ABS_TOL)) ** (1.0 / (3.0 + alpha))
         return t * min(_Q_MAX, max(50.0 / t, q_pow))
     return min(max(45.0, t * min(_Q_MAX, max(50.0 / t, 1e3 * math.sqrt(top)))), 700.0)
 
 
-def _branch_part(theta: np.ndarray, t: float, alpha: float, tau: float, q: QuadratureConfig,
+def _branch_part(theta: np.ndarray, t: float, alpha: float, tau: float,
                  modes: tuple = (False,)) -> np.ndarray:
     """Branch-cut part of S(., t) at theta > 0, one row per mode; a mode flagged
     True is its exact time integral over [0, t] (the integrand gains
@@ -278,7 +254,7 @@ def _branch_part(theta: np.ndarray, t: float, alpha: float, tau: float, q: Quadr
     one adaptive pass, out to the widest mode's span from the smallest first
     width (e^{-u} adds nothing past u = 700)."""
     u_lo_scale = min(1.0, t * math.sqrt(float(np.min(theta))))
-    spans = [_branch_span(float(np.max(theta)), t, alpha, tau, q, m) for m in modes]
+    spans = [_branch_span(float(np.max(theta)), t, alpha, tau, m) for m in modes]
     first = max(min(0.05, u_lo_scale / 8.0, min(spans) / 64.0), 1e-12)
     edges = geometric_edges(0.0, max(spans), first, ratio=1.7)
 
@@ -302,13 +278,12 @@ def _branch_part(theta: np.ndarray, t: float, alpha: float, tau: float, q: Quadr
             np.multiply(core, weight[:, None], out=out[:, k])
         return out.reshape(u.size, -1)
 
-    val, _err = adaptive_gk(f, edges, rel_tol=q.rel_tol, abs_tol=q.abs_tol,
+    val, _err = adaptive_gk(f, edges, rel_tol=_REL_TOL, abs_tol=_ABS_TOL,
                             what="branch integral")
     return np.reshape(val, (len(modes), theta.size))
 
 
-def _spectral_signal(plan: _Stage1, p: ModelParams, q: QuadratureConfig,
-                     modes: tuple) -> Callable[[float], list]:
+def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple) -> Callable[[float], list]:
     """Stage 1: t -> [S(theta, t) per mode] at plan.theta, a mode flagged True
     taking S's integral over [0, t] instead.
 
@@ -337,14 +312,14 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, q: QuadratureConfig,
 
         def branch(th: np.ndarray) -> np.ndarray:
             extra = spot[:0] if direct else spot
-            vals = _branch_part(np.concatenate([th, extra]), t, alpha, tau, q, modes)
+            vals = _branch_part(np.concatenate([th, extra]), t, alpha, tau, modes)
             direct.append(vals[:, th.size :])
             return vals[:, : th.size].T
 
         tables = eval_tables(log_cheb_table(branch, lo, hi, plan.budget, "branch table"), u)
         growth = np.exp(s_z * t)
         for integrated, values, exact in zip(modes, tables, direct[0]):
-            _spot_check(values, lambda _idx: exact, q.abs_tol, q.rel_tol,
+            _spot_check(values, lambda _idx: exact, _ABS_TOL, _REL_TOL,
                         "Chebyshev branch table disagrees with the branch integral")
             residue = growth - 1.0 if integrated else s_z * growth
             residue /= psi_p
@@ -354,9 +329,7 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, q: QuadratureConfig,
     return signal
 
 
-def spectral_kernel(
-    rho: float, t: float, p: ModelParams, q: QuadratureConfig = QuadratureConfig()
-) -> SpectralKernel:
+def spectral_kernel(rho: float, t: float, p: ModelParams) -> SpectralKernel:
     """Residue-plus-branch-cut evaluation of one spectral mode, certified.
 
     The conjugate pole pair is located and certified by the winding-number
@@ -387,7 +360,7 @@ def spectral_kernel(
     residue = pole_sum.real
     im_resid = abs(pole_sum.imag)
 
-    branch = float(_branch_part(np.array([theta]), float(t), p.alpha, p.tau, q)[0, 0])
+    branch = float(_branch_part(np.array([theta]), float(t), p.alpha, p.tau)[0, 0])
     total = branch + residue
     if im_resid > 1e-10 * max(1.0, abs(total)):
         raise NumericsError(
@@ -421,22 +394,20 @@ def _check_grids(x_grid, t_list) -> tuple[np.ndarray, tuple]:
     return x, tuple(arr.tolist())
 
 
-def _panel_edges(
-    freq_scale: float, q: QuadratureConfig, rho_cut: float | None = None
-) -> np.ndarray:
+def _panel_edges(freq_scale: float, rho_max: float, rho_cut: float | None = None) -> np.ndarray:
     """Edges of the equal rho panels at _PANELS_PER_PERIOD density.
 
     freq_scale is the largest phase rate (radians per unit rho) the integrand
     carries: the e^{i rho x} sweep contributes the reach of x - y over the
     output grid and the data, and the spectral factor contributes
     ~ t * d|s_z|/d rho through its oscillating pole pair. The panels tile
-    (0, q.rho_max]; with rho_cut they stop at the first edge at or past it,
+    (0, rho_max]; with rho_cut they stop at the first edge at or past it,
     the head of the same tiling. A node count above _RHO_NODE_BUDGET is
     refused before anything is allocated.
     """
     width = min(2.0 * math.pi / (_PANELS_PER_PERIOD * max(freq_scale, 1e-9)), 0.5)
-    n_panels = max(int(math.ceil(q.rho_max / width)), 1)
-    step = q.rho_max / n_panels
+    n_panels = max(int(math.ceil(rho_max / width)), 1)
+    step = rho_max / n_panels
     n_kept = n_panels if rho_cut is None else min(n_panels, max(math.ceil(rho_cut / step), 1))
     n_nodes = n_kept * _GL_NODES.size
     if n_nodes > _RHO_NODE_BUDGET:
@@ -445,7 +416,7 @@ def _panel_edges(
             f"at most {_RHO_NODE_BUDGET:,} rho nodes (the count grows with max t and max|x|)",
         )
     if n_kept == n_panels:
-        return np.linspace(0.0, q.rho_max, n_panels + 1)
+        return np.linspace(0.0, rho_max, n_panels + 1)
     return np.arange(n_kept + 1) * step  # linspace's own head: k * step
 
 
@@ -543,40 +514,56 @@ def _factored_plan(rho_max: float, n_panels: int, x: np.ndarray) -> Callable:
     With the tables of :func:`_panel_factors`, built once per field, the sum
     is Re sum_a e^{i a B delta x} (C e^{i (b delta + c_k) x})_a, where C holds
     the coefficients as A rows of 8B, zero-padded past the last panel: an
-    (A x 8B)(8B x n) product, weighted by the outer rows and summed over a in
-    fixed order. It runs in real arithmetic on the inner table's interleaved
-    real and imaginary parts, complex coefficients as their real rows over
-    their imaginary rows, in blocks of at most _SERIAL_MNK multiply-adds,
-    each at least 2 x 2 (numpy hands a single row or column to gemv, which
-    threads sooner): BLAS runs every block on one thread, so the bits do not
-    depend on its thread count. The sum is exact to rounding, so it needs no
-    spot check; its cost grows with n, so chirp-z takes wide uniform rows.
+    (A x 8B)(8B x n) product (:func:`_serial_product`), weighted by the outer
+    rows and summed over a in fixed order. The sum is exact to rounding, so
+    it needs no spot check; its cost grows with n, so chirp-z takes wide
+    uniform rows.
     """
     outer, inner = _panel_factors(x, rho_max / n_panels, n_panels)
-    n_rows, depth = outer.shape[0], inner.shape[0]
-    cells = max(4, _SERIAL_MNK // depth)  # output entries per block
-    width, n_blocks = _even_blocks(2 * x.size, max(2, math.isqrt(cells)))
-    # each point's Re and Im side by side, zero columns past the last; as blocks (blocks, 8B, width)
-    table = np.zeros((depth, n_blocks * width))
-    table[:, : 2 * x.size] = inner.view(float)
-    table = table.reshape(depth, n_blocks, width).transpose(1, 0, 2)
+    product = _serial_product(inner)
 
     def sweep(coeff: np.ndarray) -> np.ndarray:
-        parts = (coeff.real, coeff.imag) if np.iscomplexobj(coeff) else (coeff,)
-        rows, row_blocks = _even_blocks(len(parts) * n_rows, cells // width)
-        c = np.zeros((row_blocks * rows, depth))  # per call: rows run on threads
-        for k, part in enumerate(parts):
-            c[k * n_rows : (k + 1) * n_rows].reshape(-1)[: coeff.size] = part
-        prod = np.empty((row_blocks * rows, n_blocks * width))
-        np.matmul(c.reshape(row_blocks, 1, rows, depth), table,
-                  out=prod.reshape(row_blocks, rows, n_blocks, width).transpose(0, 2, 1, 3))
-        sums = [prod[k * n_rows : (k + 1) * n_rows, : 2 * x.size].view(complex)
-                for k in range(len(parts))]
-        total = sums[0] if len(sums) == 1 else sums[0] + 1j * sums[1]
+        c = np.zeros(outer.shape[0] * inner.shape[0], dtype=coeff.dtype)
+        c[: coeff.size] = coeff
+        total = product(c.reshape(outer.shape[0], -1))
         total *= outer
         return total.real.sum(axis=0)
 
     return sweep
+
+
+def _serial_product(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """a -> a @ table for a complex (k x n) table and a real or complex (m x k)
+    matrix a, with bits that do not depend on BLAS's thread count.
+
+    The product runs in real arithmetic on the table's interleaved real and
+    imaginary parts, complex rows as their real rows over their imaginary
+    rows, in blocks of at most _SERIAL_MNK multiply-adds, each at least 2 x 2
+    (numpy hands a single row or column to gemv, which threads sooner): BLAS
+    runs every block on one thread. The blocked table is built once, here.
+    """
+    depth, n = table.shape[0], 2 * table.shape[1]
+    cells = max(4, _SERIAL_MNK // depth)  # output entries per block
+    width, n_blocks = _even_blocks(n, max(2, math.isqrt(cells)))
+    # each column's Re and Im side by side, zero columns past the last; as blocks (blocks, k, width)
+    blocks = np.zeros((depth, n_blocks * width))
+    blocks[:, :n] = table.view(float)
+    blocks = blocks.reshape(depth, n_blocks, width).transpose(1, 0, 2)
+
+    def product(a: np.ndarray) -> np.ndarray:
+        parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+        m = a.shape[0]
+        rows, row_blocks = _even_blocks(len(parts) * m, cells // width)
+        c = np.zeros((row_blocks * rows, depth))  # per call: rows run on threads
+        for k, part in enumerate(parts):
+            c[k * m : (k + 1) * m] = part
+        prod = np.empty((row_blocks * rows, n_blocks * width))
+        np.matmul(c.reshape(row_blocks, 1, rows, depth), blocks,
+                  out=prod.reshape(row_blocks, rows, n_blocks, width).transpose(0, 2, 1, 3))
+        sums = [prod[k * m : (k + 1) * m, :n].view(complex) for k in range(len(parts))]
+        return sums[0] if len(sums) == 1 else sums[0] + 1j * sums[1]
+
+    return product
 
 
 def _even_blocks(total: int, most: int) -> tuple[int, int]:
@@ -590,18 +577,19 @@ def _scattered_sums(f: np.ndarray, y: np.ndarray, delta: float, n_panels: int) -
     panels of width delta, for any y; f holds one weight vector per row.
 
     With the tables of :func:`_panel_factors` (sign -1), the sums are one
-    matrix product of f_m e^{-i a B delta y_m} (one row per a and weight
-    vector) and e^{-i (b delta + c_k) y_m} (8B rows), accumulated over fixed
-    chunks of m. Nodes come back in panel order, as from :func:`_gauss_panels`.
+    matrix product (:func:`_serial_product`) of e^{-i (b delta + c_k) y_m}
+    (8B rows) and f_m e^{-i a B delta y_m} (one column per a and weight
+    vector), accumulated over fixed chunks of _SCATTER_CHUNK points. Nodes
+    come back in panel order, as from :func:`_gauss_panels`.
     """
     f = np.atleast_2d(f)
     sums = 0.0
-    for start in range(0, y.size, _CHUNK):
-        yc = y[start : start + _CHUNK]
+    for start in range(0, y.size, _SCATTER_CHUNK):
+        yc = y[start : start + _SCATTER_CHUNK]
         outer, inner = _panel_factors(yc, delta, n_panels, -1.0)
-        left = f[:, None, start : start + _CHUNK] * outer
-        sums = sums + left.reshape(-1, yc.size) @ inner.T
-    return sums.reshape(f.shape[0], -1)[:, : n_panels * _GL_NODES.size]
+        right = (f[:, None, start : start + _SCATTER_CHUNK] * outer).reshape(-1, yc.size)
+        sums = sums + _serial_product(np.ascontiguousarray(right.T))(inner)
+    return sums.T.reshape(f.shape[0], -1)[:, : n_panels * _GL_NODES.size]
 
 
 @functools.lru_cache(maxsize=64)
@@ -635,16 +623,6 @@ def _spot_check(fast: np.ndarray, exact_at: Callable, abs_tol: float, rel_tol: f
     gap = np.abs(fast[idx] - exact)
     if np.any(gap > np.maximum(abs_tol, rel_tol * np.abs(exact))):
         raise NumericsError(what, achieved=float(np.max(gap)))
-
-
-def _require_rho_max(q: QuadratureConfig, epsilon: float) -> None:
-    needed = q.required_rho_max(epsilon)
-    if q.rho_max < needed:
-        raise ValidationError(
-            "rho_max", q.rho_max,
-            f">= (2/eps)*sqrt(ln(1/abs_tol)) = {needed:.6g} "
-            "(mollifier tail would exceed abs_tol; see QuadratureConfig.for_model)",
-        )
 
 
 def _map_rows(worker, n_rows: int):
@@ -695,13 +673,12 @@ def _stage1(
     x: np.ndarray,
     ts: tuple,
     p: ModelParams,
-    q: QuadratureConfig,
     reach: float = 0.0,
     rho_cut: float | None = None,
 ) -> _Stage1:
     """The stage-1 plan of a field on x from data within reach of 0 (by
     default a point source at 0), its panels cut at rho_cut if given."""
-    edges = _panel_edges(_freq_scale(x, ts, p.beta, p.tau) + reach, q, rho_cut)
+    edges = _panel_edges(_freq_scale(x, ts, p.beta, p.tau) + reach, _rho_max(p.epsilon), rho_cut)
     rho, wts = _gauss_panels(edges)
     weights = wts * np.exp(-np.square(p.epsilon * rho) / 4.0)
     # Gauss nodes are interior and beta > 0 here, so every theta is positive
@@ -711,7 +688,7 @@ def _stage1(
         weights=weights,
         theta=theta,
         # a uniform signal error e moves a row by at most e * sum|w damp| / pi
-        budget=1e-2 * q.abs_tol * math.pi / float(np.sum(weights)),
+        budget=1e-2 * _ABS_TOL * math.pi / float(np.sum(weights)),
         roots=None if p.alpha == 0.0 else _zero_pair_batch(p.alpha, p.tau, theta),
         rho_max=float(edges[-1]),
         n_panels=edges.size - 1,
@@ -729,14 +706,8 @@ def _check_panel_nodes(plan: _Stage1) -> None:
                             achieved=gap)
 
 
-def _fourier_rows(
-    x: np.ndarray,
-    ts: tuple,
-    p: ModelParams,
-    q: QuadratureConfig,
-    plan: _Stage1,
-    terms: list,
-) -> np.ndarray:
+def _fourier_rows(x: np.ndarray, ts: tuple, p: ModelParams, plan: _Stage1,
+                  terms: list) -> np.ndarray:
     """Stage 2: each row Re sum_j c_j e^{i rho_j x}, c_j = w_j sum_d hat_d S_d(t) / pi.
 
     terms holds (hat, integrated) pairs: hat is a datum's Fourier transform at
@@ -747,7 +718,7 @@ def _fourier_rows(
     than _FACTORED_MAX points take the spot-checked chirp-z transform, every
     other row the factored sum.
     """
-    signal = _spectral_signal(plan, p, q, tuple(integrated for _, integrated in terms))
+    signal = _spectral_signal(plan, p, tuple(integrated for _, integrated in terms))
     real = not any(np.iscomplexobj(hat) for hat, _ in terms)
     half = x.size // 2 if real and _symmetric(x) else 0
     xs = x[half:]
@@ -774,9 +745,7 @@ def _fourier_rows(
     return values
 
 
-def kernel_eps(
-    x_grid, t_list, p: ModelParams, q: QuadratureConfig | None = None
-) -> Field:
+def kernel_eps(x_grid, t_list, p: ModelParams) -> Field:
     """Mollified point-source solution kernel K_eps on a space-time grid.
 
     Dispatches the limiting parameter edges to their dedicated forms instead
@@ -786,27 +755,21 @@ def kernel_eps(
     D'Alembert pair). alpha = 0 with 0 < beta < 1 keeps the two Fourier
     stages, with the closed-form order-zero signal.
     """
-    return _kernel_eps_impl(x_grid, t_list, p, q, integrated=False)
+    return _kernel_eps_impl(x_grid, t_list, p, integrated=False)
 
 
-def kernel_eps_time_integrated(
-    x_grid, t_list, p: ModelParams, q: QuadratureConfig | None = None
-) -> Field:
+def kernel_eps_time_integrated(x_grid, t_list, p: ModelParams) -> Field:
     """Time integral of K_eps over [0, t] for each requested t.
 
     Each spectral term is integrated analytically (exact antiderivatives), so
     this costs the same as kernel_eps; it is the building block for initial
     velocity data.
     """
-    return _kernel_eps_impl(x_grid, t_list, p, q, integrated=True)
+    return _kernel_eps_impl(x_grid, t_list, p, integrated=True)
 
 
-def _kernel_eps_impl(
-    x_grid, t_list, p: ModelParams, q: QuadratureConfig | None, integrated: bool
-) -> Field:
+def _kernel_eps_impl(x_grid, t_list, p: ModelParams, integrated: bool) -> Field:
     x, ts = _check_grids(x_grid, t_list)
-    if q is None:
-        q = QuadratureConfig.for_model(p)
 
     if p.beta == 0.0:
         base = np.asarray(delta_eps(x, p.epsilon), dtype=float)
@@ -814,12 +777,11 @@ def _kernel_eps_impl(
     elif p.beta == 1.0 and p.alpha == 0.0:
         values = _classical_field(x, ts, p.tau, p.epsilon, integrated)
     elif p.beta == 1.0:
-        values = _tf_field(x, ts, p.alpha, p.tau, p.epsilon, q, integrated)
+        values = _tf_field(x, ts, p.alpha, p.tau, p.epsilon, integrated)
     else:
-        _require_rho_max(q, p.epsilon)
-        values = _fourier_rows(x, ts, p, q, _stage1(x, ts, p, q), [(1.0, integrated)])
+        values = _fourier_rows(x, ts, p, _stage1(x, ts, p), [(1.0, integrated)])
     _check_even(x, values)
-    return Field(x, ts, values, _meta(asdict(p), q))
+    return Field(x, ts, values, _meta(asdict(p), True))
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +814,7 @@ def kernel_classical(x_grid, t_list, tau: float, epsilon: float) -> Field:
     values = _classical_field(x, ts, float(tau), float(epsilon), integrated=False)
     _check_even(x, values)
     meta = _meta(
-        {"alpha": 0.0, "beta": 1.0, "tau": float(tau), "epsilon": float(epsilon)}, None
+        {"alpha": 0.0, "beta": 1.0, "tau": float(tau), "epsilon": float(epsilon)}, False
     )
     return Field(x, ts, values, meta)
 
@@ -878,7 +840,7 @@ def _tf_ray_angle(alpha: float) -> float:
     return -min(max(base, 0.0) + 0.30, 1.50)
 
 
-_TF_COND_BUDGET = 16.0  # e^16 * eps ~ 2e-9: rounding stays under abs_tol
+_TF_COND_BUDGET = 16.0  # e^16 * eps ~ 2e-9: rounding stays under _ABS_TOL
 
 
 def _tf_exponent_peak(
@@ -922,13 +884,7 @@ def _tf_smallness_bound(y: float, t: float, alpha: float, tau: float) -> float:
     return best
 
 
-def _tf_kernel_rows(
-    y: np.ndarray,
-    t: float,
-    alpha: float,
-    tau: float,
-    q: QuadratureConfig,
-) -> np.ndarray:
+def _tf_kernel_rows(y: np.ndarray, t: float, alpha: float, tau: float) -> np.ndarray:
     """Raw (unmollified) beta = 1 kernel K(y, t) on y >= 0 via the rotated ray.
 
     K(y,t) = -(1/2pi) * Im Int_0^inf f(q) e^{y q f(q)} e^{-qt} dq with
@@ -940,7 +896,7 @@ def _tf_kernel_rows(
     Points whose integrand would overflow the double-precision cancellation
     budget (possible close to the front for small alpha, where the
     pre-asymptotic window spans ~1/alpha decades) are only set to zero after
-    the shifted-line bound certifies |K| < abs_tol there; otherwise the call
+    the shifted-line bound certifies |K| < _ABS_TOL there; otherwise the call
     fails loudly.
     """
     sqrt_tau = math.sqrt(tau)
@@ -963,7 +919,7 @@ def _tf_kernel_rows(
     if np.any(uncertified):
         y_edge = float(np.min(y[uncertified]))
         bound = _tf_smallness_bound(y_edge, t, alpha, tau)
-        if bound > q.abs_tol:
+        if bound > _ABS_TOL:
             raise NumericsError(
                 "cut-integrand exponent exceeds the double-precision "
                 f"cancellation budget at y >= {y_edge:g} and the shifted-line "
@@ -1000,7 +956,7 @@ def _tf_kernel_rows(
             return integrand.imag * (-1.0 / (2.0 * math.pi))
 
         val, _err = adaptive_gk(
-            f, edges, rel_tol=q.rel_tol, abs_tol=q.abs_tol, what="cut integral"
+            f, edges, rel_tol=_REL_TOL, abs_tol=_ABS_TOL, what="cut integral"
         )
         vals[start : start + _CHUNK] = np.atleast_1d(val)
     out[conditioned] = vals
@@ -1008,12 +964,7 @@ def _tf_kernel_rows(
 
 
 def _tf_field_rows(
-    x: np.ndarray,
-    ts: tuple,
-    alpha: float,
-    tau: float,
-    epsilon: float,
-    q: QuadratureConfig,
+    x: np.ndarray, ts: tuple, alpha: float, tau: float, epsilon: float
 ) -> np.ndarray:
     """Mollified beta = 1 field: K(., t) convolved with delta_eps on a fine grid."""
     sqrt_tau = math.sqrt(tau)
@@ -1026,7 +977,7 @@ def _tf_field_rows(
         y_max = min(t / sqrt_tau, x_abs_max + 6.0 * epsilon)
         n_y = max(int(math.ceil(y_max / spacing)) + 1, 8)
         y = np.linspace(0.0, n_y * spacing, n_y + 1)
-        k_raw = _tf_kernel_rows(y, t, alpha, tau, q)
+        k_raw = _tf_kernel_rows(y, t, alpha, tau)
         # trapezoid weights; the half weight at y = 0 exactly compensates the
         # mirror term delta_eps(x+y) coinciding with delta_eps(x-y) there
         w = np.full(y.size, spacing)
@@ -1047,35 +998,22 @@ def _tf_field_rows(
 
 
 def _tf_field(
-    x: np.ndarray,
-    ts: tuple,
-    alpha: float,
-    tau: float,
-    epsilon: float,
-    q: QuadratureConfig,
-    integrated: bool,
+    x: np.ndarray, ts: tuple, alpha: float, tau: float, epsilon: float, integrated: bool
 ) -> np.ndarray:
     if not integrated:
-        return _tf_field_rows(x, ts, alpha, tau, epsilon, q)
+        return _tf_field_rows(x, ts, alpha, tau, epsilon)
     # No absolutely convergent cut form exists for the time integral (the
     # deformation of the 1/s term diverges on the left arc), so integrate
     # the kernel rows in t' by Gauss panels over the support [y*sqrt(tau), t].
     values = np.empty((len(ts), x.size))
     for i, t in enumerate(ts):
         tp, tw = _gauss_panels(np.linspace(0.0, t, max(8, int(math.ceil(t / 0.1))) + 1))
-        sub = _tf_field_rows(x, tuple(tp), alpha, tau, epsilon, q)
+        sub = _tf_field_rows(x, tuple(tp), alpha, tau, epsilon)
         values[i] = np.einsum("p,px->x", tw, sub)
     return values
 
 
-def kernel_time_fractional(
-    x_grid,
-    t_list,
-    alpha: float,
-    tau: float,
-    epsilon: float,
-    q: QuadratureConfig | None = None,
-) -> Field:
+def kernel_time_fractional(x_grid, t_list, alpha: float, tau: float, epsilon: float) -> Field:
     """Time-fractional wave kernel (beta = 1) from its x-space cut integral.
 
     Independent of the Fourier assembly: the spatial transform is inverted
@@ -1085,4 +1023,4 @@ def kernel_time_fractional(
     """
     if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
         raise ValidationError("alpha", alpha, "(0, 1) (alpha = 0 is the classical pair)")
-    return kernel_eps(x_grid, t_list, ModelParams(alpha, 1.0, tau, epsilon), q)
+    return kernel_eps(x_grid, t_list, ModelParams(alpha, 1.0, tau, epsilon))

@@ -33,13 +33,11 @@ from .fracops import SampledSignal
 from .kernel import (
     _CHUNK,
     _GL_NODES,
-    _RHO_MAX_MARGIN,
     Field,
-    QuadratureConfig,
     _check_grids,
     _fourier_rows,
     _meta,
-    _require_rho_max,
+    _rho_max,
     _scattered_sums,
     _spot_check,
     _Stage1,
@@ -215,10 +213,10 @@ def _uniform_spacing(x: np.ndarray, context: str) -> float:
     return h
 
 
-def _kernel_field(diff_grid, ts, p, q, integrated: bool) -> Field:
+def _kernel_field(diff_grid, ts, p, integrated: bool) -> Field:
     if integrated:
-        return kernel_eps_time_integrated(diff_grid, ts, p, q)
-    return kernel_eps(diff_grid, ts, p, q)
+        return kernel_eps_time_integrated(diff_grid, ts, p)
+    return kernel_eps(diff_grid, ts, p)
 
 
 def _check_sampled_edges(data: InitialData) -> None:
@@ -241,7 +239,6 @@ def _lattice_contribution(
     ts: tuple,
     data: InitialData,
     p: ModelParams,
-    q: QuadratureConfig,
     integrated: bool,
 ) -> np.ndarray:
     """One x-space convolution term (u0 against K, or v0 against the t-integral
@@ -284,7 +281,7 @@ def _lattice_contribution(
     w = np.full(m, hp)
     w[0] = w[-1] = 0.5 * hp
     coeffs = (w * samples)[::-1]
-    kfield = _kernel_field(hp * np.arange(k_lo, k_hi + 1), ts, p, q, integrated)
+    kfield = _kernel_field(hp * np.arange(k_lo, k_hi + 1), ts, p, integrated)
     gather = np.abs(np.arange(k_first, k_last + 1)) - k_lo
     out = np.empty((len(ts), n))
     for i in range(len(ts)):
@@ -292,7 +289,7 @@ def _lattice_contribution(
     return out
 
 
-def _plan_key(data: InitialData, p: ModelParams, q: QuadratureConfig) -> tuple:
+def _plan_key(data: InitialData, p: ModelParams) -> tuple:
     """(kind, center, reach, rho_cut) of one datum; equal keys share a plan.
 
     The reach is the support's half-width, so the plan's panels resolve every
@@ -300,14 +297,11 @@ def _plan_key(data: InitialData, p: ModelParams, q: QuadratureConfig) -> tuple:
     data cut the panels where the product of their transform's decay
     e^{-(w rho)^2/4} and the mollifier's meets the mollifier's own tail bound;
     the transforms of box and sampled data decay only algebraically and, like
-    a dirac, keep q.rho_max.
+    a dirac, keep every panel up to the mollifier's own cut, _rho_max(eps).
     """
     lo, hi = data._support()
     center = 0.5 * (lo + hi) if data.kind == "sampled" else data.center
-    rho_cut = None
-    if data.kind == "gaussian":
-        rho_cut = min(q.rho_max,
-                      q.required_rho_max(p.epsilon, data.width) * _RHO_MAX_MARGIN)
+    rho_cut = _rho_max(p.epsilon, data.width) if data.kind == "gaussian" else None
     return data.kind, center, 0.5 * (hi - lo), rho_cut
 
 
@@ -419,7 +413,6 @@ def solve_field(
     x_grid,
     t_list,
     p: ModelParams,
-    q: QuadratureConfig | None = None,
 ) -> Field:
     """Displacement field u(x, t) for initial displacement u0 and velocity v0.
 
@@ -435,8 +428,6 @@ def solve_field(
     if not isinstance(u0, InitialData) or not isinstance(v0, InitialData):
         raise ValidationError("u0/v0", type(u0).__name__, "InitialData instances")
     x, ts = _check_grids(x_grid, t_list)
-    if q is None:
-        q = QuadratureConfig.for_model(p)
     parts, groups = [], {}
     assembly = dict.fromkeys(("u0", "v0"))
     for name, data, integrated in (("u0", u0, False), ("v0", v0, True)):
@@ -446,27 +437,25 @@ def solve_field(
         if data.kind == "sampled":
             _check_sampled_edges(data)
         if 0.0 < p.beta < 1.0:
-            groups.setdefault(_plan_key(data, p, q), []).append((name, data, integrated))
+            groups.setdefault(_plan_key(data, p), []).append((name, data, integrated))
         elif data.kind == "dirac":
             assembly[name] = {"route": "kernel"}
-            kfield = _kernel_field(x - data.center, ts, p, q, integrated)
+            kfield = _kernel_field(x - data.center, ts, p, integrated)
             parts.append(data.height * kfield.values)
         else:
             assembly[name] = {"route": "lattice"}
-            parts.append(_lattice_contribution(x, ts, data, p, q, integrated))
-    if groups:
-        _require_rho_max(q, p.epsilon)
+            parts.append(_lattice_contribution(x, ts, data, p, integrated))
     for (kind, center, reach, rho_cut), members in groups.items():
         shifted = x - center
-        plan = _stage1(shifted, ts, p, q, reach, rho_cut)
+        plan = _stage1(shifted, ts, p, reach, rho_cut)
         terms = []
         for name, data, integrated in members:
             assembly[name] = {"route": "kernel"} if kind == "dirac" else {
                 "route": "fourier", "rho_nodes": plan.rho.size, "rho_max": plan.rho_max}
             terms.append((_transform(data, center, plan), integrated))
-        parts.append(_fourier_rows(shifted, ts, p, q, plan, terms))
+        parts.append(_fourier_rows(shifted, ts, p, plan, terms))
     values = sum(parts[1:], parts[0]) if parts else np.zeros((len(ts), x.size))
-    meta = _meta(asdict(p), q)
+    meta = _meta(asdict(p), True)
     meta["initial"] = {"u0": u0.describe(), "v0": v0.describe()}
     meta["assembly"] = assembly
     return Field(x, ts, values, meta)
@@ -497,7 +486,7 @@ def nonprop_solution(
     base = profile(u0)
     slope = profile(v0)
     values = np.vstack([base + t * slope for t in ts])
-    meta = _meta({"beta": 0.0, "epsilon": float(epsilon)}, None)
+    meta = _meta({"beta": 0.0, "epsilon": float(epsilon)}, False)
     meta["initial"] = {"u0": u0.describe(), "v0": v0.describe()}
     return Field(x, ts, values, meta)
 

@@ -141,6 +141,15 @@ def test_kernel_json_output(capsys, tmp_path):
     {"quadrature": {"rel_tol": "a"}},
     {"quadrature": {"rho_max": [860.0]}},
     {"quadrature": {"abs_tol": True}},
+    # JSON true/false where numbers belong: Python would take them for 1 and 0
+    {"grid": {"x_min": True}},
+    {"grid": {"x_max": False}},
+    {"grid": {"t_list": [True, 2.0]}},
+    {"grid": {"t_list": True}},
+    {"initial": {"u0": {"kind": "sampled",
+                        "samples": {"grid": [-0.5, 0.0, True], "values": [0.0, 1.0, 0.0]}}}},
+    {"initial": {"u0": {"kind": "sampled",
+                        "samples": {"grid": [-0.5, 0.0, 0.5], "values": [False, True, False]}}}},
 ])
 def test_non_numeric_config_value_exits_two(capsys, tmp_path, cfg):
     cfg_path = tmp_path / "cfg.json"
@@ -150,13 +159,13 @@ def test_non_numeric_config_value_exits_two(capsys, tmp_path, cfg):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("key", ["panels_per_period", "q_max"])
+@pytest.mark.parametrize("key", ["panels_per_period", "q_max", "rho_max", "rel_tol", "abs_tol"])
 def test_removed_quadrature_setting_exits_two(capsys, tmp_path, key):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"quadrature": {key: 8}}))
     rc, _, err = run(capsys, "kernel", "--config", str(cfg_path))
     assert rc == 2
-    assert err.startswith("error: quadrature=")
+    assert err.startswith("error: config=['quadrature']")
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
@@ -327,6 +336,30 @@ def test_solve_writes_deterministic_csv(capsys, tmp_path, monkeypatch):
         assert rc == 0
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_sampled_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the transform of sampled data sums its exponentials as a BLAS matrix product
+    y = np.linspace(-0.6, 0.6, 1201)
+    noise = 1.0 + 0.1 * np.random.default_rng(0).standard_normal(y.size)
+    samples = {"grid": y.tolist(), "values": ((1.0 - (y / 0.6) ** 2) ** 2 * noise).tolist()}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "grid": {"x_min": -1.0, "x_max": 1.0, "nx": 401, "t_list": [0.25, 0.5, 1.0]},
+        "initial": {"u0": {"kind": "sampled", "samples": samples}},
+    }))
+    pkg_root = str(Path(fzwave.__file__).resolve().parents[1])
+    blobs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fzwave", "solve", "--config", str(cfg_path)],
+            env={"OPENBLAS_NUM_THREADS": threads, "FZWAVE_THREADS": "1",
+                 "PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
+            capture_output=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        blobs.append(proc.stdout)
+    assert blobs[0] == blobs[1]
 
 
 def test_solve_honours_config_file_with_flag_override(capsys, tmp_path):

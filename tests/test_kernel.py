@@ -20,7 +20,6 @@ import fzwave.rootfinder
 from fzwave.errors import NumericsError, ValidationError
 from fzwave.kernel import (
     Field,
-    QuadratureConfig,
     delta_eps,
     kernel_classical,
     kernel_eps,
@@ -34,6 +33,7 @@ from fzwave.params import ModelParams
 from fzwave.solver import InitialData, solve_field
 
 P_EXP = ModelParams(alpha=0.25, beta=0.45, tau=0.1, epsilon=0.01)
+ABS_TOL, REL_TOL = fzwave.kernel._ABS_TOL, fzwave.kernel._REL_TOL
 
 
 # ------------------------------------------------------------ Laplace domain
@@ -259,13 +259,13 @@ TABLE_SETTINGS = [(0.25, 0.45, 0.1), (0.6, 0.8, 0.1), (0.9, 0.45, 0.9),
 
 def _field_nodes(p: ModelParams, t: float):
     """theta at the rho nodes of a 41-point field on [-1, 1], and its table budget."""
-    q = QuadratureConfig.for_model(p)
     x = np.linspace(-1.0, 1.0, 41)
     scale = fzwave.kernel._freq_scale(x, (t,), p.beta, p.tau)
-    rho, wts = fzwave.kernel._gauss_panels(fzwave.kernel._panel_edges(scale, q))
+    edges = fzwave.kernel._panel_edges(scale, fzwave.kernel._rho_max(p.epsilon))
+    rho, wts = fzwave.kernel._gauss_panels(edges)
     damp = np.exp(-np.square(p.epsilon * rho) / 4.0)
-    budget = 1e-2 * q.abs_tol * math.pi / float(np.sum(wts * damp))
-    return fzwave.kernel.theta_of_rho(rho, p.beta), q, budget
+    budget = 1e-2 * ABS_TOL * math.pi / float(np.sum(wts * damp))
+    return fzwave.kernel.theta_of_rho(rho, p.beta), budget
 
 
 @pytest.mark.parametrize("integrated", [False, True])
@@ -273,10 +273,10 @@ def _field_nodes(p: ModelParams, t: float):
 @pytest.mark.parametrize("alpha, beta, tau", TABLE_SETTINGS)
 def test_branch_table_matches_per_node_branch_part(alpha, beta, tau, t, integrated):
     p = ModelParams(alpha, beta, tau, 0.02)
-    theta, q, budget = _field_nodes(p, t)
-    plan = fzwave.kernel._stage1(np.linspace(-1.0, 1.0, 41), (t,), p, q)
+    theta, budget = _field_nodes(p, t)
+    plan = fzwave.kernel._stage1(np.linspace(-1.0, 1.0, 41), (t,), p)
     np.testing.assert_array_equal(plan.theta, theta)
-    signal = fzwave.kernel._spectral_signal(plan, p, q, (integrated,))
+    signal = fzwave.kernel._spectral_signal(plan, p, (integrated,))
     s_z, psi_p = fzwave.kernel._zero_pair_batch(alpha, tau, theta)
     if integrated:
         residue = 2.0 * np.real((np.exp(s_z * t) - 1.0) / psi_p)
@@ -285,17 +285,17 @@ def test_branch_table_matches_per_node_branch_part(alpha, beta, tau, t, integrat
     # the extreme nodes set the integration panels, so every chunk carries them
     ends = theta[[0, -1]]
     per_node = np.concatenate([
-        fzwave.kernel._branch_part(np.r_[ends, theta[i : i + 1024]], t, alpha, tau, q,
+        fzwave.kernel._branch_part(np.r_[ends, theta[i : i + 1024]], t, alpha, tau,
                                    (integrated,))[0, 2:]
         for i in range(0, theta.size, 1024)
     ])
     assert np.max(np.abs(signal(t)[0] - residue - per_node)) <= budget
 
 
-def _per_mode_branch(theta, t, alpha, tau, q, integrated, u_end):
+def _per_mode_branch(theta, t, alpha, tau, integrated, u_end):
     """One mode's branch part from its own adaptive pass, its own first panel
     width, out to u_end."""
-    span = fzwave.kernel._branch_span(float(theta[-1]), t, alpha, tau, q, integrated)
+    span = fzwave.kernel._branch_span(float(theta[-1]), t, alpha, tau, integrated)
     first = max(min(0.05, min(1.0, t * math.sqrt(theta[0])) / 8.0, span / 64.0), 1e-12)
 
     def f(u):
@@ -306,7 +306,7 @@ def _per_mode_branch(theta, t, alpha, tau, q, integrated, u_end):
         return -b / (a * a + b * b) / math.pi * weight[:, None]
 
     edges = fzwave._quad.geometric_edges(0.0, u_end, first, ratio=1.7)
-    return fzwave._quad.adaptive_gk(f, edges, q.rel_tol, q.abs_tol)[0]
+    return fzwave._quad.adaptive_gk(f, edges, REL_TOL, ABS_TOL)[0]
 
 
 @pytest.mark.parametrize("t", [0.5, 2.0])
@@ -316,14 +316,14 @@ def test_fused_branch_modes_match_per_mode_passes(alpha, beta, tau, t):
     # two; stopping the time integral at its own, narrower span where K's is
     # wider drops a tail of up to 1.8e-8 at (0.9, 0.45, 0.9), t = 2, so the
     # per-mode passes run to the shared end too
-    theta, q, _ = _field_nodes(ModelParams(alpha, beta, tau, 0.02), t)
+    theta, _ = _field_nodes(ModelParams(alpha, beta, tau, 0.02), t)
     theta = np.geomspace(theta[0], theta[-1], 65)
-    u_end = max(fzwave.kernel._branch_span(theta[-1], t, alpha, tau, q, integrated)
+    u_end = max(fzwave.kernel._branch_span(theta[-1], t, alpha, tau, integrated)
                 for integrated in (False, True))
-    fused = fzwave.kernel._branch_part(theta, t, alpha, tau, q, (False, True))
+    fused = fzwave.kernel._branch_part(theta, t, alpha, tau, (False, True))
     for integrated, got in zip((False, True), fused):
-        want = _per_mode_branch(theta, t, alpha, tau, q, integrated, u_end)
-        assert np.all(np.abs(got - want) <= np.maximum(q.abs_tol, q.rel_tol * np.abs(want)))
+        want = _per_mode_branch(theta, t, alpha, tau, integrated, u_end)
+        assert np.all(np.abs(got - want) <= np.maximum(ABS_TOL, REL_TOL * np.abs(want)))
 
 
 def test_branch_table_doubles_when_its_tail_is_too_large():
@@ -331,11 +331,11 @@ def test_branch_table_doubles_when_its_tail_is_too_large():
     sampled = {}
     for alpha, tau in ((0.25, 0.1), (0.9, 0.9)):
         p = ModelParams(alpha, 0.45, tau, 0.01)
-        theta, q, budget = _field_nodes(p, 0.5)
+        theta, budget = _field_nodes(p, 0.5)
 
         def branch(th):
             sampled[alpha] = th.size
-            return fzwave.kernel._branch_part(th, 0.5, alpha, tau, q)[0]
+            return fzwave.kernel._branch_part(th, 0.5, alpha, tau)[0]
 
         fzwave.kernel.log_cheb_table(branch, theta[0], theta[-1], budget, "branch table")
     assert sampled == {0.25: 65, 0.9: 129}
@@ -369,9 +369,9 @@ def _assert_shortest_head_within_budget(table, full, budget):
 @pytest.mark.parametrize("alpha, beta, tau", TABLE_SETTINGS)
 def test_chopped_branch_table_stays_within_budget(alpha, beta, tau):
     p = ModelParams(alpha, beta, tau, 0.02)
-    theta, q, budget = _field_nodes(p, 0.5)
+    theta, budget = _field_nodes(p, 0.5)
     table, full = _chopped_and_full(
-        lambda th: fzwave.kernel._branch_part(th, 0.5, alpha, tau, q, (True,))[0],
+        lambda th: fzwave.kernel._branch_part(th, 0.5, alpha, tau, (True,))[0],
         theta[0], theta[-1], budget, "branch table",
     )
     assert table.coef.size < full.coef.size
@@ -388,7 +388,7 @@ def test_root_table_is_chopped_to_its_budget(monkeypatch):
         return tables[-1][0]
 
     monkeypatch.setattr(fzwave.rootfinder, "log_cheb_table", recorded)
-    theta, _, _ = _field_nodes(P_EXP, 0.5)
+    theta, _ = _field_nodes(P_EXP, 0.5)
     fzwave.rootfinder._zero_pair_batch(P_EXP.alpha, P_EXP.tau, theta)
     [(table, full, budget)] = tables
     assert table.coef.size <= 16
@@ -404,13 +404,12 @@ def _solve_data_input():
 def test_eval_tables_matches_chebyshev_call():
     # 28,848 nodes of kernel_eps on 201 x by 4 t cross the block edge 7 times;
     # real branch tables of two lengths, the complex root table, and both mixed
-    q = QuadratureConfig.for_model(P_EXP)
-    plan = fzwave.kernel._stage1(np.linspace(-1.0, 1.0, 201), (0.25, 0.5, 0.75, 1.0), P_EXP, q)
+    plan = fzwave.kernel._stage1(np.linspace(-1.0, 1.0, 201), (0.25, 0.5, 0.75, 1.0), P_EXP)
     theta = plan.theta
     assert theta.size > 7 * fzwave._quad._EVAL_BLOCK
     lo, hi = float(theta[0]), float(theta[-1])
     branch = fzwave._quad.log_cheb_table(
-        lambda th: fzwave.kernel._branch_part(th, 0.5, P_EXP.alpha, P_EXP.tau, q,
+        lambda th: fzwave.kernel._branch_part(th, 0.5, P_EXP.alpha, P_EXP.tau,
                                               (False, True)).T,
         lo, hi, plan.budget, "branch table")
     roots = fzwave._quad.log_cheb_table(
@@ -446,7 +445,7 @@ def test_fixed_point_start_finds_the_elastic_start_roots(alpha, beta, tau):
     oracle = rf._damped_newton(alpha, tau, theta)
     fixed = rf._damped_newton(alpha, tau, theta, rf._fixed_point_start(alpha, tau, theta))
     assert np.max(np.abs(fixed - oracle) / np.abs(oracle)) <= 1e-13
-    theta, _, _ = _field_nodes(ModelParams(alpha, beta, tau, 0.02), 0.5)
+    theta, _ = _field_nodes(ModelParams(alpha, beta, tau, 0.02), 0.5)
     s, _ = rf._zero_pair_batch(alpha, tau, theta)
     oracle = rf._damped_newton(alpha, tau, theta)
     assert np.max(np.abs(s - oracle) / np.abs(oracle)) <= 1e-13
@@ -588,12 +587,12 @@ def test_scattered_sums_match_the_dense_sum(n_panels, rho_max, m, seed):
 
 
 def test_cut_panels_are_the_head_of_the_full_tiling():
-    q = QuadratureConfig.for_model(P_EXP)
-    full = fzwave.kernel._panel_edges(2.85, q)
-    cut = fzwave.kernel._panel_edges(2.85, q, rho_cut=85.6)
+    rho_max = fzwave.kernel._rho_max(P_EXP.epsilon)
+    full = fzwave.kernel._panel_edges(2.85, rho_max)
+    cut = fzwave.kernel._panel_edges(2.85, rho_max, rho_cut=85.6)
     assert cut[-2] < 85.6 <= cut[-1] and cut.size < full.size
     np.testing.assert_array_equal(cut, full[: cut.size])
-    np.testing.assert_array_equal(fzwave.kernel._panel_edges(2.85, q, rho_cut=2e3), full)
+    np.testing.assert_array_equal(fzwave.kernel._panel_edges(2.85, rho_max, rho_cut=2e3), full)
 
 
 def test_spot_check_catches_a_wrong_transform(monkeypatch, capsys):
@@ -779,32 +778,6 @@ def test_time_fractional_rejects_alpha_edges():
 # ------------------------------------------------------------- configuration
 
 
-def test_quadrature_config_validation():
-    with pytest.raises(ValidationError):
-        QuadratureConfig(rel_tol=1e-13)
-    with pytest.raises(ValidationError):
-        QuadratureConfig(rho_max=-1.0)
-    # a bool is no tolerance
-    for bad in ({"rho_max": True}, {"rel_tol": True}, {"abs_tol": True}):
-        with pytest.raises(ValidationError):
-            QuadratureConfig(**bad)
-    assert QuadratureConfig(rel_tol=1e-5, abs_tol=1e-9).abs_tol == 1e-9
-
-
-def test_for_model_saturates_mollifier_bound():
-    q = QuadratureConfig.for_model(P_EXP)
-    assert q.rho_max >= q.required_rho_max(P_EXP.epsilon)
-
-
-@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
-def test_for_model_names_a_bad_epsilon(eps):
-    # validated before rho_max divides by it
-    for overrides in ({}, {"rho_max": 900.0}):
-        with pytest.raises(ValidationError) as exc:
-            QuadratureConfig.for_model(ModelParams(0.25, 0.45, 0.1, eps), **overrides)
-        assert exc.value.field == "epsilon"
-
-
 @pytest.fixture
 def no_rho_grid(monkeypatch):
     """Fail, before allocating, any rho panel grid the node budget should refuse."""
@@ -843,12 +816,6 @@ def test_rho_node_budget_exits_two_from_the_cli(no_rho_grid, capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith("error: t_list=")
-
-
-def test_insufficient_rho_max_is_rejected():
-    q = QuadratureConfig(rho_max=10.0)
-    with pytest.raises(ValidationError):
-        kernel_eps(np.linspace(-1.0, 1.0, 11), [1.0], P_EXP, q)
 
 
 def test_field_shape_validation():

@@ -238,17 +238,16 @@ def _signed_lattice_row(x, t, data, p, integrated):
 def test_kernel_runs_once_per_absolute_difference(monkeypatch, data, integrated):
     # the lattice serves the kernels that live in x; the classical pair is one
     x = np.linspace(-1.0, 1.0, 41)
-    q = fzwave.kernel.QuadratureConfig.for_model(P_EDGE)
     expected, k, hp = _signed_lattice_row(x, 0.5, data, P_EDGE, integrated)
     name = "kernel_eps_time_integrated" if integrated else "kernel_eps"
     route, lattices = getattr(fzwave.solver, name), []
 
-    def recorded(x_grid, t_list, p, q=None):
+    def recorded(x_grid, t_list, p):
         lattices.append(np.asarray(x_grid))
-        return route(x_grid, t_list, p, q)
+        return route(x_grid, t_list, p)
 
     monkeypatch.setattr(fzwave.solver, name, recorded)
-    got = _lattice_contribution(x, (0.5,), data, P_EDGE, q, integrated)[0]
+    got = _lattice_contribution(x, (0.5,), data, P_EDGE, integrated)[0]
     (lattice,) = lattices
     # k_lo = min|k| is 0 whenever the signed lattice straddles 0
     np.testing.assert_array_equal(lattice, hp * np.arange(np.min(np.abs(k)),
@@ -359,8 +358,7 @@ def _sampled_case(case: str):
                                   "rough jittered", "fine rough", "clustered rough"])
 def test_sampled_transform_matches_the_segment_sum_at_every_node(case):
     grid, values = _sampled_case(case)
-    q = fzwave.kernel.QuadratureConfig.for_model(P_EXP)
-    plan = fzwave.kernel._stage1(np.linspace(-1.0, 1.0, 41), (0.5,), P_EXP, q, 0.6)
+    plan = fzwave.kernel._stage1(np.linspace(-1.0, 1.0, 41), (0.5,), P_EXP, 0.6)
     got = fzwave.solver._sampled_transform(grid, values, plan)
     want = fzwave.solver._segment_transform(grid[:-1], grid[1:], values[:-1], values[1:],
                                             plan.rho)
@@ -384,33 +382,32 @@ def test_gaussian_rho_cut_is_converged(monkeypatch, center, width):
     x = np.linspace(-1.0, 1.0, 41)
     u0 = InitialData.gaussian(center, width)
     v0 = InitialData.gaussian(center, width, 0.5)
-    q = fzwave.kernel.QuadratureConfig.for_model(P_EXP)
-    cut = solve_field(u0, v0, x, [0.5], P_EXP, q)
+    cut = solve_field(u0, v0, x, [0.5], P_EXP)
     key = fzwave.solver._plan_key
 
-    def wider(data, p, q):
-        kind, c, reach, rho_cut = key(data, p, q)
+    def wider(data, p):
+        kind, c, reach, rho_cut = key(data, p)
         return kind, c, reach, 1.5 * rho_cut
 
     monkeypatch.setattr(fzwave.solver, "_plan_key", wider)
-    wide = solve_field(u0, v0, x, [0.5], P_EXP, q)
+    wide = solve_field(u0, v0, x, [0.5], P_EXP)
     assert wide.meta["assembly"]["u0"]["rho_max"] >= 1.49 * cut.meta["assembly"]["u0"]["rho_max"]
-    assert np.max(np.abs(wide.values - cut.values)) <= 1e-2 * q.abs_tol
+    assert np.max(np.abs(wide.values - cut.values)) <= 1e-2 * fzwave.kernel._ABS_TOL
 
 
 def test_meta_records_each_datums_assembly():
     x = np.linspace(-1.0, 1.0, 41)
-    q = fzwave.kernel.QuadratureConfig.for_model(P_EXP)
+    rho_max = fzwave.kernel._rho_max(P_EXP.epsilon)
     u0 = InitialData.gaussian(*SOLVE_DATA)
     seed0 = solve_field(u0, InitialData.gaussian(*SOLVE_DATA, 0.5), x, [0.5], P_EXP).meta
     assert seed0["assembly"]["u0"] == seed0["assembly"]["v0"]
     assert seed0["assembly"]["u0"]["route"] == "fourier"
     assert seed0["assembly"]["u0"]["rho_nodes"] <= 3000  # 24,984 on the full range
-    assert seed0["assembly"]["u0"]["rho_max"] < 0.11 * q.rho_max
+    assert seed0["assembly"]["u0"]["rho_max"] < 0.11 * rho_max
     boxed = solve_field(InitialData.dirac(), InitialData.box(width=0.2), x, [0.5], P_EXP).meta
     assert boxed["assembly"]["u0"] == {"route": "kernel"}
     assert boxed["assembly"]["v0"]["route"] == "fourier"
-    assert boxed["assembly"]["v0"]["rho_max"] == q.rho_max
+    assert boxed["assembly"]["v0"]["rho_max"] == rho_max
     flat = solve_field(u0, InitialData.zero(), x, [0.5], P_FLAT).meta
     assert flat["assembly"] == {"u0": {"route": "lattice"}, "v0": {"route": "zero"}}
 
