@@ -1,5 +1,26 @@
-"""Allow ``python -m fzwave`` as an alias for the ``fzwave`` script."""
+"""The one entry point of the ``fzwave`` script and of ``python -m fzwave``.
 
-from .cli import main
+OpenBLAS starts its thread pool when NumPy loads, and that pool costs a CLI
+process more start-up time than it ever saves: every large product on the
+CLI's routes is already blocked onto one BLAS thread so that CSV bytes stay
+deterministic. ``main`` therefore asks OpenBLAS for one thread, before NumPy
+is imported, unless the caller has set any variable OpenBLAS reads. Only the
+CLI process is affected; ``import fzwave`` leaves the environment alone.
+"""
 
-main()
+import os
+
+# the variables OpenBLAS reads for its thread count
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def main() -> None:
+    if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    from .cli import main as cli_main
+
+    cli_main()
+
+
+if __name__ == "__main__":
+    main()

@@ -62,6 +62,9 @@ _GRID_KEYS = ("x_min", "x_max", "nx", "t_list")
 _OUTPUT_KEYS = ("path", "format")
 _INITIAL_KEYS = ("u0", "v0")
 _DATA_KEYS = ("kind", "center", "width", "height", "samples")
+# shortest run of all-zero points that the CSV writer copies as text: a
+# shorter run costs more as its own piece than its values cost to format
+_ZERO_RUN = 16
 
 
 @dataclass(frozen=True)
@@ -256,16 +259,31 @@ def _grid_csv(header: str, x, ts, *values):
     """Yield the header, then one chunk of rows per t: ``x,t,v1,...`` for every x.
 
     Each entry of ``values`` has shape (len(ts), len(x)). Every number is
-    printed with 17 significant digits; each x is formatted once, and each
-    t row's values go through a single ``%`` on a template holding the x and
-    t strings.
+    printed with 17 significant digits; each x is formatted once. A t row is
+    cut into runs of points that are, or are not, +0.0 in every column. A
+    zero run is one join of its x strings around the fixed text ``t,0,...``;
+    any other run's values go through a single ``%`` on a template holding
+    the x and t strings.
     """
     yield header + "\n"
     xs = ["%.17g," % v for v in np.asarray(x, dtype=float).tolist()]
     cells = ",%.17g" * len(values) + "\n"
-    for t, row in zip(np.asarray(ts, dtype=float).tolist(), np.stack(values, axis=-1)):
-        line = "%.17g" % t + cells
-        yield (line.join(xs) + line) % tuple(row.ravel().tolist())
+    zeros = ",0" * len(values) + "\n"
+    table = np.stack(values, axis=-1).astype(float, copy=False)
+    # the bit pattern, not ==, so that -0.0 (printed "-0") takes the template
+    blank = ~np.any(table.view(np.uint64), axis=-1)
+    for t, row, zero in zip(np.asarray(ts, dtype=float).tolist(), table, blank):
+        line, zero_line = "%.17g" % t + cells, "%.17g" % t + zeros
+        # [start, end) of each zero run long enough to be worth its own piece
+        runs = np.flatnonzero(np.diff(zero, prepend=False, append=False)).reshape(-1, 2)
+        runs = runs[runs[:, 1] - runs[:, 0] >= _ZERO_RUN].tolist()
+        done = 0
+        for a, b in runs + [[len(xs), len(xs)]]:
+            if a > done:
+                yield (line.join(xs[done:a]) + line) % tuple(row[done:a].ravel().tolist())
+            if b > a:
+                yield zero_line.join(xs[a:b]) + zero_line
+            done = b
 
 
 def _emit(chunks, path: str | None) -> None:
@@ -485,4 +503,6 @@ def main() -> None:
 
 
 if __name__ == "__main__":  # pragma: no cover - python -m fzwave.cli
-    main()
+    # not an entry point: the launcher must run before NumPy loads
+    print("error: run `python -m fzwave` or the `fzwave` script", file=sys.stderr)
+    sys.exit(2)

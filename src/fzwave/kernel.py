@@ -42,6 +42,7 @@ import cmath
 import functools
 import math
 import os
+import threading
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
@@ -625,18 +626,38 @@ def _spot_check(fast: np.ndarray, exact_at: Callable, abs_tol: float, rel_tol: f
         raise NumericsError(what, achieved=float(np.max(gap)))
 
 
-def _map_rows(worker, n_rows: int):
+def _map_rows(worker, n_rows: int) -> None:
+    """worker(i) for every row i; with more than one worker, each thread takes
+    the next unclaimed row until none is left. A failure stops the claiming,
+    and once every thread has ended, the failure of the lowest row is raised."""
     workers = _thread_count(n_rows)
-    if workers == 1 or n_rows == 1:
+    if workers == 1:
         for i in range(n_rows):
             worker(i)
-    else:
-        # imported here: concurrent.futures pulls in logging, which a
-        # one-worker process never needs
-        from concurrent.futures import ThreadPoolExecutor
+        return
+    rows = iter(range(n_rows))
+    lock = threading.Lock()
+    failures = []
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(worker, range(n_rows)))
+    def drain() -> None:
+        while True:
+            with lock:
+                i = None if failures else next(rows, None)
+            if i is None:
+                return
+            try:
+                worker(i)
+            except BaseException as exc:
+                with lock:
+                    failures.append((i, exc))
+
+    threads = [threading.Thread(target=drain) for _ in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
 
 
 def _freq_scale(x: np.ndarray, ts: tuple, beta: float, tau: float) -> float:

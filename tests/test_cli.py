@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fzwave
-from fzwave.cli import _grid_csv, run_command
+from fzwave.cli import _ZERO_RUN, _grid_csv, run_command
 from fzwave.kernel import kernel_eps
 from fzwave.params import ModelParams
 
@@ -222,6 +222,30 @@ def test_grid_csv_matches_row_by_row_table(nx, nt, n_values, seed):
     assert "".join(_grid_csv(header, x, ts, *values)) == want
 
 
+def test_grid_csv_copies_zero_runs_exactly():
+    nx = 120
+    x = np.linspace(-1.0, 1.0, nx)
+    ts = [0.0, 0.25, 0.5, 1.0, 2.0]
+    rng = np.random.default_rng(3)
+    u, v = rng.standard_normal((2, len(ts), nx))
+    u[0] = v[0] = 0.0  # an all-zero row
+    u[1, :40] = v[1, :40] = 0.0  # a long zero run from the row's start ...
+    u[1, 20] = -0.0  # ... with -0.0, which prints "-0", inside it
+    u[1, 50:50 + _ZERO_RUN] = v[1, 50:50 + _ZERO_RUN] = 0.0  # runs at the threshold
+    u[1, 80:80 + _ZERO_RUN - 1] = v[1, 80:80 + _ZERO_RUN - 1] = 0.0  # and one short of it
+    u[2] = 0.0  # u zero everywhere, v not: no point is zero
+    # row 3 has no zeros
+    u[4, -50:] = v[4, -50:] = 0.0  # a long zero run to the row's end
+    header = "x,t,u,v"
+    want = _table_csv(header, [np.tile(x, len(ts)), np.repeat(ts, nx), u.ravel(), v.ravel()])
+    got = "".join(_grid_csv(header, x, ts, u, v))
+    assert got == want
+    assert f"\n{x[20]:.17g},0.25,-0,0\n" in got
+    # one value column
+    want = _table_csv("x,t,u", [np.tile(x, len(ts)), np.repeat(ts, nx), u.ravel()])
+    assert "".join(_grid_csv("x,t,u", x, ts, u)) == want
+
+
 class _RecordingStdout(io.StringIO):
     def __init__(self):
         super().__init__()
@@ -273,16 +297,20 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_thread_pool():
-    # concurrent.futures pulls in logging; only a multi-worker row loop needs it
+    # a one-worker run starts no thread, and no run loads concurrent.futures
+    # (which pulls in logging): rows run on plain threads when there are more workers
     pkg_root = str(Path(fzwave.__file__).resolve().parents[1])
-    code = ("import sys, fzwave, fzwave.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))")
+    code = ("import sys, threading, numpy as np, fzwave, fzwave.cli; started = []; "
+            "threading.Thread.start = lambda self: started.append(self); "
+            "fzwave.kernel_eps(np.linspace(-1, 1, 21), [0.25, 0.5], fzwave.ModelParams(0.25, 0.45, 0.1)); "
+            "print(len(started), sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))")
     proc = subprocess.run(
-        [sys.executable, "-c", code], env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
+        [sys.executable, "-c", code],
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root, "FZWAVE_THREADS": "1"},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "0 []\n"
 
 
 def test_kernel_run_loads_no_masked_arrays():

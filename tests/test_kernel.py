@@ -825,3 +825,23 @@ def test_field_shape_validation():
         Field(np.array([1.0, 0.0]), (1.0,), np.zeros((1, 2)), meta={})
     with pytest.raises(ValidationError):
         Field(np.array([0.0, 1.0]), (-1.0,), np.zeros((1, 2)), meta={})
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "5"])
+def test_map_rows_runs_every_row_once(monkeypatch, threads):
+    monkeypatch.setenv("FZWAVE_THREADS", threads)
+    seen = []
+    fzwave.kernel._map_rows(seen.append, 13)
+    assert sorted(seen) == list(range(13))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_map_rows_raises_the_lowest_failing_row(monkeypatch, threads):
+    monkeypatch.setenv("FZWAVE_THREADS", threads)
+
+    def row(i):
+        if i in (3, 5):
+            raise NumericsError(f"row {i}")
+
+    with pytest.raises(NumericsError, match="row 3"):
+        fzwave.kernel._map_rows(row, 8)
