@@ -782,9 +782,10 @@ def kernel_eps(x_grid, t_list, p: ModelParams) -> Field:
 def kernel_eps_time_integrated(x_grid, t_list, p: ModelParams) -> Field:
     """Time integral of K_eps over [0, t] for each requested t.
 
-    Each spectral term is integrated analytically (exact antiderivatives), so
-    this costs the same as kernel_eps; it is the building block for initial
-    velocity data.
+    Each spectral term is integrated analytically (exact antiderivatives), and
+    at beta = 1 the cut integral takes K^/s in place of K^ (_tf_kernel_rows),
+    so on every route this costs the same as kernel_eps; it is the building
+    block for initial velocity data.
     """
     return _kernel_eps_impl(x_grid, t_list, p, integrated=True)
 
@@ -798,7 +799,7 @@ def _kernel_eps_impl(x_grid, t_list, p: ModelParams, integrated: bool) -> Field:
     elif p.beta == 1.0 and p.alpha == 0.0:
         values = _classical_field(x, ts, p.tau, p.epsilon, integrated)
     elif p.beta == 1.0:
-        values = _tf_field(x, ts, p.alpha, p.tau, p.epsilon, integrated)
+        values = _tf_field_rows(x, ts, p.alpha, p.tau, p.epsilon, integrated)
     else:
         values = _fourier_rows(x, ts, p, _stage1(x, ts, p), [(1.0, integrated)])
     _check_even(x, values)
@@ -905,8 +906,10 @@ def _tf_smallness_bound(y: float, t: float, alpha: float, tau: float) -> float:
     return best
 
 
-def _tf_kernel_rows(y: np.ndarray, t: float, alpha: float, tau: float) -> np.ndarray:
-    """Raw (unmollified) beta = 1 kernel K(y, t) on y >= 0 via the rotated ray.
+def _tf_kernel_rows(
+    y: np.ndarray, t: float, alpha: float, tau: float, integrated: bool
+) -> np.ndarray:
+    """Raw (unmollified) beta = 1 kernel K(y, t), or its time integral, on y >= 0.
 
     K(y,t) = -(1/2pi) * Im Int_0^inf f(q) e^{y q f(q)} e^{-qt} dq with
     f = sqrt((1 + tau w)/(1 + w)), w = q^alpha e^{i alpha pi}, the principal
@@ -914,11 +917,18 @@ def _tf_kernel_rows(y: np.ndarray, t: float, alpha: float, tau: float) -> np.nda
     to arg q = psi(alpha), which is valid because f is analytic and bounded
     (|f| <= 1) in the intervening sector. Support: |y| < t/sqrt(tau).
 
+    The time integral's transform is K^/s = -K^/q on the cut, and the pole at
+    s = 0 with the arc joining the rays around it adds 1/2 + psi/(2pi) inside
+    the cone (K^(y, 0) = 1/2 times the arc's share of a turn). Both modes run
+    in s = r^alpha (q = r e^{i psi}), where that r^(alpha-1) endpoint is
+    bounded, with w = s e^{i alpha (pi + psi)} so nothing underflows.
+
     Points whose integrand would overflow the double-precision cancellation
     budget (possible close to the front for small alpha, where the
     pre-asymptotic window spans ~1/alpha decades) are only set to zero after
     the shifted-line bound certifies |K| < _ABS_TOL there; otherwise the call
-    fails loudly.
+    fails loudly. The same bound covers the time integral: its s0 ladder
+    starts at 1, so |K^/s| <= |K^| on every line it tries.
     """
     sqrt_tau = math.sqrt(tau)
     margin = t - y * sqrt_tau
@@ -954,15 +964,16 @@ def _tf_kernel_rows(y: np.ndarray, t: float, alpha: float, tau: float) -> np.nda
     mm = margin[conditioned]
     r_max = min(60.0 / (float(np.min(mm)) * decay), _Q_MAX)
     first = max(min(0.02 / max(t, 1e-12), r_max / 64.0), 1e-12)
-    edges = geometric_edges(0.0, r_max, first, ratio=1.7)
+    edges = geometric_edges(0.0, r_max, first, ratio=1.7) ** alpha
+    turn = cmath.exp(1j * alpha * (math.pi + psi))
 
     vals = np.empty_like(yy)
     for start in range(0, yy.size, _CHUNK):
         y_c = yy[start : start + _CHUNK]
 
-        def f(r: np.ndarray) -> np.ndarray:
-            qq = r * phase
-            w = np.power(qq, alpha) * cmath.exp(1j * alpha * math.pi)
+        def f(s: np.ndarray) -> np.ndarray:
+            qq = s ** (1.0 / alpha) * phase
+            w = s * turn
             froot = np.sqrt((1.0 + tau * w) / (1.0 + w))
             expo = np.outer(qq * froot, y_c) - (qq * t)[:, None]
             if np.any(expo.real > _TF_COND_BUDGET + 2.0):
@@ -971,23 +982,23 @@ def _tf_kernel_rows(y: np.ndarray, t: float, alpha: float, tau: float) -> np.nda
                     "(positive real part after branch selection)",
                     achieved=float(np.max(expo.real)),
                 )
-            # dq = e^{i psi} dr is already folded in, so Im[] of this is the
-            # full contour integrand
-            integrand = (froot * phase)[:, None] * np.exp(expo)
-            return integrand.imag * (-1.0 / (2.0 * math.pi))
+            # dq = q ds/(alpha s) is folded in: Im[h]/2pi is the time
+            # integral's full contour integrand, Im[-q h]/2pi that of K
+            h = (froot / (alpha * s))[:, None] * np.exp(expo)
+            return (h if integrated else -qq[:, None] * h).imag * (0.5 / math.pi)
 
         val, _err = adaptive_gk(
             f, edges, rel_tol=_REL_TOL, abs_tol=_ABS_TOL, what="cut integral"
         )
         vals[start : start + _CHUNK] = np.atleast_1d(val)
-    out[conditioned] = vals
+    out[conditioned] = vals + (0.5 + psi / (2.0 * math.pi) if integrated else 0.0)
     return out
 
 
 def _tf_field_rows(
-    x: np.ndarray, ts: tuple, alpha: float, tau: float, epsilon: float
+    x: np.ndarray, ts: tuple, alpha: float, tau: float, epsilon: float, integrated: bool
 ) -> np.ndarray:
-    """Mollified beta = 1 field: K(., t) convolved with delta_eps on a fine grid."""
+    """Mollified beta = 1 field: K(., t) or its time integral, convolved with delta_eps."""
     sqrt_tau = math.sqrt(tau)
     x_abs_max = float(np.max(np.abs(x))) if x.size else 0.0
     spacing = epsilon / 4.0
@@ -998,7 +1009,7 @@ def _tf_field_rows(
         y_max = min(t / sqrt_tau, x_abs_max + 6.0 * epsilon)
         n_y = max(int(math.ceil(y_max / spacing)) + 1, 8)
         y = np.linspace(0.0, n_y * spacing, n_y + 1)
-        k_raw = _tf_kernel_rows(y, t, alpha, tau)
+        k_raw = _tf_kernel_rows(y, t, alpha, tau, integrated)
         # trapezoid weights; the half weight at y = 0 exactly compensates the
         # mirror term delta_eps(x+y) coinciding with delta_eps(x-y) there
         w = np.full(y.size, spacing)
@@ -1015,22 +1026,6 @@ def _tf_field_rows(
         values[i] = row_vals
 
     _map_rows(row, len(ts))
-    return values
-
-
-def _tf_field(
-    x: np.ndarray, ts: tuple, alpha: float, tau: float, epsilon: float, integrated: bool
-) -> np.ndarray:
-    if not integrated:
-        return _tf_field_rows(x, ts, alpha, tau, epsilon)
-    # No absolutely convergent cut form exists for the time integral (the
-    # deformation of the 1/s term diverges on the left arc), so integrate
-    # the kernel rows in t' by Gauss panels over the support [y*sqrt(tau), t].
-    values = np.empty((len(ts), x.size))
-    for i, t in enumerate(ts):
-        tp, tw = _gauss_panels(np.linspace(0.0, t, max(8, int(math.ceil(t / 0.1))) + 1))
-        sub = _tf_field_rows(x, tuple(tp), alpha, tau, epsilon)
-        values[i] = np.einsum("p,px->x", tw, sub)
     return values
 
 

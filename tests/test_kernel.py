@@ -775,6 +775,39 @@ def test_time_fractional_rejects_alpha_edges():
         kernel_time_fractional([0.0, 1.0], [1.0], 1.0, 0.1, 0.01)
 
 
+@pytest.mark.parametrize("alpha, tau", [(0.25, 0.1), (0.6, 0.5)])
+def test_time_fractional_integral_matches_a_time_quadrature(alpha, tau):
+    # oracle: 50 Gauss-Legendre panels in t' of the Fourier route's K rows
+    x, t = np.linspace(-1.0, 1.0, 41), 0.5
+    p = ModelParams(alpha, 1.0, tau)
+    tp, tw = fzwave.kernel._gauss_panels(np.linspace(0.0, t, 51))
+    plan = fzwave.kernel._stage1(x, tuple(tp), p)
+    rows = fzwave.kernel._fourier_rows(x, tuple(tp), p, plan, [(1.0, False)])
+    got = kernel_eps_time_integrated(x, [t], p).values[0]
+    assert np.max(np.abs(got - tw @ rows)) <= 1e-4
+
+
+@pytest.mark.parametrize("alpha, tau, t, tol", [
+    (0.25, 0.1, 0.5, 1e-5), (0.25, 0.1, 2.0, 1e-5),
+    (0.6, 0.5, 0.5, 1e-5), (0.6, 0.5, 2.0, 1e-5),
+    (0.9, 0.3, 1.0, 5e-4), (0.05, 0.1, 1.0, 5e-4), (0.001, 0.1, 1.0, 5e-4),
+])
+def test_time_fractional_integral_mass_is_t(alpha, tau, t, tol):
+    # the time integral of a unit-mass kernel holds mass t inside the cone
+    x = np.linspace(-4.0, 4.0, 3201)
+    f = kernel_eps_time_integrated(x, [t], ModelParams(alpha, 1.0, tau))
+    assert np.trapezoid(f.values[0], x) == pytest.approx(t, abs=tol)
+
+
+def test_time_fractional_integral_bytes_do_not_depend_on_threads(monkeypatch):
+    x, ts, p = np.linspace(-2.0, 2.0, 201), [0.25, 0.5, 1.0], ModelParams(0.25, 1.0, 0.1)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FZWAVE_THREADS", threads)
+        runs.append(kernel_eps_time_integrated(x, ts, p).values.tobytes())
+    assert runs[0] == runs[1]
+
+
 # ------------------------------------------------------------- configuration
 
 

@@ -103,6 +103,15 @@ def test_velocity_term_grows_linearly_in_flat_regime():
     np.testing.assert_allclose(sol.values[2], 4.0 * sol.values[0], rtol=1e-12)
 
 
+def test_velocity_term_conserves_mass_at_beta_one():
+    # the beta = 1 kernel keeps unit mass in its cone, so v0 * int K holds t * int v0
+    x, ts = np.linspace(-4.0, 4.0, 801), [0.5, 1.0]
+    sol = solve_field(InitialData.zero(), InitialData.gaussian(width=0.3), x, ts,
+                      ModelParams(alpha=0.25, beta=1.0, tau=0.1))
+    for row, t in zip(sol.values, ts):
+        assert np.trapezoid(row, x) == pytest.approx(t * 0.3 * math.sqrt(math.pi), abs=1e-5)
+
+
 def test_solution_is_linear_in_the_data():
     x = np.linspace(-2.0, 2.0, 81)
     one = solve_field(
