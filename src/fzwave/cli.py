@@ -57,7 +57,8 @@ _BETA_PROBE = 0.99
 _BETA0_PROBE = 1e-3
 _ALPHA_PROBE = 1e-3
 
-_MODEL_KEYS = ("alpha", "beta", "tau", "epsilon")
+# the model of a run that sets no order, ratio or width (the paper's)
+_MODEL_DEFAULTS = {"alpha": 0.25, "beta": 0.45, "tau": 0.1, "epsilon": DEFAULT_EPSILON}
 _GRID_KEYS = ("x_min", "x_max", "nx", "t_list")
 _OUTPUT_KEYS = ("path", "format")
 _INITIAL_KEYS = ("u0", "v0")
@@ -171,17 +172,12 @@ def _config_from_sources(file_cfg: dict, args: argparse.Namespace) -> RunConfig:
     """Merge config-file values with flag overrides and fill defaults."""
     _require_keys("config", file_cfg, ("model", "grid", "initial", "output"))
     model_d = dict(file_cfg.get("model", {}))
-    _require_keys("model", model_d, _MODEL_KEYS)
+    _require_keys("model", model_d, tuple(_MODEL_DEFAULTS))
     for flag, key in (("alpha", "alpha"), ("beta", "beta"), ("tau", "tau"), ("eps", "epsilon")):
         v = getattr(args, flag, None)
         if v is not None:
             model_d[key] = v
-    model = ModelParams(
-        alpha=model_d.get("alpha", 0.25),
-        beta=model_d.get("beta", 0.45),
-        tau=model_d.get("tau", 0.1),
-        epsilon=model_d.get("epsilon", DEFAULT_EPSILON),
-    )
+    model = ModelParams(**{**_MODEL_DEFAULTS, **model_d})
 
     grid_d = dict(file_cfg.get("grid", {}))
     _require_keys("grid", grid_d, _GRID_KEYS)
@@ -317,12 +313,11 @@ def _fmt_root_part(v: float) -> str:
 
 
 def _cmd_roots(args: argparse.Namespace) -> int:
-    alpha = args.alpha if args.alpha is not None else 0.25
-    tau = args.tau if args.tau is not None else 0.1
+    alpha, beta, tau = (_MODEL_DEFAULTS[k] if getattr(args, k) is None else getattr(args, k)
+                        for k in ("alpha", "beta", "tau"))
     if args.theta is not None:
         theta = args.theta
     elif args.rho is not None:
-        beta = args.beta if args.beta is not None else 0.45
         theta = float(theta_of_rho(args.rho, beta))
     else:
         theta = 1.0

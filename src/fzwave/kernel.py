@@ -1,6 +1,6 @@
 """Solution kernels: spectral signal, Fourier transform, limiting forms.
 
-Fields with 0 < beta < 1 are built in two stages. Stage 1 starts from a
+Fields are built in two stages. Stage 1 starts from a
 node-only plan, :func:`_stage1`: the Gauss nodes rho_j, their damped weights,
 theta(rho_j) and the zero pairs (one real-arithmetic power per node per
 Newton step). A kernel's plan resolves the phase rates of its own x grid; the
@@ -9,7 +9,7 @@ datum's support, with the panels cut short where a Gaussian datum's transform
 has decayed. :func:`_spectral_signal` then maps the plan to
 t -> S(theta(rho_j), t), the inverse Laplace transform of
 s / (s^2 + theta * zener_ratio(s)), or its integral over [0, t]: a closed form
-at alpha = 0, otherwise the conjugate-pole residue pair plus a branch-cut
+at alpha = 0 and beta = 0, otherwise the conjugate-pole residue pair plus a branch-cut
 integral, both tabulated in log theta by chopped Chebyshev series (zeros once
 per plan; per t, one adaptive pass for the spot-checked branch integral of
 every mode) and read at every node through one recurrence basis and matrix
@@ -21,9 +21,10 @@ at most _FACTORED_MAX points (after mirroring) and on any non-uniform x, the
 sum is one exact factored matrix product (:func:`_factored_plan`), once the
 plan's nodes are checked to be the equal panels it factors over; wider
 uniform rows take chirp-z transforms, each checked against a dense sum at 8
-points. The edges beta = 0, beta = 1 and the classical pair bypass the
-transform; :func:`_kernel_eps_impl` wraps the values of every route in a
-:class:`Field`.
+points. Only the closed forms (beta = 0, the classical pair) and the time
+integral at beta = 1, alpha > 0 (an x-space cut integral; kernel_time_fractional
+runs it for K as an oracle) bypass the transform; :func:`_kernel_eps_impl`
+wraps every route's values in a :class:`Field`.
 
 Everything here is deterministic by construction: panel subdivision depends
 only on inputs, each row's transform runs on its own buffers, and every sum
@@ -51,7 +52,7 @@ import numpy as np
 from ._quad import adaptive_gk, eval_tables, geometric_edges, log_cheb_table
 from .charfun import CharParams, _psi_prime, branch_values, theta_of_rho, zener_ratio
 from .errors import NumericsError, ValidationError
-from .params import ModelParams
+from .params import ModelParams, _require_finite
 from .rootfinder import _zero_pair_batch, find_zero_pair
 
 __all__ = [
@@ -106,7 +107,7 @@ def _thread_count(n_rows: int) -> int:
 
 def delta_eps(x: np.ndarray | float, epsilon: float) -> np.ndarray | float:
     """Gaussian mollifier delta_eps(x) = exp(-x^2/eps^2) / (eps*sqrt(pi))."""
-    if not (0.0 < epsilon and math.isfinite(epsilon)):
+    if not 0.0 < _require_finite("epsilon", epsilon, "(0, inf)"):
         raise ValidationError("epsilon", epsilon, "(0, inf)")
     return np.exp(-np.square(np.asarray(x, dtype=float) / epsilon)) / (
         epsilon * math.sqrt(math.pi)
@@ -208,7 +209,7 @@ def laplace_kernel_hat(rho: float, s: complex, p: ModelParams) -> complex:
 
     Reduces to 1/s when theta(rho) vanishes (rho = 0 or beta = 0).
     """
-    if not (isinstance(rho, (int, float)) and rho >= 0.0 and math.isfinite(rho)):
+    if _require_finite("rho", rho, "[0, inf)") < 0.0:
         raise ValidationError("rho", rho, "[0, inf)")
     s = complex(s)
     theta = float(theta_of_rho(rho, p.beta))
@@ -288,7 +289,8 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple) -> Callable[[f
     """Stage 1: t -> [S(theta, t) per mode] at plan.theta, a mode flagged True
     taking S's integral over [0, t] instead.
 
-    At alpha = 0 every mode is cos(omega t) with omega = sqrt(2 theta/(1+tau)),
+    Without zeros (alpha = 0, or beta = 0 where theta is 0, so S = 1 and its
+    integral t) every mode is cos(omega t) with omega = sqrt(2 theta/(1+tau)),
     integral sin(omega t)/omega (-> t as omega -> 0). Otherwise S is the
     residue pair of the plan's zeros s_z plus the branch part; integrated,
     each residue term s e^{st}/psi'(s) becomes its exact antiderivative
@@ -299,7 +301,7 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple) -> Callable[[f
     mode's table at the nodes.
     """
     alpha, tau, theta = p.alpha, p.tau, plan.theta
-    if alpha == 0.0:
+    if plan.roots is None:
         omega = np.sqrt(2.0 * theta / (1.0 + tau))
         return lambda t: [t * np.sinc(omega * t / math.pi) if integrated
                           else np.cos(t * omega) for integrated in modes]
@@ -341,9 +343,9 @@ def spectral_kernel(rho: float, t: float, p: ModelParams) -> SpectralKernel:
         raise ValidationError(
             "alpha", p.alpha, "(0, 1) (the order-zero case has its own closed form)"
         )
-    if not (isinstance(rho, (int, float)) and rho >= 0.0 and math.isfinite(rho)):
+    if _require_finite("rho", rho, "[0, inf)") < 0.0:
         raise ValidationError("rho", rho, "[0, inf)")
-    if not (isinstance(t, (int, float)) and t > 0.0 and math.isfinite(t)):
+    if _require_finite("t", t, "(0, inf)") <= 0.0:
         raise ValidationError("t", t, "(0, inf)")
     theta = float(theta_of_rho(rho, p.beta))
     if theta == 0.0:
@@ -665,10 +667,11 @@ def _freq_scale(x: np.ndarray, ts: tuple, beta: float, tau: float) -> float:
 
     |s_z|^2 <= theta/tau and d sqrt(theta)/d rho <= (1+beta)/2 for rho >= 1,
     so t * (1+beta) / (2 sqrt(tau)) bounds the temporal contribution there
-    (the few sub-unit panels absorb the remaining short-range phase).
+    (the few sub-unit panels absorb the remaining short-range phase). At
+    beta = 0 theta vanishes and S does not oscillate, so t adds nothing.
     """
     x_scale = float(np.max(np.abs(x))) if x.size else 0.0
-    return x_scale + ts[-1] * (1.0 + beta) / (2.0 * math.sqrt(tau))
+    return x_scale + (ts[-1] * (1.0 + beta) / (2.0 * math.sqrt(tau)) if beta > 0.0 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -677,8 +680,8 @@ class _Stage1:
 
     ``weights`` are the Gauss weights times the mollifier damping, ``budget``
     the uniform signal error the branch tables may carry, ``roots`` the zero
-    pairs (s_z, psi'(s_z)) of every node (None at alpha = 0), and ``rho_max``
-    and ``n_panels`` the extent and count of the equal panels.
+    pairs (s_z, psi'(s_z)) of every node (None at alpha = 0 and beta = 0),
+    and ``rho_max`` and ``n_panels`` the extent and count of the equal panels.
     """
 
     rho: np.ndarray
@@ -702,7 +705,7 @@ def _stage1(
     edges = _panel_edges(_freq_scale(x, ts, p.beta, p.tau) + reach, _rho_max(p.epsilon), rho_cut)
     rho, wts = _gauss_panels(edges)
     weights = wts * np.exp(-np.square(p.epsilon * rho) / 4.0)
-    # Gauss nodes are interior and beta > 0 here, so every theta is positive
+    # Gauss nodes are interior, so theta is positive unless beta = 0 (then 0)
     theta = theta_of_rho(rho, p.beta)
     return _Stage1(
         rho=rho,
@@ -710,7 +713,8 @@ def _stage1(
         theta=theta,
         # a uniform signal error e moves a row by at most e * sum|w damp| / pi
         budget=1e-2 * _ABS_TOL * math.pi / float(np.sum(weights)),
-        roots=None if p.alpha == 0.0 else _zero_pair_batch(p.alpha, p.tau, theta),
+        roots=(None if p.alpha == 0.0 or p.beta == 0.0
+               else _zero_pair_batch(p.alpha, p.tau, theta)),
         rho_max=float(edges[-1]),
         n_panels=edges.size - 1,
     )
@@ -769,12 +773,10 @@ def _fourier_rows(x: np.ndarray, ts: tuple, p: ModelParams, plan: _Stage1,
 def kernel_eps(x_grid, t_list, p: ModelParams) -> Field:
     """Mollified point-source solution kernel K_eps on a space-time grid.
 
-    Dispatches the limiting parameter edges to their dedicated forms instead
-    of extrapolating the general assembly into corners its hypotheses exclude:
-    beta = 0 (non-propagating), beta = 1 (time-fractional wave, via the cut
-    representation in x-space), and alpha = 0 & beta = 1 (classical
-    D'Alembert pair). alpha = 0 with 0 < beta < 1 keeps the two Fourier
-    stages, with the closed-form order-zero signal.
+    The two edges with a closed form take it: beta = 0 (non-propagating,
+    delta_eps itself) and alpha = 0 & beta = 1 (the classical D'Alembert
+    pair). Every other model, beta = 1 included, takes the two Fourier
+    stages; at alpha = 0 with the closed-form order-zero signal.
     """
     return _kernel_eps_impl(x_grid, t_list, p, integrated=False)
 
@@ -782,28 +784,28 @@ def kernel_eps(x_grid, t_list, p: ModelParams) -> Field:
 def kernel_eps_time_integrated(x_grid, t_list, p: ModelParams) -> Field:
     """Time integral of K_eps over [0, t] for each requested t.
 
-    Each spectral term is integrated analytically (exact antiderivatives), and
-    at beta = 1 the cut integral takes K^/s in place of K^ (_tf_kernel_rows),
-    so on every route this costs the same as kernel_eps; it is the building
-    block for initial velocity data.
+    Each spectral term is integrated analytically (exact antiderivatives), but
+    at beta = 1, alpha > 0 the x-space cut integral takes K^/s for K^
+    (_tf_kernel_rows): the Fourier route's integrated branch weight, qq * t * w
+    in _branch_part, is t times too large. It serves initial velocity data.
     """
     return _kernel_eps_impl(x_grid, t_list, p, integrated=True)
 
 
 def _kernel_eps_impl(x_grid, t_list, p: ModelParams, integrated: bool) -> Field:
     x, ts = _check_grids(x_grid, t_list)
-
+    closed_form = p.beta == 0.0 or (p.beta == 1.0 and p.alpha == 0.0)
     if p.beta == 0.0:
         base = np.asarray(delta_eps(x, p.epsilon), dtype=float)
         values = np.vstack([np.atleast_1d(base * (t if integrated else 1.0)) for t in ts])
-    elif p.beta == 1.0 and p.alpha == 0.0:
+    elif closed_form:
         values = _classical_field(x, ts, p.tau, p.epsilon, integrated)
-    elif p.beta == 1.0:
-        values = _tf_field_rows(x, ts, p.alpha, p.tau, p.epsilon, integrated)
+    elif p.beta == 1.0 and integrated:
+        values = _tf_field_rows(x, ts, p.alpha, p.tau, p.epsilon, True)
     else:
         values = _fourier_rows(x, ts, p, _stage1(x, ts, p), [(1.0, integrated)])
     _check_even(x, values)
-    return Field(x, ts, values, _meta(asdict(p), True))
+    return Field(x, ts, values, _meta(asdict(p), not closed_form))
 
 
 # ---------------------------------------------------------------------------
@@ -828,9 +830,9 @@ def kernel_classical(x_grid, t_list, tau: float, epsilon: float) -> Field:
     tau = 1 is accepted here (and only here) so the equal-relaxation edge can
     be exercised directly in tests.
     """
-    if not (isinstance(tau, (int, float)) and 0.0 < tau <= 1.0):
+    if not 0.0 < _require_finite("tau", tau, "(0, 1]") <= 1.0:
         raise ValidationError("tau", tau, "(0, 1]")
-    if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon <= 1.0):
+    if not 0.0 < _require_finite("epsilon", epsilon, "(0, 1]") <= 1.0:
         raise ValidationError("epsilon", epsilon, "(0, 1]")
     x, ts = _check_grids(x_grid, t_list)
     values = _classical_field(x, ts, float(tau), float(epsilon), integrated=False)
@@ -929,6 +931,12 @@ def _tf_kernel_rows(
     the shifted-line bound certifies |K| < _ABS_TOL there; otherwise the call
     fails loudly. The same bound covers the time integral: its s0 ladder
     starts at 1, so |K^/s| <= |K^| on every line it tries.
+
+    Points within 1e-4 max(1, t) of the front are zeroed uncertified; the bound
+    there is 65 at (alpha, tau, t) = (0.6, 0.5, 0.02) and 44 at (0.9, 0.3, 0.1).
+    At early times and alpha >= 1/2 that band holds K's mass: at t = 0.02 the
+    field keeps 0.247 of it at (0.6, 0.5) and 0.047 at (0.9, 0.3), and the time
+    integral, the one production term on this route, is 1.6 % and 0.7 % off t.
     """
     sqrt_tau = math.sqrt(tau)
     margin = t - y * sqrt_tau
@@ -1032,11 +1040,19 @@ def _tf_field_rows(
 def kernel_time_fractional(x_grid, t_list, alpha: float, tau: float, epsilon: float) -> Field:
     """Time-fractional wave kernel (beta = 1) from its x-space cut integral.
 
-    Independent of the Fourier assembly: the spatial transform is inverted
-    analytically first, leaving one branch-cut integral per point. The kernel
-    is supported inside the cone |x| < t/sqrt(tau) and is identically zero
-    outside; the result is mollified with delta_eps to match kernel_eps.
+    Independent of the Fourier assembly, which kernel_eps runs at beta = 1:
+    the spatial transform is inverted analytically first, leaving one
+    branch-cut integral per point. The kernel is supported inside the cone
+    |x| < t/sqrt(tau) and is identically zero outside; the result is
+    mollified with delta_eps to match kernel_eps. Zeroing points within 1e-4
+    max(1, t) of the front uncertified (:func:`_tf_kernel_rows`) leaves mass
+    0.247 at (alpha, tau, t) = (0.6, 0.5, 0.02) and 0.047 at (0.9, 0.3, 0.02),
+    and the time integral on that y sum 1.6 % and 0.7 % off t.
     """
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
+    p = ModelParams(alpha, 1.0, tau, epsilon)
+    if p.alpha == 0.0:
         raise ValidationError("alpha", alpha, "(0, 1) (alpha = 0 is the classical pair)")
-    return kernel_eps(x_grid, t_list, ModelParams(alpha, 1.0, tau, epsilon))
+    x, ts = _check_grids(x_grid, t_list)
+    values = _tf_field_rows(x, ts, p.alpha, p.tau, p.epsilon, False)
+    _check_even(x, values)
+    return Field(x, ts, values, _meta(asdict(p), True))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .charfun import theta_of_rho
 from .errors import NumericsError, ValidationError
-from .params import ModelParams
+from .params import ModelParams, _require_finite
 
 _T_GUARD = 1e-3
 _MAX_DOUBLINGS = 12
@@ -74,13 +74,12 @@ def bromwich_invert(
     imaginary residual are checked explicitly; failure of either is an error,
     never a silent degradation.
     """
-    if not (isinstance(rho, (int, float)) and rho >= 0.0 and math.isfinite(rho)):
+    if _require_finite("rho", rho, "[0, inf)") < 0.0:
         raise ValidationError("rho", rho, "[0, inf)")
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= _T_GUARD):
-        raise ValidationError(
-            "t", t, f"[{_T_GUARD:g}, inf) (e^(s0 t)-amplified truncation error "
-            "is unbounded below the guard)"
-        )
+    admissible = (f"[{_T_GUARD:g}, inf) (e^(s0 t)-amplified truncation error "
+                  "is unbounded below the guard)")
+    if _require_finite("t", t, admissible) < _T_GUARD:
+        raise ValidationError("t", t, admissible)
     if c.p_max < 100.0 * max(1.0, 1.0 / t):
         raise ValidationError(
             "p_max", c.p_max, f">= 100*max(1, 1/t) = {100.0 * max(1.0, 1.0 / t):g}"

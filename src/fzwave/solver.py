@@ -6,18 +6,18 @@ with the time-integrated kernel. This module owns the initial-data
 bookkeeping, the assembly of those two terms, the non-propagating closed form,
 and the peak metrics used to summarize wave profiles.
 
-A kernel is convolved in the domain where it is computed. For 0 < beta < 1
-the kernel is a Fourier integral, so the field is the paper's generalized
-solution u^(rho, t) = u0^(rho) K^(rho, t) + v0^(rho) int_0^t K^ summed on the
-output grid: each datum has a transform in closed form about its centre
+The field is the paper's generalized solution
+u^(rho, t) = u0^(rho) K^(rho, t) + v0^(rho) int_0^t K^ summed on the output
+grid: each datum has a transform in closed form about its centre
 (``gaussian``, ``box``, the exact transform of the linear interpolant of
 ``sampled`` data, and a ``dirac``'s height), taken at the rho nodes of one
 stage-1 plan per distinct datum, and data sharing a plan share one transform
 per row. Gaussian data cut those nodes where the product of its transform and
-the mollifier meets the mollifier's own tail bound. At beta = 0 and beta = 1
-the kernel lives in x: distributed data are sampled on a lattice that refines
-the x grid and summed by the trapezoid rule against the kernel, evaluated
-once per |x_i - y_j|. A ``dirac`` is absorbed analytically on every route: its field is the kernel
+the mollifier meets the mollifier's own tail bound. Only the time integral at
+beta = 1, alpha > 0 lives in x (a cut integral): distributed ``v0`` there is
+sampled on a lattice that refines the x grid and summed by the trapezoid rule
+against it, evaluated once per |x_i - y_j|. A ``dirac`` where kernel_eps is a
+closed form (beta = 0, the classical pair) or that cut integral is the kernel
 itself, translated and scaled, so no quadrature error is added.
 """
 
@@ -47,7 +47,7 @@ from .kernel import (
     kernel_eps,
     kernel_eps_time_integrated,
 )
-from .params import DEFAULT_EPSILON, ModelParams
+from .params import DEFAULT_EPSILON, ModelParams, _require_finite
 
 __all__ = ["InitialData", "solve_field", "nonprop_solution", "peak_metrics"]
 
@@ -213,12 +213,6 @@ def _uniform_spacing(x: np.ndarray, context: str) -> float:
     return h
 
 
-def _kernel_field(diff_grid, ts, p, integrated: bool) -> Field:
-    if integrated:
-        return kernel_eps_time_integrated(diff_grid, ts, p)
-    return kernel_eps(diff_grid, ts, p)
-
-
 def _check_sampled_edges(data: InitialData) -> None:
     vals = data.height * data.samples.values
     amax = float(np.max(np.abs(vals)))
@@ -234,15 +228,9 @@ def _check_sampled_edges(data: InitialData) -> None:
         )
 
 
-def _lattice_contribution(
-    x: np.ndarray,
-    ts: tuple,
-    data: InitialData,
-    p: ModelParams,
-    integrated: bool,
-) -> np.ndarray:
-    """One x-space convolution term (u0 against K, or v0 against the t-integral
-    of K) of distributed data, for the kernels that live in x (beta = 0, 1).
+def _lattice_contribution(x: np.ndarray, ts: tuple, data: InitialData, p: ModelParams) -> np.ndarray:
+    """The convolution of distributed v0 with the time-integrated kernel at
+    beta = 1, alpha > 0, the one kernel of a datum that lives in x.
 
     Distributed data is sampled on a lattice that refines the x-grid by an
     integer factor chosen so the spacing also resolves the mollifier scale
@@ -281,7 +269,7 @@ def _lattice_contribution(
     w = np.full(m, hp)
     w[0] = w[-1] = 0.5 * hp
     coeffs = (w * samples)[::-1]
-    kfield = _kernel_field(hp * np.arange(k_lo, k_hi + 1), ts, p, integrated)
+    kfield = kernel_eps_time_integrated(hp * np.arange(k_lo, k_hi + 1), ts, p)
     gather = np.abs(np.arange(k_first, k_last + 1)) - k_lo
     out = np.empty((len(ts), n))
     for i in range(len(ts)):
@@ -293,8 +281,8 @@ def _plan_key(data: InitialData, p: ModelParams) -> tuple:
     """(kind, center, reach, rho_cut) of one datum; equal keys share a plan.
 
     The reach is the support's half-width, so the plan's panels resolve every
-    phase rate |x - y| the lattice would have held (0 for a dirac). Gaussian
-    data cut the panels where the product of their transform's decay
+    phase rate |x - y| over the output grid and the support (0 for a dirac).
+    Gaussian data cut the panels where the product of their transform's decay
     e^{-(w rho)^2/4} and the mollifier's meets the mollifier's own tail bound;
     the transforms of box and sampled data decay only algebraically and, like
     a dirac, keep every panel up to the mollifier's own cut, _rho_max(eps).
@@ -422,8 +410,8 @@ def solve_field(
     exact per-term time antiderivatives inside the spectral assembly rather
     than a quadrature over t, so it adds no time-integration error.
     ``meta["assembly"]`` records each datum's route (``zero``, ``kernel``,
-    ``fourier`` or ``lattice``) and, for ``fourier``, its plan's ``rho_nodes``
-    and ``rho_max``.
+    ``fourier`` or, for distributed v0 at beta = 1, alpha > 0, ``lattice``)
+    and, for ``fourier``, its plan's ``rho_nodes`` and ``rho_max``.
     """
     if not isinstance(u0, InitialData) or not isinstance(v0, InitialData):
         raise ValidationError("u0/v0", type(u0).__name__, "InitialData instances")
@@ -436,15 +424,17 @@ def solve_field(
             continue
         if data.kind == "sampled":
             _check_sampled_edges(data)
-        if 0.0 < p.beta < 1.0:
-            groups.setdefault(_plan_key(data, p), []).append((name, data, integrated))
-        elif data.kind == "dirac":
+        closed = p.beta == 0.0 or (p.beta == 1.0 and p.alpha == 0.0)  # kernel_eps's closed forms
+        cut = integrated and p.beta == 1.0 and p.alpha > 0.0  # its one x-space cut integral
+        if data.kind == "dirac" and (closed or cut):
             assembly[name] = {"route": "kernel"}
-            kfield = _kernel_field(x - data.center, ts, p, integrated)
-            parts.append(data.height * kfield.values)
-        else:
+            route = kernel_eps_time_integrated if integrated else kernel_eps
+            parts.append(data.height * route(x - data.center, ts, p).values)
+        elif cut:
             assembly[name] = {"route": "lattice"}
-            parts.append(_lattice_contribution(x, ts, data, p, integrated))
+            parts.append(_lattice_contribution(x, ts, data, p))
+        else:
+            groups.setdefault(_plan_key(data, p), []).append((name, data, integrated))
     for (kind, center, reach, rho_cut), members in groups.items():
         shifted = x - center
         plan = _stage1(shifted, ts, p, reach, rho_cut)
@@ -474,7 +464,7 @@ def nonprop_solution(
     """
     if not isinstance(u0, InitialData) or not isinstance(v0, InitialData):
         raise ValidationError("u0/v0", type(u0).__name__, "InitialData instances")
-    if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon <= 1.0):
+    if not 0.0 < _require_finite("epsilon", epsilon, "(0, 1]") <= 1.0:
         raise ValidationError("epsilon", epsilon, "(0, 1]")
     x, ts = _check_grids(x_grid, t_list)
 

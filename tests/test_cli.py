@@ -37,6 +37,13 @@ def test_roots_alpha_zero_closed_form(capsys):
     assert err == "conjugate = 0 - 1.348400i\n"
 
 
+def test_roots_defaults_to_the_model_the_other_commands_use(capsys):
+    plain = run(capsys, "roots", "--rho", "2")
+    flagged = run(capsys, "roots", "--rho", "2", "--alpha", "0.25", "--beta", "0.45",
+                  "--tau", "0.1")
+    assert plain[0] == 0 and plain == flagged
+
+
 def test_roots_experiment_parameters(capsys):
     rc, out, _ = run(capsys, "roots", "--alpha", "0.25", "--tau", "0.1", "--theta", "1")
     assert rc == 0

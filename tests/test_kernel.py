@@ -6,6 +6,7 @@ Bromwich-contour inversion (two unrelated routes agreeing to ~1e-10); they
 are pinned at 1e-8 so incidental quadrature retuning does not move them.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -29,8 +30,9 @@ from fzwave.kernel import (
     spectral_kernel,
     spectral_kernel_alpha0,
 )
+from fzwave.laplace_oracle import bromwich_invert
 from fzwave.params import ModelParams
-from fzwave.solver import InitialData, solve_field
+from fzwave.solver import InitialData, nonprop_solution, solve_field
 
 P_EXP = ModelParams(alpha=0.25, beta=0.45, tau=0.1, epsilon=0.01)
 ABS_TOL, REL_TOL = fzwave.kernel._ABS_TOL, fzwave.kernel._REL_TOL
@@ -799,6 +801,15 @@ def test_time_fractional_integral_mass_is_t(alpha, tau, t, tol):
     assert np.trapezoid(f.values[0], x) == pytest.approx(t, abs=tol)
 
 
+@pytest.mark.parametrize("alpha, tau", [(0.6, 0.5), (0.9, 0.3)])
+@pytest.mark.parametrize("t", [0.02, 0.1])
+def test_kernel_at_beta_one_keeps_unit_mass_early(alpha, tau, t):
+    # the cut route kept 0.247 (0.6, 0.5) and 0.047 (0.9, 0.3) of it at t = 0.02
+    x = np.linspace(-1.0, 1.0, 801)
+    f = kernel_eps(x, [t], ModelParams(alpha, 1.0, tau))
+    assert np.trapezoid(f.values[0], x) == pytest.approx(1.0, abs=1e-4)
+
+
 def test_time_fractional_integral_bytes_do_not_depend_on_threads(monkeypatch):
     x, ts, p = np.linspace(-2.0, 2.0, 201), [0.25, 0.5, 1.0], ModelParams(0.25, 1.0, 0.1)
     runs = []
@@ -842,6 +853,14 @@ def test_rho_node_budget_refuses_a_long_time(no_rho_grid):
     assert exc.value.field == "t_list"
 
 
+def test_rho_node_budget_refuses_distributed_data_at_the_classical_pair(no_rho_grid):
+    # the spectral sum's panels follow the fronts at +-ct: t = 200 needs about 5.5 million nodes
+    with pytest.raises(ValidationError) as exc:
+        solve_field(InitialData.box(0.0, 0.4), InitialData.zero(), np.linspace(-1.0, 1.0, 201),
+                    [200.0], ModelParams(0.0, 1.0, 0.1))
+    assert exc.value.field == "t_list"
+
+
 def test_rho_node_budget_exits_two_from_the_cli(no_rho_grid, capsys):
     rc = fzwave.cli.run_command(["kernel", "--nx", "201", "--x-min", "-1", "--x-max", "1",
                                  "--t-list", "1e6"])
@@ -849,6 +868,34 @@ def test_rho_node_budget_exits_two_from_the_cli(no_rho_grid, capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith("error: t_list=")
+
+
+def test_closed_forms_record_no_quadrature():
+    x = np.linspace(-1.0, 1.0, 21)
+    classical = kernel_classical(x, [0.5], 0.1, 0.01).meta
+    assert kernel_eps(x, [0.5], ModelParams(0.0, 1.0, 0.1, 0.01)).meta == classical
+    assert kernel_eps(x, [0.5], ModelParams(0.25, 0.0, 0.1)).meta["quadrature"] is None
+    assert kernel_eps(x, [0.5], ModelParams(0.25, 1.0, 0.1)).meta["quadrature"] is not None
+
+
+@pytest.mark.parametrize("call, args", [
+    (kernel_classical, ([0.0, 1.0], [1.0], True, 0.01)),
+    (kernel_classical, ([0.0, 1.0], [1.0], 0.1, True)),
+    (functools.partial(nonprop_solution, epsilon=True),
+     (InitialData.dirac(), InitialData.zero(), [0.0, 1.0], [1.0])),
+    (spectral_kernel, (True, 1.0, P_EXP)),
+    (spectral_kernel, (1.0, True, P_EXP)),
+    (laplace_kernel_hat, (True, 2.0, P_EXP)),
+    (kernel_time_fractional, ([0.0, 1.0], [1.0], 0.25, True, 0.01)),
+    (bromwich_invert, (True, 1.0, P_EXP)),
+    (bromwich_invert, (1.0, True, P_EXP)),
+    (delta_eps, (0.0, True)),
+], ids=["classical-tau", "classical-eps", "nonprop-eps", "spectral-rho", "spectral-t",
+        "hat-rho", "time-fractional-tau", "bromwich-rho", "bromwich-t", "delta-eps"])
+def test_public_number_arguments_refuse_booleans(call, args):
+    # True would otherwise run as 1: tau = eps = 1, rho = 1 or t = 1
+    with pytest.raises(ValidationError):
+        call(*args)
 
 
 def test_field_shape_validation():

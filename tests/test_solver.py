@@ -27,6 +27,7 @@ from fzwave.solver import (
 P_EXP = ModelParams(alpha=0.25, beta=0.45, tau=0.1, epsilon=0.01)
 P_FLAT = ModelParams(alpha=0.25, beta=0.0, tau=0.1, epsilon=0.01)
 P_EDGE = ModelParams(alpha=0.0, beta=1.0, tau=0.1, epsilon=0.01)  # the classical pair
+P_TF = ModelParams(alpha=0.25, beta=1.0, tau=0.1, epsilon=0.01)  # the time-fractional wave
 
 
 # ------------------------------------------------------------- initial data
@@ -237,26 +238,25 @@ def _signed_lattice_row(x, t, data, p, integrated):
     return np.correlate(kern, coeffs, mode="valid")[::fine], k, h / fine
 
 
-@pytest.mark.parametrize("data, integrated", [
-    (InitialData.gaussian(0.3, 0.1), False),
-    (InitialData.box(-0.2, 0.5, 0.7), True),
-    (InitialData.sampled(np.linspace(-0.6, 0.6, 121),
-                         np.exp(-np.square(np.linspace(-0.6, 0.6, 121) / 0.1))), False),
-    (InitialData.gaussian(3.0, 0.1), False),  # every difference is negative
+@pytest.mark.parametrize("data", [
+    InitialData.gaussian(0.3, 0.1),
+    InitialData.box(-0.2, 0.5, 0.7),
+    InitialData.sampled(np.linspace(-0.6, 0.6, 121),
+                        np.exp(-np.square(np.linspace(-0.6, 0.6, 121) / 0.1))),
+    InitialData.gaussian(3.0, 0.1),  # every difference is negative
 ])
-def test_kernel_runs_once_per_absolute_difference(monkeypatch, data, integrated):
-    # the lattice serves the kernels that live in x; the classical pair is one
+def test_kernel_runs_once_per_absolute_difference(monkeypatch, data):
+    # the lattice serves the one kernel that lives in x: the time integral at beta = 1
     x = np.linspace(-1.0, 1.0, 41)
-    expected, k, hp = _signed_lattice_row(x, 0.5, data, P_EDGE, integrated)
-    name = "kernel_eps_time_integrated" if integrated else "kernel_eps"
-    route, lattices = getattr(fzwave.solver, name), []
+    expected, k, hp = _signed_lattice_row(x, 0.5, data, P_TF, True)
+    route, lattices = fzwave.solver.kernel_eps_time_integrated, []
 
     def recorded(x_grid, t_list, p):
         lattices.append(np.asarray(x_grid))
         return route(x_grid, t_list, p)
 
-    monkeypatch.setattr(fzwave.solver, name, recorded)
-    got = _lattice_contribution(x, (0.5,), data, P_EDGE, integrated)[0]
+    monkeypatch.setattr(fzwave.solver, "kernel_eps_time_integrated", recorded)
+    got = _lattice_contribution(x, (0.5,), data, P_TF)[0]
     (lattice,) = lattices
     # k_lo = min|k| is 0 whenever the signed lattice straddles 0
     np.testing.assert_array_equal(lattice, hp * np.arange(np.min(np.abs(k)),
@@ -418,7 +418,15 @@ def test_meta_records_each_datums_assembly():
     assert boxed["assembly"]["v0"]["route"] == "fourier"
     assert boxed["assembly"]["v0"]["rho_max"] == rho_max
     flat = solve_field(u0, InitialData.zero(), x, [0.5], P_FLAT).meta
-    assert flat["assembly"] == {"u0": {"route": "lattice"}, "v0": {"route": "zero"}}
+    assert flat["assembly"]["u0"]["route"] == "fourier"
+    assert flat["assembly"]["v0"] == {"route": "zero"}
+    # the lattice serves distributed v0 at beta = 1, alpha > 0 only
+    cut = solve_field(u0, InitialData.box(width=0.2), x, [0.5], P_TF).meta
+    assert cut["assembly"]["u0"]["route"] == "fourier"
+    assert cut["assembly"]["v0"] == {"route": "lattice"}
+    classical = solve_field(InitialData.dirac(), u0, x, [0.5], P_EDGE).meta
+    assert classical["assembly"]["u0"] == {"route": "kernel"}
+    assert classical["assembly"]["v0"]["route"] == "fourier"
 
 
 def test_fourier_route_takes_a_non_uniform_grid():
@@ -429,6 +437,63 @@ def test_fourier_route_takes_a_non_uniform_grid():
     full = solve_field(u0, v0, uniform, [0.5], P_EXP).values
     got = solve_field(u0, v0, sparse, [0.5], P_EXP).values
     np.testing.assert_allclose(got, full[:, [0, 3, 4, 5, 8]], rtol=0.0, atol=1e-12)
+
+
+def _mollified_box(x, center, width, height, eps):
+    """A box convolved with delta_eps: h/2 [erf((x - a)/eps) - erf((x - b)/eps)]."""
+    erf = np.vectorize(math.erf)
+    a, b = center - 0.5 * width, center + 0.5 * width
+    return 0.5 * height * (erf((x - a) / eps) - erf((x - b) / eps))
+
+
+def test_box_at_beta_zero_is_the_mollified_box():
+    # S = 1: the field is the box under the mollifier at every t (the lattice was 7e-2 off)
+    x = np.linspace(-1.0, 1.0, 201)
+    got = solve_field(InitialData.box(0.1, 0.5, 2.0), InitialData.zero(), x, [0.5, 2.0], P_FLAT)
+    want = _mollified_box(x, 0.1, 0.5, 2.0, P_FLAT.epsilon)
+    assert np.max(np.abs(got.values - want)) <= 1e-9 * 2.0
+
+
+def test_box_at_the_classical_pair_is_dalembert():
+    # u = (b(x - ct) + b(x + ct))/2 with b the mollified box (the lattice was 6.1e-2 off)
+    x, t = np.linspace(-1.0, 1.0, 201), 0.5
+    c = math.sqrt(2.0 / (1.0 + P_EDGE.tau))
+    got = solve_field(InitialData.box(0.0, 0.4), InitialData.zero(), x, [t], P_EDGE).values[0]
+    want = 0.5 * (_mollified_box(x - c * t, 0.0, 0.4, 1.0, P_EDGE.epsilon)
+                  + _mollified_box(x + c * t, 0.0, 0.4, 1.0, P_EDGE.epsilon))
+    assert np.max(np.abs(got - want)) <= 1e-9 * float(np.max(want))
+
+
+def test_gaussian_keeps_its_mass_at_beta_one_early():
+    # the cut route's K kept 0.2467 of it at t = 0.02
+    x, w = np.linspace(-1.0, 1.0, 801), 0.05
+    p = ModelParams(alpha=0.6, beta=1.0, tau=0.5)
+    sol = solve_field(InitialData.gaussian(0.0, w), InitialData.zero(), x, [0.02], p)
+    assert np.trapezoid(sol.values[0], x) == pytest.approx(w * math.sqrt(math.pi), rel=1e-4)
+
+
+@pytest.mark.parametrize("p, u0, v0", [
+    (P_FLAT, InitialData.gaussian(0.1, 0.1), InitialData.box(-0.2, 0.3)),
+    (P_EDGE, InitialData.gaussian(0.1, 0.1), InitialData.box(-0.2, 0.3)),
+    (P_TF, InitialData.box(-0.2, 0.3), InitialData.zero()),
+], ids=["beta0", "classical", "beta1"])
+def test_spectral_sum_takes_a_non_uniform_grid_at_the_edges(p, u0, v0):
+    uniform = np.linspace(-0.8, 0.8, 9)
+    full = solve_field(u0, v0, uniform, [0.5], p).values
+    got = solve_field(u0, v0, uniform[[0, 3, 4, 5, 8]], [0.5], p).values
+    np.testing.assert_allclose(got, full[:, [0, 3, 4, 5, 8]], rtol=0.0, atol=1e-12)
+
+
+def test_beta_zero_velocity_term_is_linear_at_a_late_time():
+    # S needs no rho nodes for t: t = 1e4 takes the panels of t = 1
+    x = np.linspace(-1.0, 1.0, 101)
+    v0 = InitialData.box(0.0, 0.5)
+    late = solve_field(InitialData.zero(), v0, x, [1e4], P_FLAT)
+    early = solve_field(InitialData.zero(), v0, x, [1.0], P_FLAT)
+    assert late.meta["assembly"]["v0"]["route"] == "fourier"
+    assert late.meta["assembly"] == early.meta["assembly"]
+    peak = float(np.max(np.abs(late.values)))
+    assert np.max(np.abs(late.values - 1e4 * early.values)) <= 1e-12 * peak
 
 
 def test_sampled_data_must_vanish_at_its_edges():
@@ -444,13 +509,12 @@ def test_sampled_data_must_vanish_at_its_edges():
 
 
 def test_distributed_data_requires_uniform_grid():
+    # only the lattice, for distributed v0 at beta = 1 and alpha > 0, needs one
     x = np.array([-1.0, -0.5, 0.0, 0.7, 1.5])
     with pytest.raises(ValidationError):
-        solve_field(
-            InitialData.gaussian(width=0.5), InitialData.zero(), x, [1.0], P_FLAT
-        )
-    # dirac data never convolves, so the same grid is fine there
-    sol = solve_field(InitialData.dirac(), InitialData.zero(), x, [1.0], P_FLAT)
+        solve_field(InitialData.zero(), InitialData.gaussian(width=0.5), x, [1.0], P_TF)
+    # a dirac v0 is the kernel itself and u0 takes the spectral sum: any grid serves
+    sol = solve_field(InitialData.gaussian(width=0.5), InitialData.dirac(), x, [1.0], P_TF)
     assert sol.values.shape == (1, 5)
 
 
