@@ -149,6 +149,8 @@ def _initial_from_mapping(name: str, d: dict | None) -> InitialData:
     # a key the kind does not use would otherwise be dropped without a word
     if kind != "sampled" and "samples" in d:
         raise ValidationError(f"{name}.samples", "<samples>", "no samples unless kind is sampled")
+    if kind == "dirac" and "width" in d:
+        raise ValidationError(f"{name}.width", d["width"], "absent for dirac data (a point)")
     if kind == "sampled":
         for key in ("center", "width"):
             if key in d:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ValidationError
 from .specfun import e_alpha, mittag_leffler
 
-_UNIFORM_RTOL = 1e-10
+_SPACING_RTOL = 1e-10
 _BOUNDARY_DECAY = 1e-12
 _PAD_FACTOR = 16
 
@@ -47,7 +47,7 @@ class SampledSignal:
             raise ValidationError("grid", "non-monotone", "strictly increasing abscissae")
         if self.uniform:
             h = dg[0]
-            if np.abs(dg - h).max() > _UNIFORM_RTOL * h:
+            if np.abs(dg - h).max() > _SPACING_RTOL * h:
                 raise ValidationError(
                     "uniform", True, "constant spacing to 1 part in 1e10"
                 )
@@ -64,7 +64,7 @@ class SampledSignal:
         uniform = bool(
             len(dg) > 0
             and (dg > 0).all()
-            and np.abs(dg - dg[0]).max() <= _UNIFORM_RTOL * dg[0]
+            and np.abs(dg - dg[0]).max() <= _SPACING_RTOL * dg[0]
         )
         return cls(grid=g, values=np.asarray(values, dtype=float), uniform=uniform)
 

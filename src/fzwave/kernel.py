@@ -21,20 +21,22 @@ at most _FACTORED_MAX points (after mirroring) and on any non-uniform x, the
 sum is one exact factored matrix product (:func:`_factored_plan`), once the
 plan's nodes are checked to be the equal panels it factors over; wider
 uniform rows take chirp-z transforms, each checked against a dense sum at 8
-points. Only the closed forms (beta = 0, the classical pair) and the time
-integral at beta = 1, alpha > 0 (an x-space cut integral; kernel_time_fractional
-runs it for K as an oracle) bypass the transform; :func:`_kernel_eps_impl`
-wraps every route's values in a :class:`Field`.
+points. At beta = 1, alpha > 0 the time integral's signal is the transform of
+its x-space cut integral (:func:`_tf_samples`), one matrix product per t. A
+point source bypasses the transform only where :func:`_x_route` puts it in x:
+the closed forms (beta = 0, the classical pair) and that cut integral, summed
+against delta_eps directly (kernel_time_fractional runs it for K as an oracle);
+:func:`_kernel_eps_impl` wraps every route's values in a :class:`Field`.
 
 Everything here is deterministic by construction: panel subdivision depends
 only on inputs, each row's transform runs on its own buffers, and every sum
 reduces in a fixed order, so a run with FZWAVE_THREADS=8 is byte-identical to
 a serial one (threads only split work across rows of the time grid). The
-factored sum and the sampled-data sums are matrix products run in blocks
-that BLAS keeps on one thread (:func:`_serial_product`), so BLAS's own
-thread count does not change their bits either. Every quadrature, table and
-spot check aims at the fixed targets _ABS_TOL and _REL_TOL, and the Fourier
-integral ends at :func:`_rho_max`, which follows from eps.
+factored sum, the sampled-data sums and the cut transform are matrix products
+run in blocks that BLAS keeps on one thread (:func:`_serial_product`), so
+BLAS's own thread count does not change their bits either. Every quadrature,
+table and spot check aims at the fixed targets _ABS_TOL and _REL_TOL, and the
+Fourier integral ends at :func:`_rho_max`, which follows from eps.
 """
 
 from __future__ import annotations
@@ -291,14 +293,17 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple) -> Callable[[f
 
     Without zeros (alpha = 0, or beta = 0 where theta is 0, so S = 1 and its
     integral t) every mode is cos(omega t) with omega = sqrt(2 theta/(1+tau)),
-    integral sin(omega t)/omega (-> t as omega -> 0). Otherwise S is the
+    integral sin(omega t)/omega (-> t as omega -> 0). At beta = 1 the integral
+    is the transform of its x-space cut integral, 2 Re sum_y w_y int K(y, t)
+    e^{-i rho y} over the samples of :func:`_tf_samples` out to plan.reach
+    + 6 eps: one :func:`_scattered_sums` product per t. Otherwise S is the
     residue pair of the plan's zeros s_z plus the branch part; integrated,
     each residue term s e^{st}/psi'(s) becomes its exact antiderivative
     (e^{st} - 1)/psi'(s), both from one e^{st} per t. The branch part,
-    smooth in log theta, is integrated per t, all modes in one pass, only at
-    the points of a Chebyshev table within plan.budget and at 8 nodes where
-    every mode's table must match it; one _quad.eval_tables call reads every
-    mode's table at the nodes.
+    smooth in log theta, is integrated per t, all tabled modes in one pass,
+    only at the points of a Chebyshev table within plan.budget and at 8
+    nodes where every mode's table must match it; one _quad.eval_tables call
+    reads every mode's table at the nodes.
     """
     alpha, tau, theta = p.alpha, p.tau, plan.theta
     if plan.roots is None:
@@ -306,28 +311,41 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple) -> Callable[[f
         return lambda t: [t * np.sinc(omega * t / math.pi) if integrated
                           else np.cos(t * omega) for integrated in modes]
 
+    cut = p.beta == 1.0 and any(modes)
+    tabled = tuple(m for m in modes if not (cut and m))
+    if cut:
+        _check_panel_nodes(plan)  # the product sum has no spot check to catch a stray node
     s_z, psi_p = plan.roots
     u, lo, hi = np.log(theta), float(np.min(theta)), float(np.max(theta))
     spot = theta[_spot_indices(theta.size)]
 
-    def signal(t: float) -> list:
+    def table_rows(t: float) -> list:
         direct = []  # the spot nodes' branch integrals, from the first pass
 
         def branch(th: np.ndarray) -> np.ndarray:
             extra = spot[:0] if direct else spot
-            vals = _branch_part(np.concatenate([th, extra]), t, alpha, tau, modes)
+            vals = _branch_part(np.concatenate([th, extra]), t, alpha, tau, tabled)
             direct.append(vals[:, th.size :])
             return vals[:, : th.size].T
 
         tables = eval_tables(log_cheb_table(branch, lo, hi, plan.budget, "branch table"), u)
         growth = np.exp(s_z * t)
-        for integrated, values, exact in zip(modes, tables, direct[0]):
+        for integrated, values, exact in zip(tabled, tables, direct[0]):
             _spot_check(values, lambda _idx: exact, _ABS_TOL, _REL_TOL,
                         "Chebyshev branch table disagrees with the branch integral")
             residue = growth - 1.0 if integrated else s_z * growth
             residue /= psi_p
             values += 2.0 * residue.real
         return list(tables)
+
+    if not cut:
+        return table_rows
+
+    def signal(t: float) -> list:
+        rows = iter(table_rows(t) if tabled else ())
+        y, kw = _tf_samples(t, plan.reach, alpha, tau, p.epsilon, True)
+        integral = 2.0 * _scattered_sums(kw, y, plan.rho_max / plan.n_panels, plan.n_panels)[0].real
+        return [integral if integrated else next(rows) for integrated in modes]
 
     return signal
 
@@ -681,7 +699,9 @@ class _Stage1:
     ``weights`` are the Gauss weights times the mollifier damping, ``budget``
     the uniform signal error the branch tables may carry, ``roots`` the zero
     pairs (s_z, psi'(s_z)) of every node (None at alpha = 0 and beta = 0),
-    and ``rho_max`` and ``n_panels`` the extent and count of the equal panels.
+    ``rho_max`` and ``n_panels`` the extent and count of the equal panels,
+    and ``reach`` the largest |x - y| over the output grid and the data
+    (max|x| plus the data's reach), where the beta = 1 cut samples end.
     """
 
     rho: np.ndarray
@@ -691,6 +711,7 @@ class _Stage1:
     roots: tuple | None
     rho_max: float
     n_panels: int
+    reach: float
 
 
 def _stage1(
@@ -717,6 +738,7 @@ def _stage1(
                else _zero_pair_batch(p.alpha, p.tau, theta)),
         rho_max=float(edges[-1]),
         n_panels=edges.size - 1,
+        reach=float(np.max(np.abs(x))) + reach,
     )
 
 
@@ -784,28 +806,40 @@ def kernel_eps(x_grid, t_list, p: ModelParams) -> Field:
 def kernel_eps_time_integrated(x_grid, t_list, p: ModelParams) -> Field:
     """Time integral of K_eps over [0, t] for each requested t.
 
-    Each spectral term is integrated analytically (exact antiderivatives), but
-    at beta = 1, alpha > 0 the x-space cut integral takes K^/s for K^
-    (_tf_kernel_rows): the Fourier route's integrated branch weight, qq * t * w
-    in _branch_part, is t times too large. It serves initial velocity data.
+    Each spectral term is integrated analytically (exact antiderivatives). At
+    beta = 1, alpha > 0 the x-space cut integral of K^/s (_tf_kernel_rows) is
+    summed against delta_eps on its y samples, so a point source costs no
+    rho nodes; the spectral sum takes the transform of the same samples for
+    distributed data.
     """
     return _kernel_eps_impl(x_grid, t_list, p, integrated=True)
 
 
+def _x_route(p: ModelParams, integrated: bool) -> str | None:
+    """Where kernel_eps (integrated: its time integral) lives in x: "closed" at
+    beta = 0 and the classical pair, "cut" for the time integral at beta = 1,
+    alpha > 0 (the cut integral); None where the two Fourier stages serve it."""
+    if p.beta == 0.0 or (p.beta == 1.0 and p.alpha == 0.0):
+        return "closed"
+    if p.beta == 1.0 and integrated:
+        return "cut"
+    return None
+
+
 def _kernel_eps_impl(x_grid, t_list, p: ModelParams, integrated: bool) -> Field:
     x, ts = _check_grids(x_grid, t_list)
-    closed_form = p.beta == 0.0 or (p.beta == 1.0 and p.alpha == 0.0)
+    route = _x_route(p, integrated)
     if p.beta == 0.0:
         base = np.asarray(delta_eps(x, p.epsilon), dtype=float)
         values = np.vstack([np.atleast_1d(base * (t if integrated else 1.0)) for t in ts])
-    elif closed_form:
+    elif route == "closed":
         values = _classical_field(x, ts, p.tau, p.epsilon, integrated)
-    elif p.beta == 1.0 and integrated:
+    elif route == "cut":
         values = _tf_field_rows(x, ts, p.alpha, p.tau, p.epsilon, True)
     else:
         values = _fourier_rows(x, ts, p, _stage1(x, ts, p), [(1.0, integrated)])
     _check_even(x, values)
-    return Field(x, ts, values, _meta(asdict(p), not closed_form))
+    return Field(x, ts, values, _meta(asdict(p), route != "closed"))
 
 
 # ---------------------------------------------------------------------------
@@ -1003,27 +1037,36 @@ def _tf_kernel_rows(
     return out
 
 
+def _tf_samples(t: float, reach: float, alpha: float, tau: float, epsilon: float,
+                integrated: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The y >= 0 samples of the raw beta = 1 kernel K(., t) (or its time
+    integral) and those values times their trapezoid weights.
+
+    The samples are eps/4 apart and run to min(t/sqrt(tau), reach + 6 eps),
+    past which the kernel is zero or delta_eps no longer reaches a point
+    within reach. The half weight at y = 0 makes the mirrored sums count that
+    sample once: delta_eps(x - y) + delta_eps(x + y) in x, 2 Re in rho.
+    """
+    spacing = epsilon / 4.0
+    y_max = min(t / math.sqrt(tau), reach + 6.0 * epsilon)
+    n_y = max(int(math.ceil(y_max / spacing)) + 1, 8)
+    y = np.linspace(0.0, n_y * spacing, n_y + 1)
+    w = np.full(y.size, spacing)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return y, _tf_kernel_rows(y, t, alpha, tau, integrated) * w
+
+
 def _tf_field_rows(
     x: np.ndarray, ts: tuple, alpha: float, tau: float, epsilon: float, integrated: bool
 ) -> np.ndarray:
-    """Mollified beta = 1 field: K(., t) or its time integral, convolved with delta_eps."""
-    sqrt_tau = math.sqrt(tau)
-    x_abs_max = float(np.max(np.abs(x))) if x.size else 0.0
-    spacing = epsilon / 4.0
+    """Mollified beta = 1 point-source field: the samples of :func:`_tf_samples`
+    (K(., t) or its time integral) summed against delta_eps(x -+ y)."""
+    reach = float(np.max(np.abs(x))) if x.size else 0.0
     values = np.empty((len(ts), x.size))
 
     def row(i: int) -> None:
-        t = ts[i]
-        y_max = min(t / sqrt_tau, x_abs_max + 6.0 * epsilon)
-        n_y = max(int(math.ceil(y_max / spacing)) + 1, 8)
-        y = np.linspace(0.0, n_y * spacing, n_y + 1)
-        k_raw = _tf_kernel_rows(y, t, alpha, tau, integrated)
-        # trapezoid weights; the half weight at y = 0 exactly compensates the
-        # mirror term delta_eps(x+y) coinciding with delta_eps(x-y) there
-        w = np.full(y.size, spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        kw = k_raw * w
+        y, kw = _tf_samples(ts[i], reach, alpha, tau, epsilon, integrated)
         row_vals = np.zeros(x.size)
         for start in range(0, y.size, _CHUNK):
             y_c = y[start : start + _CHUNK]

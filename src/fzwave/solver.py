@@ -13,10 +13,10 @@ grid: each datum has a transform in closed form about its centre
 ``sampled`` data, and a ``dirac``'s height), taken at the rho nodes of one
 stage-1 plan per distinct datum, and data sharing a plan share one transform
 per row. Gaussian data cut those nodes where the product of its transform and
-the mollifier meets the mollifier's own tail bound. Only the time integral at
-beta = 1, alpha > 0 lives in x (a cut integral): distributed ``v0`` there is
-sampled on a lattice that refines the x grid and summed by the trapezoid rule
-against it, evaluated once per |x_i - y_j|. A ``dirac`` where kernel_eps is a
+the mollifier meets the mollifier's own tail bound. Every distributed datum
+takes that sum at every beta, on any increasing x grid; at beta = 1,
+alpha > 0 the time-integrated signal is the transform of the kernel's x-space
+cut integral (kernel._spectral_signal). A ``dirac`` where kernel_eps is a
 closed form (beta = 0, the classical pair) or that cut integral is the kernel
 itself, translated and scaled, so no quadrature error is added.
 """
@@ -43,6 +43,7 @@ from .kernel import (
     _Stage1,
     _stage1,
     _symmetric,
+    _x_route,
     delta_eps,
     kernel_eps,
     kernel_eps_time_integrated,
@@ -65,10 +66,6 @@ _PEAK_FLOOR = 1e-3
 # a Gaussian profile is treated as supported within this many widths of its
 # center (exp(-7^2) ~ 5e-22, far below double-precision relevance)
 _GAUSS_SUPPORT_WIDTHS = 7.0
-
-# relative spacing jitter tolerated before an x-grid is rejected as
-# non-uniform for the lattice convolution
-_UNIFORM_RTOL = 1e-9
 
 # the slope-jump transform of sampled data serves nodes where it scales the
 # per-segment form's rounding by at most _JUMP_RTOL / eps (~45)
@@ -201,18 +198,6 @@ class InitialData:
 # ---------------------------------------------------------------------------
 
 
-def _uniform_spacing(x: np.ndarray, context: str) -> float:
-    if x.size < 2:
-        raise ValidationError("x_grid", x.size, f"at least 2 points for {context}")
-    dx = np.diff(x)
-    h = float(dx[0])
-    if np.max(np.abs(dx - h)) > _UNIFORM_RTOL * h:
-        raise ValidationError(
-            "x_grid", "non-uniform", f"uniform spacing for {context}"
-        )
-    return h
-
-
 def _check_sampled_edges(data: InitialData) -> None:
     vals = data.height * data.samples.values
     amax = float(np.max(np.abs(vals)))
@@ -226,55 +211,6 @@ def _check_sampled_edges(data: InitialData) -> None:
             "extend the grid until the data decays, or the convolution is "
             "silently truncated",
         )
-
-
-def _lattice_contribution(x: np.ndarray, ts: tuple, data: InitialData, p: ModelParams) -> np.ndarray:
-    """The convolution of distributed v0 with the time-integrated kernel at
-    beta = 1, alpha > 0, the one kernel of a datum that lives in x.
-
-    Distributed data is sampled on a lattice that refines the x-grid by an
-    integer factor chosen so the spacing also resolves the mollifier scale
-    (eps/4) and, for sampled data, the sample grid itself; every pairwise
-    difference x_i - y_j then lands on that single fine lattice. The kernel
-    is even in x, so it is evaluated once per |difference|, on the lattice
-    k_lo*hp .. k_hi*hp of absolute values (k_lo = 0 when the differences
-    straddle 0), and each row is gathered back onto the signed differences;
-    the trapezoid sum is then a strided correlation. Without the refinement a
-    coarse x-grid undersamples the kernel's eps-width features and silently
-    loses mass.
-    """
-    h = _uniform_spacing(x, "convolution with distributed initial data")
-    target = min(h, 0.25 * p.epsilon)
-    if data.kind == "sampled":
-        target = min(target, float(np.min(np.diff(data.samples.grid))))
-    fine = max(1, int(math.ceil(h / target - 1e-12)))
-    hp = h / fine
-
-    lo, hi = data._support()
-    x0 = float(x[0])
-    n = x.size
-    j0 = int(math.floor((lo - x0) / hp)) - 1
-    j1 = int(math.ceil((hi - x0) / hp)) + 1
-    j1 = max(j1, j0 + 2)
-    m = j1 - j0 + 1
-    y = x0 + hp * (j0 + np.arange(m))
-    samples = np.asarray(data.evaluate(y), dtype=float)
-
-    # x_i - y_j = hp * (i*fine - j0 - jj); the difference lattice runs from
-    # k = -j1 (i = 0 against the rightmost sample) to k = (n-1)*fine - j0.
-    # The kernel is even in x, so it is evaluated on |k| only: k_lo..k_hi.
-    k_first, k_last = -j1, (n - 1) * fine - j0
-    k_hi = max(abs(k_first), abs(k_last))
-    k_lo = 0 if k_first <= 0 <= k_last else min(abs(k_first), abs(k_last))
-    w = np.full(m, hp)
-    w[0] = w[-1] = 0.5 * hp
-    coeffs = (w * samples)[::-1]
-    kfield = kernel_eps_time_integrated(hp * np.arange(k_lo, k_hi + 1), ts, p)
-    gather = np.abs(np.arange(k_first, k_last + 1)) - k_lo
-    out = np.empty((len(ts), n))
-    for i in range(len(ts)):
-        out[i] = np.correlate(kfield.values[i][gather], coeffs, mode="valid")[::fine]
-    return out
 
 
 def _plan_key(data: InitialData, p: ModelParams) -> tuple:
@@ -408,10 +344,12 @@ def solve_field(
     convolution. A dirac u0 (centered at 0, unit height) with vanishing v0
     returns the kernel field itself, bit for bit. The velocity term uses the
     exact per-term time antiderivatives inside the spectral assembly rather
-    than a quadrature over t, so it adds no time-integration error.
-    ``meta["assembly"]`` records each datum's route (``zero``, ``kernel``,
-    ``fourier`` or, for distributed v0 at beta = 1, alpha > 0, ``lattice``)
-    and, for ``fourier``, its plan's ``rho_nodes`` and ``rho_max``.
+    than a quadrature over t (at beta = 1, alpha > 0 the transform of the
+    cut integral of K^/s), so it adds no time-integration error. Any strictly
+    increasing x grid serves. ``meta["assembly"]`` records each datum's route
+    (``zero``, ``kernel`` for a dirac that kernel_eps gives in x, or
+    ``fourier``) and, for ``fourier``, its plan's ``rho_nodes`` and
+    ``rho_max``.
     """
     if not isinstance(u0, InitialData) or not isinstance(v0, InitialData):
         raise ValidationError("u0/v0", type(u0).__name__, "InitialData instances")
@@ -424,15 +362,10 @@ def solve_field(
             continue
         if data.kind == "sampled":
             _check_sampled_edges(data)
-        closed = p.beta == 0.0 or (p.beta == 1.0 and p.alpha == 0.0)  # kernel_eps's closed forms
-        cut = integrated and p.beta == 1.0 and p.alpha > 0.0  # its one x-space cut integral
-        if data.kind == "dirac" and (closed or cut):
+        if data.kind == "dirac" and _x_route(p, integrated):
             assembly[name] = {"route": "kernel"}
             route = kernel_eps_time_integrated if integrated else kernel_eps
             parts.append(data.height * route(x - data.center, ts, p).values)
-        elif cut:
-            assembly[name] = {"route": "lattice"}
-            parts.append(_lattice_contribution(x, ts, data, p))
         else:
             groups.setdefault(_plan_key(data, p), []).append((name, data, integrated))
     for (kind, center, reach, rho_cut), members in groups.items():

@@ -374,27 +374,29 @@ def test_solve_writes_deterministic_csv(capsys, tmp_path, monkeypatch):
 
 
 def test_sampled_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # the transform of sampled data sums its exponentials as a BLAS matrix product
+    # the transform of sampled data sums its exponentials as a BLAS matrix
+    # product, and so does the beta = 1 velocity term's cut transform
     y = np.linspace(-0.6, 0.6, 1201)
     noise = 1.0 + 0.1 * np.random.default_rng(0).standard_normal(y.size)
     samples = {"grid": y.tolist(), "values": ((1.0 - (y / 0.6) ** 2) ** 2 * noise).tolist()}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
-        "grid": {"x_min": -1.0, "x_max": 1.0, "nx": 401, "t_list": [0.25, 0.5, 1.0]},
-        "initial": {"u0": {"kind": "sampled", "samples": samples}},
-    }))
     pkg_root = str(Path(fzwave.__file__).resolve().parents[1])
-    blobs = []
-    for threads in ("1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fzwave", "solve", "--config", str(cfg_path)],
-            env={"OPENBLAS_NUM_THREADS": threads, "FZWAVE_THREADS": "1",
-                 "PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
-            capture_output=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-        blobs.append(proc.stdout)
-    assert blobs[0] == blobs[1]
+    for name, model in (("u0", []), ("v0", ["--beta", "1"])):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps({
+            "grid": {"x_min": -1.0, "x_max": 1.0, "nx": 401, "t_list": [0.25, 0.5, 1.0]},
+            "initial": {"u0": None, name: {"kind": "sampled", "samples": samples}},
+        }))
+        blobs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "fzwave", "solve", "--config", str(cfg_path), *model],
+                env={"OPENBLAS_NUM_THREADS": threads, "FZWAVE_THREADS": "1",
+                     "PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
+                capture_output=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+            blobs.append(proc.stdout)
+        assert blobs[0] == blobs[1]
 
 
 def test_solve_honours_config_file_with_flag_override(capsys, tmp_path):
@@ -490,6 +492,7 @@ def test_oracle_cross_checks_spectral_value(capsys):
       "samples": {"grid": [-1.0, 0.0, 1.0], "values": [0.0, 1.0, 0.0]}}, "center"),
     ({"kind": "sampled", "width": 0.5,
       "samples": {"grid": [-1.0, 0.0, 1.0], "values": [0.0, 1.0, 0.0]}}, "width"),
+    ({"kind": "dirac", "width": 0.3}, "width"),
 ])
 def test_config_data_key_the_kind_does_not_use_exits_two(capsys, tmp_path, name, data, field):
     # such a key used to be dropped without a word, and the run exited 0

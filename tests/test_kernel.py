@@ -789,6 +789,18 @@ def test_time_fractional_integral_matches_a_time_quadrature(alpha, tau):
     assert np.max(np.abs(got - tw @ rows)) <= 1e-4
 
 
+@pytest.mark.parametrize("alpha, tau", [(0.25, 0.1), (0.6, 0.5)])
+def test_fourier_rows_of_the_integral_at_beta_one_match_the_cut_field(alpha, tau):
+    # the signal is the transform of the cut integral's samples; the branch
+    # tables' integrated mode was 4.5e-2 off at t = 0.5 for (0.25, 0.1)
+    x, ts = np.linspace(-1.0, 1.0, 41), (0.25, 0.5, 2.0)
+    p = ModelParams(alpha, 1.0, tau)
+    plan = fzwave.kernel._stage1(x, ts, p)
+    rows = fzwave.kernel._fourier_rows(x, ts, p, plan, [(1.0, True)])
+    want = kernel_eps_time_integrated(x, ts, p).values
+    assert np.max(np.abs(rows - want)) <= 1e-10
+
+
 @pytest.mark.parametrize("alpha, tau, t, tol", [
     (0.25, 0.1, 0.5, 1e-5), (0.25, 0.1, 2.0, 1e-5),
     (0.6, 0.5, 0.5, 1e-5), (0.6, 0.5, 2.0, 1e-5),

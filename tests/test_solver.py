@@ -16,13 +16,7 @@ from fzwave.kernel import (
     kernel_eps_time_integrated,
 )
 from fzwave.params import ModelParams
-from fzwave.solver import (
-    InitialData,
-    _lattice_contribution,
-    nonprop_solution,
-    peak_metrics,
-    solve_field,
-)
+from fzwave.solver import InitialData, nonprop_solution, peak_metrics, solve_field
 
 P_EXP = ModelParams(alpha=0.25, beta=0.45, tau=0.1, epsilon=0.01)
 P_FLAT = ModelParams(alpha=0.25, beta=0.0, tau=0.1, epsilon=0.01)
@@ -220,7 +214,7 @@ def test_dirac_data_at_one_centre_share_one_zero_pair_batch(monkeypatch, center)
 
 def _signed_lattice_row(x, t, data, p, integrated):
     """Oracle: the trapezoid convolution with the kernel on every signed
-    difference x_i - y_j; returns the row and the lattice's integer offsets k."""
+    difference x_i - y_j, on a lattice that refines x to eps/4."""
     h = x[1] - x[0]
     target = min(h, 0.25 * p.epsilon)
     if data.kind == "sampled":
@@ -235,35 +229,7 @@ def _signed_lattice_row(x, t, data, p, integrated):
     k = np.arange(-j1, (x.size - 1) * fine - j0 + 1)
     route = kernel_eps_time_integrated if integrated else kernel_eps
     kern = route((h / fine) * k, [t], p).values[0]
-    return np.correlate(kern, coeffs, mode="valid")[::fine], k, h / fine
-
-
-@pytest.mark.parametrize("data", [
-    InitialData.gaussian(0.3, 0.1),
-    InitialData.box(-0.2, 0.5, 0.7),
-    InitialData.sampled(np.linspace(-0.6, 0.6, 121),
-                        np.exp(-np.square(np.linspace(-0.6, 0.6, 121) / 0.1))),
-    InitialData.gaussian(3.0, 0.1),  # every difference is negative
-])
-def test_kernel_runs_once_per_absolute_difference(monkeypatch, data):
-    # the lattice serves the one kernel that lives in x: the time integral at beta = 1
-    x = np.linspace(-1.0, 1.0, 41)
-    expected, k, hp = _signed_lattice_row(x, 0.5, data, P_TF, True)
-    route, lattices = fzwave.solver.kernel_eps_time_integrated, []
-
-    def recorded(x_grid, t_list, p):
-        lattices.append(np.asarray(x_grid))
-        return route(x_grid, t_list, p)
-
-    monkeypatch.setattr(fzwave.solver, "kernel_eps_time_integrated", recorded)
-    got = _lattice_contribution(x, (0.5,), data, P_TF)[0]
-    (lattice,) = lattices
-    # k_lo = min|k| is 0 whenever the signed lattice straddles 0
-    np.testing.assert_array_equal(lattice, hp * np.arange(np.min(np.abs(k)),
-                                                          np.max(np.abs(k)) + 1))
-    assert lattice.size <= k.size
-    peak = float(np.max(np.abs(expected)))
-    assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, peak)
+    return np.correlate(kern, coeffs, mode="valid")[::fine]
 
 
 # ------------------------------------------------------ spectral assembly
@@ -272,20 +238,26 @@ def test_kernel_runs_once_per_absolute_difference(monkeypatch, data):
 SOLVE_DATA = (0.0, 0.1)  # centre and width of the benchmark's seed-0 data
 
 
-@pytest.mark.parametrize("center, width", [SOLVE_DATA, (0.3, 0.1), (-0.45, 0.07)])
-def test_gaussian_data_match_the_lattice_oracle(center, width):
+@pytest.mark.parametrize("p, center, width", [
+    pytest.param(P_EXP, *SOLVE_DATA, id="0.0-0.1"),
+    pytest.param(P_EXP, 0.3, 0.1, id="0.3-0.1"),
+    pytest.param(P_EXP, -0.45, 0.07, id="-0.45-0.07"),
+    pytest.param(P_TF, 0.3, 0.1, id="beta1-0.3-0.1"),  # v0 takes the cut transform
+])
+def test_gaussian_data_match_the_lattice_oracle(p, center, width):
     # the spectral route against the x-space trapezoid convolution it replaces
     x = np.linspace(-1.0, 1.0, 41)
     u0 = InitialData.gaussian(center, width)
     v0 = InitialData.gaussian(center, width, 0.5)
-    got = solve_field(u0, v0, x, [0.5], P_EXP).values[0]
-    want = (_signed_lattice_row(x, 0.5, u0, P_EXP, False)[0]
-            + _signed_lattice_row(x, 0.5, v0, P_EXP, True)[0])
+    got = solve_field(u0, v0, x, [0.5], p).values[0]
+    want = (_signed_lattice_row(x, 0.5, u0, p, False)
+            + _signed_lattice_row(x, 0.5, v0, p, True))
     assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
 
 
-def _box_oracle(x, t, center, width, p):
-    """int over the box of K_eps(x - y) dy: 30 panels of 16-point Gauss-Legendre."""
+def _box_oracle(x, t, center, width, p, route=kernel_eps):
+    """int over the box of K_eps(x - y) dy (or of another route's kernel): 30
+    panels of 16-point Gauss-Legendre."""
     g, gw = np.polynomial.legendre.leggauss(16)
     edges = np.linspace(center - 0.5 * width, center + 0.5 * width, 31)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
@@ -293,7 +265,7 @@ def _box_oracle(x, t, center, width, p):
     wy = (half[:, None] * gw).ravel()
     d = np.abs(x[:, None] - y[None, :])
     points, back = np.unique(d, return_inverse=True)
-    rows = kernel_eps(points, [t], p).values[0][back].reshape(d.shape)
+    rows = route(points, [t], p).values[0][back].reshape(d.shape)
     return rows @ wy
 
 
@@ -304,6 +276,17 @@ def test_box_data_match_gauss_legendre_in_y(center):
     got = solve_field(InitialData.box(center, 0.3), InitialData.zero(), x, [0.5], P_EXP)
     want = _box_oracle(x, 0.5, center, 0.3, P_EXP)
     assert np.max(np.abs(got.values[0] - want)) <= 1e-8
+
+
+@pytest.mark.parametrize("alpha, tau", [(0.25, 0.1), (0.6, 0.5)])
+def test_box_velocity_at_beta_one_matches_gauss_legendre_in_y(alpha, tau):
+    # the transform of the cut integral; the difference lattice's trapezoid
+    # sum was first order across the jumps (3.2e-4 and 4.6e-4 off)
+    p = ModelParams(alpha=alpha, beta=1.0, tau=tau, epsilon=0.01)
+    x = np.linspace(-1.0, 1.0, 201)
+    got = solve_field(InitialData.zero(), InitialData.box(0.1, 0.3), x, [0.5], p).values[0]
+    want = _box_oracle(x, 0.5, 0.1, 0.3, p, kernel_eps_time_integrated)
+    assert np.max(np.abs(got - want)) <= 1e-10 * float(np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("nx", [48, 49])
@@ -420,17 +403,21 @@ def test_meta_records_each_datums_assembly():
     flat = solve_field(u0, InitialData.zero(), x, [0.5], P_FLAT).meta
     assert flat["assembly"]["u0"]["route"] == "fourier"
     assert flat["assembly"]["v0"] == {"route": "zero"}
-    # the lattice serves distributed v0 at beta = 1, alpha > 0 only
+    # distributed v0 at beta = 1, alpha > 0 takes the spectral sum too; a
+    # dirac v0 there is the cut integral itself
     cut = solve_field(u0, InitialData.box(width=0.2), x, [0.5], P_TF).meta
     assert cut["assembly"]["u0"]["route"] == "fourier"
-    assert cut["assembly"]["v0"] == {"route": "lattice"}
+    assert cut["assembly"]["v0"]["route"] == "fourier"
+    assert cut["assembly"]["v0"]["rho_max"] == rho_max
+    point = solve_field(u0, InitialData.dirac(), x, [0.5], P_TF).meta
+    assert point["assembly"]["v0"] == {"route": "kernel"}
     classical = solve_field(InitialData.dirac(), u0, x, [0.5], P_EDGE).meta
     assert classical["assembly"]["u0"] == {"route": "kernel"}
     assert classical["assembly"]["v0"]["route"] == "fourier"
 
 
 def test_fourier_route_takes_a_non_uniform_grid():
-    # the dense sweep serves grids the chirp-z transform cannot
+    # the factored sum serves grids the chirp-z transform cannot
     uniform = np.linspace(-0.8, 0.8, 9)
     sparse = uniform[[0, 3, 4, 5, 8]]
     u0, v0 = InitialData.gaussian(0.1, 0.1), InitialData.box(-0.2, 0.3)
@@ -476,7 +463,9 @@ def test_gaussian_keeps_its_mass_at_beta_one_early():
     (P_FLAT, InitialData.gaussian(0.1, 0.1), InitialData.box(-0.2, 0.3)),
     (P_EDGE, InitialData.gaussian(0.1, 0.1), InitialData.box(-0.2, 0.3)),
     (P_TF, InitialData.box(-0.2, 0.3), InitialData.zero()),
-], ids=["beta0", "classical", "beta1"])
+    (P_TF, InitialData.gaussian(0.1, 0.1), InitialData.box(-0.2, 0.3)),
+    (P_TF, InitialData.gaussian(0.1, 0.1), InitialData.dirac()),
+], ids=["beta0", "classical", "beta1", "beta1-v0", "beta1-dirac-v0"])
 def test_spectral_sum_takes_a_non_uniform_grid_at_the_edges(p, u0, v0):
     uniform = np.linspace(-0.8, 0.8, 9)
     full = solve_field(u0, v0, uniform, [0.5], p).values
@@ -506,16 +495,6 @@ def test_sampled_data_must_vanish_at_its_edges():
             [1.0],
             P_FLAT,
         )
-
-
-def test_distributed_data_requires_uniform_grid():
-    # only the lattice, for distributed v0 at beta = 1 and alpha > 0, needs one
-    x = np.array([-1.0, -0.5, 0.0, 0.7, 1.5])
-    with pytest.raises(ValidationError):
-        solve_field(InitialData.zero(), InitialData.gaussian(width=0.5), x, [1.0], P_TF)
-    # a dirac v0 is the kernel itself and u0 takes the spectral sum: any grid serves
-    sol = solve_field(InitialData.gaussian(width=0.5), InitialData.dirac(), x, [1.0], P_TF)
-    assert sol.values.shape == (1, 5)
 
 
 def test_solver_requires_initial_data_instances():
