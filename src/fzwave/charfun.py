@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .params import _require_in
 
 __all__ = [
     "CharParams",
@@ -24,13 +25,6 @@ __all__ = [
     "branch_values",
     "theta_of_rho",
 ]
-
-
-def _check_orders(alpha: float, tau: float) -> None:
-    if not (0.0 <= alpha < 1.0):
-        raise ValidationError("alpha", alpha, "[0, 1)")
-    if not (0.0 < tau < 1.0):
-        raise ValidationError("tau", tau, "(0, 1)")
 
 
 @dataclass(frozen=True)
@@ -47,10 +41,9 @@ class CharParams:
     theta: float
 
     def __post_init__(self) -> None:
-        _check_orders(self.alpha, self.tau)
-        th = self.theta
-        if not (isinstance(th, (int, float)) and th > 0.0 and np.isfinite(th)):
-            raise ValidationError("theta", th, "(0, inf)")
+        _require_in("alpha", self.alpha, "[0, 1)")
+        _require_in("tau", self.tau, "(0, 1)")
+        _require_in("theta", self.theta, "(0, inf)")
 
 
 def _check_off_cut(s) -> np.ndarray:
@@ -69,7 +62,8 @@ def zener_ratio(s, alpha: float, tau: float):
     negative real axis, which keeps the wave problem's inversion contour
     honest. Arguments on (-inf, 0] are rejected.
     """
-    _check_orders(alpha, tau)
+    _require_in("alpha", alpha, "[0, 1)")
+    _require_in("tau", tau, "(0, 1)")
     s = _check_off_cut(s)
     sa = s**alpha
     out = (1.0 + sa) / (1.0 + tau * sa)
@@ -143,7 +137,8 @@ def branch_values(q, alpha: float, tau: float):
     value is produced by conjugation so the pair is conjugate-exact in
     floating point.
     """
-    _check_orders(alpha, tau)
+    _require_in("alpha", alpha, "[0, 1)")
+    _require_in("tau", tau, "(0, 1)")
     q = np.asarray(q, dtype=float)
     if np.any(q <= 0.0):
         raise ValidationError("q", float(np.min(q)), "(0, inf)")
@@ -162,8 +157,7 @@ def theta_of_rho(rho, beta: float):
     number rho; it vanishes identically at beta = 0 and reduces to rho**2 at
     beta = 1.
     """
-    if not (0.0 <= beta <= 1.0):
-        raise ValidationError("beta", beta, "[0, 1]")
+    _require_in("beta", beta, "[0, 1]")
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0.0):
         raise ValidationError("rho", float(np.min(rho)), "[0, inf)")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .params import _require_in
 from .specfun import e_alpha, mittag_leffler
 
 _SPACING_RTOL = 1e-10
@@ -91,8 +92,7 @@ def caputo_derivative(f: SampledSignal, alpha: float) -> SampledSignal:
     which is exact for piecewise-linear f and O(h^(2-alpha)) for smooth f.
     Order zero returns the signal unchanged, matching the integer-order limit.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValidationError("alpha", alpha, "[0, 1)")
+    _require_in("alpha", alpha, "[0, 1)")
     _require_uniform_from_zero(f, "the Caputo derivative")
     if len(f.grid) < 3:
         raise ValidationError("f.grid", len(f.grid), "at least 3 points")
@@ -119,8 +119,7 @@ def symmetrized_derivative(f: SampledSignal, beta: float) -> SampledSignal:
     algebraically (like |x|^(-1-beta)) even for rapidly decaying input, and
     the wrap-around of that tail is what limits accuracy.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValidationError("beta", beta, "[0, 1]")
+    _require_in("beta", beta, "[0, 1]")
     if not f.uniform:
         raise ValidationError("f.uniform", False, "uniform grid for the spectral route")
     scale = float(np.abs(f.values).max())
@@ -168,10 +167,8 @@ def l_operator_apply(f: SampledSignal, alpha: float, tau: float) -> SampledSigna
     to the constant 2/(1+tau) times the identity, which is taken as a fast
     path.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValidationError("alpha", alpha, "[0, 1)")
-    if not 0.0 < tau < 1.0:
-        raise ValidationError("tau", tau, "(0, 1)")
+    _require_in("alpha", alpha, "[0, 1)")
+    _require_in("tau", tau, "(0, 1)")
     _require_uniform_from_zero(f, "the constitutive operator")
     if alpha == 0.0:
         return SampledSignal(f.grid, (2.0 / (1.0 + tau)) * f.values, uniform=True)

@@ -1,9 +1,8 @@
 """Solution kernels: spectral signal, Fourier transform, limiting forms.
 
 Fields are built in two stages. Stage 1 starts from a
-node-only plan, :func:`_stage1`: the Gauss nodes rho_j, their damped weights,
-theta(rho_j) and the zero pairs (one real-arithmetic power per node per
-Newton step). A kernel's plan resolves the phase rates of its own x grid; the
+node-only plan, :func:`_stage1`: the Gauss nodes rho_j, their damped weights
+and theta(rho_j). A kernel's plan resolves the phase rates of its own x grid; the
 solver builds one plan per distinct initial datum, resolving x - y over the
 datum's support, with the panels cut short where a Gaussian datum's transform
 has decayed. :func:`_spectral_signal` then maps the plan to
@@ -11,7 +10,8 @@ t -> S(theta(rho_j), t), the inverse Laplace transform of
 s / (s^2 + theta * zener_ratio(s)), or its integral over [0, t]: a closed form
 at alpha = 0 and beta = 0, otherwise the conjugate-pole residue pair plus a branch-cut
 integral, both tabulated in log theta by chopped Chebyshev series (zeros once
-per plan; per t, one adaptive pass for the spot-checked branch integral of
+per plan, one real-arithmetic power per node per Newton step, and only when
+a table reads them; per t, one adaptive pass for the spot-checked branch integral of
 every mode) and read at every node through one recurrence basis and matrix
 product (_quad.eval_tables). Stage 2,
 :func:`_fourier_rows`, sums each row Re[sum_j c_j e^{i rho_j x}] with
@@ -54,7 +54,7 @@ import numpy as np
 from ._quad import adaptive_gk, eval_tables, geometric_edges, log_cheb_table
 from .charfun import CharParams, _psi_prime, branch_values, theta_of_rho, zener_ratio
 from .errors import NumericsError, ValidationError
-from .params import ModelParams, _require_finite
+from .params import ModelParams, _require_in
 from .rootfinder import _zero_pair_batch, find_zero_pair
 
 __all__ = [
@@ -71,7 +71,10 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_CHUNK = 1024  # fixed reduction width for deterministic cosine sweeps
+# fixed chunk width, so memory stays bounded and the reduction order fixed: points
+# per chunk of the cosine sweep, _tf_kernel_rows and _tf_field_rows, and 64 * _CHUNK
+# terms per block of solver._segment_transform
+_CHUNK = 1024
 _Q_MAX = 1e6  # cap on every branch- and cut-integral truncation point
 _PANELS_PER_PERIOD = 8  # equal rho panels per 2*pi of the integrand's phase
 # rho nodes one field may ask for; each costs ~205 B of peak memory (~215 B where
@@ -109,8 +112,7 @@ def _thread_count(n_rows: int) -> int:
 
 def delta_eps(x: np.ndarray | float, epsilon: float) -> np.ndarray | float:
     """Gaussian mollifier delta_eps(x) = exp(-x^2/eps^2) / (eps*sqrt(pi))."""
-    if not 0.0 < _require_finite("epsilon", epsilon, "(0, inf)"):
-        raise ValidationError("epsilon", epsilon, "(0, inf)")
+    _require_in("epsilon", epsilon, "(0, inf)")
     return np.exp(-np.square(np.asarray(x, dtype=float) / epsilon)) / (
         epsilon * math.sqrt(math.pi)
     )
@@ -211,8 +213,7 @@ def laplace_kernel_hat(rho: float, s: complex, p: ModelParams) -> complex:
 
     Reduces to 1/s when theta(rho) vanishes (rho = 0 or beta = 0).
     """
-    if _require_finite("rho", rho, "[0, inf)") < 0.0:
-        raise ValidationError("rho", rho, "[0, inf)")
+    _require_in("rho", rho, "[0, inf)")
     s = complex(s)
     theta = float(theta_of_rho(rho, p.beta))
     if theta == 0.0:
@@ -225,10 +226,8 @@ def laplace_kernel_hat(rho: float, s: complex, p: ModelParams) -> complex:
 
 def spectral_kernel_alpha0(rho, t, beta: float, tau: float):
     """Order-zero time kernel: S = cos(t * sqrt(2*theta(rho)/(1+tau)))."""
-    if not (0.0 <= beta <= 1.0):
-        raise ValidationError("beta", beta, "[0, 1]")
-    if not (0.0 < tau < 1.0):
-        raise ValidationError("tau", tau, "(0, 1)")
+    _require_in("beta", beta, "[0, 1]")
+    _require_in("tau", tau, "(0, 1)")
     rho_a = np.asarray(rho, dtype=float)
     t_a = np.asarray(t, dtype=float)
     if np.any(rho_a < 0.0) or not np.all(np.isfinite(rho_a)):
@@ -297,7 +296,8 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple) -> Callable[[f
     is the transform of its x-space cut integral, 2 Re sum_y w_y int K(y, t)
     e^{-i rho y} over the samples of :func:`_tf_samples` out to plan.reach
     + 6 eps: one :func:`_scattered_sums` product per t. Otherwise S is the
-    residue pair of the plan's zeros s_z plus the branch part; integrated,
+    residue pair of the zeros s_z at plan.theta (one batch, made only when a
+    mode is tabled) plus the branch part; integrated,
     each residue term s e^{st}/psi'(s) becomes its exact antiderivative
     (e^{st} - 1)/psi'(s), both from one e^{st} per t. The branch part,
     smooth in log theta, is integrated per t, all tabled modes in one pass,
@@ -306,7 +306,7 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple) -> Callable[[f
     reads every mode's table at the nodes.
     """
     alpha, tau, theta = p.alpha, p.tau, plan.theta
-    if plan.roots is None:
+    if alpha == 0.0 or p.beta == 0.0:
         omega = np.sqrt(2.0 * theta / (1.0 + tau))
         return lambda t: [t * np.sinc(omega * t / math.pi) if integrated
                           else np.cos(t * omega) for integrated in modes]
@@ -315,7 +315,8 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple) -> Callable[[f
     tabled = tuple(m for m in modes if not (cut and m))
     if cut:
         _check_panel_nodes(plan)  # the product sum has no spot check to catch a stray node
-    s_z, psi_p = plan.roots
+    if tabled:  # only the tables read the zeros
+        s_z, psi_p = _zero_pair_batch(alpha, tau, theta)
     u, lo, hi = np.log(theta), float(np.min(theta)), float(np.max(theta))
     spot = theta[_spot_indices(theta.size)]
 
@@ -357,14 +358,9 @@ def spectral_kernel(rho: float, t: float, p: ModelParams) -> SpectralKernel:
     test before use; the imaginary residual of the explicitly summed pair is
     asserted below 1e-10 relative and then discarded.
     """
-    if not (0.0 < p.alpha < 1.0):
-        raise ValidationError(
-            "alpha", p.alpha, "(0, 1) (the order-zero case has its own closed form)"
-        )
-    if _require_finite("rho", rho, "[0, inf)") < 0.0:
-        raise ValidationError("rho", rho, "[0, inf)")
-    if _require_finite("t", t, "(0, inf)") <= 0.0:
-        raise ValidationError("t", t, "(0, inf)")
+    _require_in("alpha", p.alpha, "(0, 1) (the order-zero case has its own closed form)")
+    _require_in("rho", rho, "[0, inf)")
+    _require_in("t", t, "(0, inf)")
     theta = float(theta_of_rho(rho, p.beta))
     if theta == 0.0:
         # the transform degenerates to 1/s: a unit step carried by the pole part
@@ -697,18 +693,16 @@ class _Stage1:
     """The node-only part of a field: what it needs of neither x nor the data.
 
     ``weights`` are the Gauss weights times the mollifier damping, ``budget``
-    the uniform signal error the branch tables may carry, ``roots`` the zero
-    pairs (s_z, psi'(s_z)) of every node (None at alpha = 0 and beta = 0),
-    ``rho_max`` and ``n_panels`` the extent and count of the equal panels,
-    and ``reach`` the largest |x - y| over the output grid and the data
-    (max|x| plus the data's reach), where the beta = 1 cut samples end.
+    the uniform signal error the branch tables may carry, ``rho_max`` and
+    ``n_panels`` the extent and count of the equal panels, and ``reach`` the
+    largest |x - y| over the output grid and the data (max|x| plus the data's
+    reach), where the beta = 1 cut samples end.
     """
 
     rho: np.ndarray
     weights: np.ndarray
     theta: np.ndarray
     budget: float
-    roots: tuple | None
     rho_max: float
     n_panels: int
     reach: float
@@ -734,8 +728,6 @@ def _stage1(
         theta=theta,
         # a uniform signal error e moves a row by at most e * sum|w damp| / pi
         budget=1e-2 * _ABS_TOL * math.pi / float(np.sum(weights)),
-        roots=(None if p.alpha == 0.0 or p.beta == 0.0
-               else _zero_pair_batch(p.alpha, p.tau, theta)),
         rho_max=float(edges[-1]),
         n_panels=edges.size - 1,
         reach=float(np.max(np.abs(x))) + reach,
@@ -864,10 +856,8 @@ def kernel_classical(x_grid, t_list, tau: float, epsilon: float) -> Field:
     tau = 1 is accepted here (and only here) so the equal-relaxation edge can
     be exercised directly in tests.
     """
-    if not 0.0 < _require_finite("tau", tau, "(0, 1]") <= 1.0:
-        raise ValidationError("tau", tau, "(0, 1]")
-    if not 0.0 < _require_finite("epsilon", epsilon, "(0, 1]") <= 1.0:
-        raise ValidationError("epsilon", epsilon, "(0, 1]")
+    _require_in("tau", tau, "(0, 1]")
+    _require_in("epsilon", epsilon, "(0, 1]")
     x, ts = _check_grids(x_grid, t_list)
     values = _classical_field(x, ts, float(tau), float(epsilon), integrated=False)
     _check_even(x, values)
@@ -1093,8 +1083,7 @@ def kernel_time_fractional(x_grid, t_list, alpha: float, tau: float, epsilon: fl
     and the time integral on that y sum 1.6 % and 0.7 % off t.
     """
     p = ModelParams(alpha, 1.0, tau, epsilon)
-    if p.alpha == 0.0:
-        raise ValidationError("alpha", alpha, "(0, 1) (alpha = 0 is the classical pair)")
+    _require_in("alpha", alpha, "(0, 1) (alpha = 0 is the classical pair)")
     x, ts = _check_grids(x_grid, t_list)
     values = _tf_field_rows(x, ts, p.alpha, p.tau, p.epsilon, False)
     _check_even(x, values)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .charfun import theta_of_rho
 from .errors import NumericsError, ValidationError
-from .params import ModelParams, _require_finite
+from .params import ModelParams, _require_in
 
 _T_GUARD = 1e-3
 _MAX_DOUBLINGS = 12
@@ -44,10 +44,8 @@ class BromwichConfig:
     n_nodes: int = 65536
 
     def __post_init__(self) -> None:
-        if not (self.s0 > 0.0 and math.isfinite(self.s0)):
-            raise ValidationError("s0", self.s0, "(0, inf)")
-        if not (self.p_max > 0.0 and math.isfinite(self.p_max)):
-            raise ValidationError("p_max", self.p_max, "(0, inf)")
+        _require_in("s0", self.s0, "(0, inf)")
+        _require_in("p_max", self.p_max, "(0, inf)")
         if not self.n_nodes >= 16:
             raise ValidationError("n_nodes", self.n_nodes, ">= 16")
 
@@ -74,12 +72,9 @@ def bromwich_invert(
     imaginary residual are checked explicitly; failure of either is an error,
     never a silent degradation.
     """
-    if _require_finite("rho", rho, "[0, inf)") < 0.0:
-        raise ValidationError("rho", rho, "[0, inf)")
-    admissible = (f"[{_T_GUARD:g}, inf) (e^(s0 t)-amplified truncation error "
-                  "is unbounded below the guard)")
-    if _require_finite("t", t, admissible) < _T_GUARD:
-        raise ValidationError("t", t, admissible)
+    _require_in("rho", rho, "[0, inf)")
+    _require_in("t", t, f"[{_T_GUARD:g}, inf) (e^(s0 t)-amplified truncation error "
+                "is unbounded below the guard)")
     if c.p_max < 100.0 * max(1.0, 1.0 / t):
         raise ValidationError(
             "p_max", c.p_max, f">= 100*max(1, 1/t) = {100.0 * max(1.0, 1.0 / t):g}"

@@ -6,11 +6,18 @@ The wave model is driven by four dimensionless numbers: the time-memory order
 width ``epsilon`` used when displaying delta-like data. Physical inputs are
 reduced to this set plus a group of positive scale factors; multiplying a
 dimensionless quantity by its scale factor recovers the physical one.
+
+Every public scalar argument of the package with an admissible interval is
+checked by :func:`_require_in`: an int or a float (never a bool), finite, and
+inside the interval that starts its ``admissible`` text, or a
+:class:`ValidationError` naming the argument.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -66,13 +73,22 @@ class Scales:
     velocity: float
 
 
-def _require_finite(field: str, value: float, admissible: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(field, value, admissible)
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValidationError(field, value, admissible)
-    return v
+# the interval an admissible text starts with: "[0, 1)", "(0, inf) (a note)"
+_INTERVAL = re.compile(r"([\[(])([^,]+), ([^\])]+)([\])])")
+
+
+def _require_in(field: str, value: float, admissible: str) -> float:
+    """``value`` as a float if it is an int or a float (never a bool), finite,
+    and inside the interval that ``admissible`` starts with; otherwise a
+    :class:`ValidationError` naming ``field``."""
+    left, lo, hi, right = _INTERVAL.match(admissible).groups()
+    # an exact comparison, so NaN, inf and an int past the floats all fail it
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        v, lo, hi = float(value), float(lo), float(hi)
+        if (lo < v or (left == "[" and v == lo)) and (v < hi or (right == "]" and v == hi)):
+            return v
+    raise ValidationError(field, value, admissible)
 
 
 def validate_model(m: ModelParams) -> ModelParams:
@@ -84,18 +100,10 @@ def validate_model(m: ModelParams) -> ModelParams:
     [0, 1] (1 is admitted and routed to a dedicated kernel), ``tau`` in
     (0, 1), ``epsilon`` in (0, 1].
     """
-    a = _require_finite("alpha", m.alpha, "[0, 1)")
-    if not (0.0 <= a < 1.0):
-        raise ValidationError("alpha", m.alpha, "[0, 1)")
-    b = _require_finite("beta", m.beta, "[0, 1]")
-    if not (0.0 <= b <= 1.0):
-        raise ValidationError("beta", m.beta, "[0, 1]")
-    t = _require_finite("tau", m.tau, "(0, 1)")
-    if not (0.0 < t < 1.0):
-        raise ValidationError("tau", m.tau, "(0, 1)")
-    e = _require_finite("epsilon", m.epsilon, "(0, 1]")
-    if not (0.0 < e <= 1.0):
-        raise ValidationError("epsilon", m.epsilon, "(0, 1]")
+    _require_in("alpha", m.alpha, "[0, 1)")
+    _require_in("beta", m.beta, "[0, 1]")
+    _require_in("tau", m.tau, "(0, 1)")
+    _require_in("epsilon", m.epsilon, "(0, 1]")
     return m
 
 
@@ -110,23 +118,15 @@ def nondimensionalize(
     (the time scale involves ``tau_eps**(1/alpha)``); purely dimensionless
     studies at ``alpha = 0`` should construct :class:`ModelParams` directly.
     """
-    rho = _require_finite("density", p.density, "(0, inf)")
-    if rho <= 0.0:
-        raise ValidationError("density", p.density, "(0, inf)")
-    e_mod = _require_finite("modulus", p.modulus, "(0, inf)")
-    if e_mod <= 0.0:
-        raise ValidationError("modulus", p.modulus, "(0, inf)")
-    ts = _require_finite("tau_sigma", p.tau_sigma, "(0, tau_eps)")
-    te = _require_finite("tau_eps", p.tau_eps, "(tau_sigma, inf)")
-    if te <= 0.0:
-        raise ValidationError("tau_eps", p.tau_eps, "(0, inf)")
-    if not (0.0 < ts < te):
+    rho = _require_in("density", p.density, "(0, inf)")
+    e_mod = _require_in("modulus", p.modulus, "(0, inf)")
+    te = _require_in("tau_eps", p.tau_eps, "(0, inf)")
+    ts = _require_in("tau_sigma", p.tau_sigma, "(0, inf)")
+    if ts >= te:
         raise ValidationError("tau_sigma", p.tau_sigma, "(0, tau_eps)")
-    alpha = _require_finite("alpha", p.alpha, "(0, 1)")
-    if alpha == 0.0:
-        raise ValidationError(
-            "alpha", p.alpha, "(0, 1) for nondimensionalization (time scale undefined at 0)"
-        )
+    alpha = _require_in(
+        "alpha", p.alpha, "(0, 1) for nondimensionalization (time scale undefined at 0)"
+    )
     beta = p.beta  # range-checked by ModelParams below
 
     model = ModelParams(alpha=alpha, beta=beta, tau=ts / te, epsilon=epsilon)

@@ -48,7 +48,7 @@ from .kernel import (
     kernel_eps,
     kernel_eps_time_integrated,
 )
-from .params import DEFAULT_EPSILON, ModelParams, _require_finite
+from .params import DEFAULT_EPSILON, ModelParams, _require_in
 
 __all__ = ["InitialData", "solve_field", "nonprop_solution", "peak_metrics"]
 
@@ -397,8 +397,7 @@ def nonprop_solution(
     """
     if not isinstance(u0, InitialData) or not isinstance(v0, InitialData):
         raise ValidationError("u0/v0", type(u0).__name__, "InitialData instances")
-    if not 0.0 < _require_finite("epsilon", epsilon, "(0, 1]") <= 1.0:
-        raise ValidationError("epsilon", epsilon, "(0, 1]")
+    _require_in("epsilon", epsilon, "(0, 1]")
     x, ts = _check_grids(x_grid, t_list)
 
     def profile(data: InitialData) -> np.ndarray:

@@ -31,6 +31,7 @@ import numpy as np
 
 from ._quad import adaptive_gk, geometric_edges
 from .errors import NumericsError, ValidationError
+from .params import _require_in
 
 _EPS = 2.0 ** -52
 _TINY = 1e-300
@@ -189,10 +190,8 @@ def _spectral(a: float, b: float, lam: float) -> tuple[complex, float]:
 
 def mittag_leffler(ml_alpha: float, ml_beta: float, z: complex) -> complex:
     """Two-parameter Mittag-Leffler function E_{ml_alpha, ml_beta}(z), to _SERIES_TOL."""
-    if not 0.0 < ml_alpha <= 1.0:
-        raise ValidationError("ml_alpha", ml_alpha, "(0, 1]")
-    if not ml_beta > 0.0:
-        raise ValidationError("ml_beta", ml_beta, "(0, inf)")
+    _require_in("ml_alpha", ml_alpha, "(0, 1]")
+    _require_in("ml_beta", ml_beta, "(0, inf)")
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValidationError("z", z, "finite complex")
@@ -233,18 +232,11 @@ def mittag_leffler(ml_alpha: float, ml_beta: float, z: complex) -> complex:
     )
 
 
-def _check_relaxation_args(alpha: float, tau: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("alpha", alpha, "(0, 1)")
-    if not 0.0 < tau < 1.0:
-        raise ValidationError("tau", tau, "(0, 1)")
-
-
 def e_alpha(t: float, alpha: float, tau: float) -> float:
     """Relaxation function E_alpha(-t^alpha / tau); equals 1 at t = 0."""
-    _check_relaxation_args(alpha, tau)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValidationError("t", t, "[0, inf)")
+    _require_in("alpha", alpha, "(0, 1)")
+    _require_in("tau", tau, "(0, 1)")
+    _require_in("t", t, "[0, inf)")
     if t == 0.0:
         return 1.0
     return mittag_leffler(alpha, 1.0, -t ** alpha / tau).real
@@ -256,9 +248,9 @@ def e_alpha_prime(t: float, alpha: float, tau: float) -> float:
 
     Negative and finite for t > 0; diverges like t^(alpha-1) as t -> 0+.
     """
-    _check_relaxation_args(alpha, tau)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValidationError("t", t, "(0, inf)")
+    _require_in("alpha", alpha, "(0, 1)")
+    _require_in("tau", tau, "(0, 1)")
+    _require_in("t", t, "(0, inf)")
     return -(t ** (alpha - 1.0) / tau) * mittag_leffler(
         alpha, alpha, -t ** alpha / tau
     ).real

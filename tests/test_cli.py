@@ -175,7 +175,8 @@ def test_removed_quadrature_setting_exits_two(capsys, tmp_path, key):
     assert err.startswith("error: config=['quadrature']")
 
 
-@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"),
+                                 pytest.param(10**400, id="int-beyond-floats")])
 @pytest.mark.parametrize("command", [["kernel"], ["solve"], ["limits", "--case", "beta0"],
                                      ["oracle"]])
 def test_bad_epsilon_exits_two_and_names_epsilon(capsys, tmp_path, command, eps):

@@ -18,7 +18,14 @@ import fzwave._quad
 import fzwave.cli
 import fzwave.kernel
 import fzwave.rootfinder
+from fzwave.charfun import CharParams, branch_values, theta_of_rho, zener_ratio
 from fzwave.errors import NumericsError, ValidationError
+from fzwave.fracops import (
+    SampledSignal,
+    caputo_derivative,
+    l_operator_apply,
+    symmetrized_derivative,
+)
 from fzwave.kernel import (
     Field,
     delta_eps,
@@ -30,9 +37,10 @@ from fzwave.kernel import (
     spectral_kernel,
     spectral_kernel_alpha0,
 )
-from fzwave.laplace_oracle import bromwich_invert
+from fzwave.laplace_oracle import BromwichConfig, bromwich_invert
 from fzwave.params import ModelParams
 from fzwave.solver import InitialData, nonprop_solution, solve_field
+from fzwave.specfun import e_alpha, e_alpha_prime, mittag_leffler
 
 P_EXP = ModelParams(alpha=0.25, beta=0.45, tau=0.1, epsilon=0.01)
 ABS_TOL, REL_TOL = fzwave.kernel._ABS_TOL, fzwave.kernel._REL_TOL
@@ -403,6 +411,23 @@ def _solve_data_input():
     return u0, v0, np.linspace(-1.0, 1.0, 41), (0.5,), P_EXP
 
 
+def test_zero_pairs_are_built_only_for_tables_that_read_them(monkeypatch):
+    # a box v0 at beta = 1 takes the cut integral's transform, which reads no zeros
+    calls = []
+    batch = fzwave.kernel._zero_pair_batch
+
+    def counted(alpha, tau, theta):
+        calls.append(theta.size)
+        return batch(alpha, tau, theta)
+
+    monkeypatch.setattr(fzwave.kernel, "_zero_pair_batch", counted)
+    solve_field(InitialData.zero(), InitialData.box(0.0, 0.3), np.linspace(-1.0, 1.0, 201),
+                (0.5,), ModelParams(0.25, 1.0, 0.1))
+    assert calls == []
+    solve_field(*_solve_data_input())
+    assert len(calls) == 1
+
+
 def test_eval_tables_matches_chebyshev_call():
     # 28,848 nodes of kernel_eps on 201 x by 4 t cross the block edge 7 times;
     # real branch tables of two lengths, the complex root table, and both mixed
@@ -712,28 +737,21 @@ def test_a_node_off_the_panel_lattice_is_refused(monkeypatch, capsys):
 def test_dense_sweep_sees_only_spot_check_points(monkeypatch):
     # on uniform chirp-z grids the only dense sums are the 8 probe rows of
     # each transform: one for the kernel, one for the data sharing a plan
-    sweeps, tables = [], []
-    sweep, probe_table = fzwave.kernel._cosine_sweep, fzwave.kernel._probe_table
-
-    def counted_sweep(coeff, rho, x):
-        sweeps.append(x.size)
-        return sweep(coeff, rho, x)
+    tables = []
+    probe_table = fzwave.kernel._probe_table
 
     def counted_table(rho, x, real):
         table = probe_table(rho, x, real)
         tables.append(table.shape == (8, rho.size))
         return table
 
-    monkeypatch.setattr(fzwave.kernel, "_cosine_sweep", counted_sweep)
     monkeypatch.setattr(fzwave.kernel, "_probe_table", counted_table)
     p = ModelParams(0.25, 0.45, 0.1, 0.05)
     kernel_eps(np.linspace(-1.0, 1.0, 1201), [0.5, 1.0], p)
-    assert sweeps == []
     assert tables == [True]
     tables.clear()
     u0 = InitialData.gaussian(0.1, 0.2)
     solve_field(u0, InitialData.gaussian(0.1, 0.2, 0.5), np.linspace(-1.0, 1.0, 1201), (0.5,), p)
-    assert sweeps == []
     assert tables == [True]
 
 
@@ -890,24 +908,47 @@ def test_closed_forms_record_no_quadrature():
     assert kernel_eps(x, [0.5], ModelParams(0.25, 1.0, 0.1)).meta["quadrature"] is not None
 
 
-@pytest.mark.parametrize("call, args", [
-    (kernel_classical, ([0.0, 1.0], [1.0], True, 0.01)),
-    (kernel_classical, ([0.0, 1.0], [1.0], 0.1, True)),
+_RAMP = SampledSignal(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5), uniform=True)
+_BUMP = SampledSignal(np.linspace(-8.0, 8.0, 65), np.exp(-np.linspace(-8.0, 8.0, 65) ** 2),
+                      uniform=True)
+
+
+@pytest.mark.parametrize("call, args, field", [
+    (kernel_classical, ([0.0, 1.0], [1.0], True, 0.01), "tau"),
+    (kernel_classical, ([0.0, 1.0], [1.0], 0.1, True), "epsilon"),
     (functools.partial(nonprop_solution, epsilon=True),
-     (InitialData.dirac(), InitialData.zero(), [0.0, 1.0], [1.0])),
-    (spectral_kernel, (True, 1.0, P_EXP)),
-    (spectral_kernel, (1.0, True, P_EXP)),
-    (laplace_kernel_hat, (True, 2.0, P_EXP)),
-    (kernel_time_fractional, ([0.0, 1.0], [1.0], 0.25, True, 0.01)),
-    (bromwich_invert, (True, 1.0, P_EXP)),
-    (bromwich_invert, (1.0, True, P_EXP)),
-    (delta_eps, (0.0, True)),
+     (InitialData.dirac(), InitialData.zero(), [0.0, 1.0], [1.0]), "epsilon"),
+    (spectral_kernel, (True, 1.0, P_EXP), "rho"),
+    (spectral_kernel, (1.0, True, P_EXP), "t"),
+    (laplace_kernel_hat, (True, 2.0, P_EXP), "rho"),
+    (kernel_time_fractional, ([0.0, 1.0], [1.0], 0.25, True, 0.01), "tau"),
+    (bromwich_invert, (True, 1.0, P_EXP), "rho"),
+    (bromwich_invert, (1.0, True, P_EXP), "t"),
+    (delta_eps, (0.0, True), "epsilon"),
+    (spectral_kernel_alpha0, (1.0, 1.0, True, 0.1), "beta"),
+    (zener_ratio, (1.0, False, 0.1), "alpha"),
+    (branch_values, (1.0, False, 0.1), "alpha"),
+    (theta_of_rho, (2.0, True), "beta"),
+    (CharParams, (False, 0.1, 1.0), "alpha"),
+    (CharParams, (0.25, 0.1, True), "theta"),
+    (caputo_derivative, (_RAMP, False), "alpha"),
+    (symmetrized_derivative, (_BUMP, True), "beta"),
+    (l_operator_apply, (_RAMP, False, 0.1), "alpha"),
+    (mittag_leffler, (True, 1.0, -1.0), "ml_alpha"),
+    (mittag_leffler, (0.5, True, -1.0), "ml_beta"),
+    (e_alpha, (True, 0.5, 0.1), "t"),
+    (e_alpha_prime, (True, 0.5, 0.1), "t"),
+    (BromwichConfig, (True,), "s0"),
 ], ids=["classical-tau", "classical-eps", "nonprop-eps", "spectral-rho", "spectral-t",
-        "hat-rho", "time-fractional-tau", "bromwich-rho", "bromwich-t", "delta-eps"])
-def test_public_number_arguments_refuse_booleans(call, args):
-    # True would otherwise run as 1: tau = eps = 1, rho = 1 or t = 1
-    with pytest.raises(ValidationError):
+        "hat-rho", "time-fractional-tau", "bromwich-rho", "bromwich-t", "delta-eps",
+        "alpha0-beta", "zener-alpha", "branch-alpha", "theta-beta", "charparams-alpha",
+        "charparams-theta", "caputo-alpha", "symmetrized-beta", "l-operator-alpha",
+        "ml-alpha", "ml-beta", "e-alpha-t", "e-alpha-prime-t", "bromwich-s0"])
+def test_public_number_arguments_refuse_booleans(call, args, field):
+    # a bool would otherwise run as 0 or 1, each inside the argument's interval
+    with pytest.raises(ValidationError) as exc:
         call(*args)
+    assert exc.value.field == field
 
 
 def test_field_shape_validation():

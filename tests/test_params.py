@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from fzwave.errors import ValidationError
 from fzwave.params import (
     ModelParams,
     PhysicalParams,
+    _require_in,
     nondimensionalize,
     validate_model,
 )
@@ -38,6 +40,52 @@ def test_out_of_range_fields_name_the_offender(kwargs, field):
     with pytest.raises(ValidationError) as exc:
         validate_model(ModelParams(**kwargs))
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize("value, admissible, ok", [
+    (0, "[0, 1)", True),
+    (1, "[0, 1)", False),
+    (0.0, "(0, 1]", False),
+    (1.0, "(0, 1]", True),
+    (0.0, "[0, 1]", True),
+    (1.0, "[0, 1]", True),
+    (0.0, "(0, 1)", False),
+    (1.0, "(0, 1)", False),
+    (0.5, "(0, 1)", True),
+    (np.float64(0.1), "(0, 1)", True),
+    (-1e-300, "[0, inf)", False),
+    (1e300, "(0, inf)", True),
+    (math.inf, "(0, inf)", False),
+    (-math.inf, "[0, 1)", False),
+    (math.nan, "[0, 1]", False),
+    (True, "[0, 1]", False),
+    (False, "[0, 1]", False),
+    (np.bool_(True), "[0, 1]", False),
+    (np.float32(0.5), "[0, 1]", False),
+    ("0.5", "[0, 1]", False),
+    (0.002, "[0.001, inf) (a note after the interval)", True),
+    (0.0005, "[0.001, inf) (a note after the interval)", False),
+    (0.0, "(0, 1) for a note without brackets", False),
+])
+def test_require_in_decides_by_type_finiteness_and_interval(value, admissible, ok):
+    if ok:
+        got = _require_in("x", value, admissible)
+        assert type(got) is float and got == value
+        return
+    with pytest.raises(ValidationError) as exc:
+        _require_in("x", value, admissible)
+    assert exc.value.field == "x"
+    assert exc.value.value is value
+    assert exc.value.admissible == admissible
+
+
+def test_require_in_refuses_ints_beyond_the_floats():
+    # float() of these ints overflows; they are refused like inf
+    assert _require_in("rho", 2**1023, "(0, inf)") == 2.0**1023
+    for big in (2**1024, -(2**1024), 10**400):
+        with pytest.raises(ValidationError) as exc:
+            _require_in("rho", big, "[0, inf)")
+        assert exc.value.value == big
 
 
 def test_boundary_values_admitted():
