@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .params import _require_in
+from .params import _require_in, _require_reals
 
 __all__ = [
     "CharParams",
@@ -158,8 +158,5 @@ def theta_of_rho(rho, beta: float):
     beta = 1.
     """
     _require_in("beta", beta, "[0, 1]")
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0.0):
-        raise ValidationError("rho", float(np.min(rho)), "[0, inf)")
-    out = rho ** (1.0 + beta) * np.sin(beta * np.pi / 2.0)
-    return out if out.ndim else float(out)
+    out = _require_reals("rho", rho, "[0, inf)") ** (1.0 + beta) * np.sin(beta * np.pi / 2.0)
+    return out if np.ndim(rho) else float(out[0])

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .kernel import (
     spectral_kernel_alpha0,
 )
 from .laplace_oracle import BromwichConfig, bromwich_invert
-from .params import DEFAULT_EPSILON, ModelParams
+from .params import DEFAULT_EPSILON, ModelParams, _require_in, _require_reals
 from .rootfinder import find_zero_pair
 from .solver import InitialData, solve_field
 
@@ -59,10 +58,10 @@ _ALPHA_PROBE = 1e-3
 
 # the model of a run that sets no order, ratio or width (the paper's)
 _MODEL_DEFAULTS = {"alpha": 0.25, "beta": 0.45, "tau": 0.1, "epsilon": DEFAULT_EPSILON}
-_GRID_KEYS = ("x_min", "x_max", "nx", "t_list")
-_OUTPUT_KEYS = ("path", "format")
-_INITIAL_KEYS = ("u0", "v0")
-_DATA_KEYS = ("kind", "center", "width", "height", "samples")
+# most x points a grid may ask for, refused before the grid exists: the beta = 1
+# x-space mollifier sum holds ~32 KB per x for each t row in progress (peak RSS
+# 203 MB at 5,000 x, 359 MB at 10,000 x, one t), so 24,000 x stay within ~0.85 GB
+_NX_MAX = 24_000
 # shortest run of all-zero points that the CSV writer copies as text: a
 # shorter run costs more as its own piece than its values cost to format
 _ZERO_RUN = 16
@@ -70,7 +69,8 @@ _ZERO_RUN = 16
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform x-grid plus output times."""
+    """Uniform x-grid plus output times, checked when constructed; the grid
+    itself is built only by :meth:`x_grid`."""
 
     x_min: float = -4.0
     x_max: float = 4.0
@@ -78,15 +78,14 @@ class GridSpec:
     t_list: tuple = (1.0,)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.nx, int) or isinstance(self.nx, bool) or self.nx < 3:
-            raise ValidationError("nx", self.nx, "an integer >= 3")
-        if not (all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-                    for v in (self.x_min, self.x_max)) and self.x_min < self.x_max):
-            raise ValidationError(
-                "x_min/x_max", (self.x_min, self.x_max), "finite with x_min < x_max"
-            )
-        _, ts = _check_grids(self.x_grid(), self.t_list)
-        object.__setattr__(self, "t_list", ts)
+        x_min = _require_in("x_min", self.x_min, "(-inf, inf)")
+        x_max = _require_in("x_max", self.x_max, f"({x_min!r}, inf)")
+        nx_range = f"[3, {_NX_MAX}] (an integer)"
+        if not isinstance(self.nx, int):
+            raise ValidationError("nx", self.nx, nx_range)
+        _require_in("nx", self.nx, nx_range)
+        # the grid's two ends stand in for the grid, which is not built here
+        object.__setattr__(self, "t_list", _check_grids((x_min, x_max), self.t_list)[1])
 
     def x_grid(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.nx)
@@ -124,26 +123,29 @@ class RunConfig:
             )
 
 
-def _require_keys(section: str, mapping: dict, allowed: tuple) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
+def _section(name: str, value, keys) -> dict:
+    """``value``, one section of a config file, if it is a JSON object whose
+    keys are all in ``keys``: the fields of the dataclass the section fills,
+    or names."""
+    allowed = sorted(k if isinstance(k, str) else k.name for k in keys)
+    if not isinstance(value, dict):
+        raise ValidationError(name, value, f"an object with keys from {allowed}")
+    unknown = sorted(set(value) - set(allowed))
     if unknown:
-        raise ValidationError(section, unknown, f"keys from {sorted(allowed)}")
+        raise ValidationError(name, unknown, f"keys from {allowed}")
+    return value
 
 
-def _require_numbers(name: str, value) -> None:
-    """A JSON number or list of numbers: true and false, which Python would
-    take for 1 and 0, and strings are refused."""
-    items = value if isinstance(value, list) else [value]
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
-        raise ValidationError(name, value, "a number or a list of numbers")
+def _given(args: argparse.Namespace, **keys: str) -> dict:
+    """The flags set in ``args``, each under the config key it overrides."""
+    return {key: getattr(args, flag) for flag, key in keys.items()
+            if getattr(args, flag, None) is not None}
 
 
 def _initial_from_mapping(name: str, d: dict | None) -> InitialData:
     if d is None:
         return InitialData.zero()
-    if not isinstance(d, dict):
-        raise ValidationError(name, d, "an object with an initial-data description")
-    _require_keys(name, d, _DATA_KEYS)
+    _section(name, d, fields(InitialData))
     kwargs = {k: d[k] for k in ("center", "width", "height") if k in d}
     kind = d.get("kind")
     # a key the kind does not use would otherwise be dropped without a word
@@ -157,64 +159,36 @@ def _initial_from_mapping(name: str, d: dict | None) -> InitialData:
                 raise ValidationError(
                     f"{name}.{key}", d[key], "absent for sampled data (its samples place it)"
                 )
-        s = d.get("samples")
-        if not isinstance(s, dict) or set(s) - {"grid", "values"}:
-            raise ValidationError(
-                f"{name}.samples", s, "an object {'grid': [...], 'values': [...]}"
-            )
-        for key in ("grid", "values"):
-            _require_numbers(f"{name}.samples.{key}", s.get(key))
-        return InitialData.sampled(
-            s.get("grid"), s.get("values"), height=kwargs.get("height", 1.0)
-        )
+        s = _section(f"{name}.samples", d.get("samples"), ("grid", "values"))
+        grid, values = (_require_reals(f"{name}.samples.{key}", s.get(key), "(-inf, inf)")
+                        for key in ("grid", "values"))
+        return InitialData.sampled(grid, values, height=kwargs.get("height", 1.0))
     return InitialData(kind=kind, samples=None, **kwargs)
 
 
-def _config_from_sources(file_cfg: dict, args: argparse.Namespace) -> RunConfig:
+def _config_from_sources(file_cfg, args: argparse.Namespace) -> RunConfig:
     """Merge config-file values with flag overrides and fill defaults."""
-    _require_keys("config", file_cfg, ("model", "grid", "initial", "output"))
-    model_d = dict(file_cfg.get("model", {}))
-    _require_keys("model", model_d, tuple(_MODEL_DEFAULTS))
-    for flag, key in (("alpha", "alpha"), ("beta", "beta"), ("tau", "tau"), ("eps", "epsilon")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            model_d[key] = v
-    model = ModelParams(**{**_MODEL_DEFAULTS, **model_d})
-
-    grid_d = dict(file_cfg.get("grid", {}))
-    _require_keys("grid", grid_d, _GRID_KEYS)
-    if "t_list" in grid_d:
-        _require_numbers("t_list", grid_d["t_list"])
-    for flag, key in (("x_min", "x_min"), ("x_max", "x_max"), ("nx", "nx")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            grid_d[key] = v
+    cfg = _section("config", file_cfg, fields(RunConfig))
+    model = ModelParams(**{**_MODEL_DEFAULTS,
+                           **_section("model", cfg.get("model", {}), fields(ModelParams)),
+                           **_given(args, alpha="alpha", beta="beta", tau="tau", eps="epsilon")})
+    grid_d = {**_section("grid", cfg.get("grid", {}), fields(GridSpec)),
+              **_given(args, x_min="x_min", x_max="x_max", nx="nx")}
     t_flag = getattr(args, "t_list", None)
     if t_flag is not None:
         grid_d["t_list"] = _parse_t_list(t_flag)
     grid = GridSpec(**grid_d)
-
-    initial_d = file_cfg.get("initial", {})
-    if not isinstance(initial_d, dict):
-        raise ValidationError("initial", initial_d, "an object with u0/v0 entries")
-    _require_keys("initial", initial_d, _INITIAL_KEYS)
+    initial_d = _section("initial", cfg.get("initial", {}), ("u0", "v0"))
     initial = {
         "u0": _initial_from_mapping("u0", initial_d.get("u0", {"kind": "dirac"})),
         "v0": _initial_from_mapping("v0", initial_d.get("v0")),
     }
-
-    output_d = dict(file_cfg.get("output", {}))
-    _require_keys("output", output_d, _OUTPUT_KEYS)
-    if getattr(args, "out", None) is not None:
-        output_d["path"] = args.out
-    if getattr(args, "format", None) is not None:
-        output_d["format"] = args.format
-    output = OutputSpec(**output_d)
-
+    output = OutputSpec(**{**_section("output", cfg.get("output", {}), fields(OutputSpec)),
+                           **_given(args, out="path", format="format")})
     return RunConfig(model, grid, initial, output)
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_config_file(path: str | None):
     if path is None:
         return {}
     try:
@@ -224,10 +198,8 @@ def _load_config_file(path: str | None) -> dict:
         raise ValidationError("config", path, f"an existing JSON file ({path} not found)")
     except (OSError, UnicodeDecodeError) as e:
         raise ValidationError("config", path, f"a readable UTF-8 JSON file ({e})")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValidationError("config", path, f"valid JSON ({e})")
-    if not isinstance(cfg, dict):
-        raise ValidationError("config", path, "a JSON object at the top level")
     return cfg
 
 

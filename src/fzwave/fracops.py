@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .params import _require_in
+from .params import _require_in, _require_reals
 from .specfun import e_alpha, mittag_leffler
 
 _SPACING_RTOL = 1e-10
@@ -31,24 +31,16 @@ class SampledSignal:
     uniform: bool
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or values.ndim != 1:
-            raise ValidationError("grid", grid.ndim, "one-dimensional arrays")
-        if len(grid) != len(values):
-            raise ValidationError(
-                "values", len(values), f"length matching grid ({len(grid)})"
-            )
-        if len(grid) < 2:
-            raise ValidationError("grid", len(grid), "at least 2 points")
-        if not np.isfinite(grid).all() or not np.isfinite(values).all():
-            raise ValidationError("values", "non-finite entries", "finite samples")
-        dg = np.diff(grid)
-        if not (dg > 0).all():
-            raise ValidationError("grid", "non-monotone", "strictly increasing abscissae")
+        grid = _require_reals("grid", self.grid, "(-inf, inf), strictly increasing",
+                              increasing=True)
+        values = _require_reals("values", self.values, "(-inf, inf)")
+        if grid.size < 2:
+            raise ValidationError("grid", grid.size, "at least 2 points")
+        if values.shape != grid.shape:
+            raise ValidationError("values", values.shape, f"one per grid point ({grid.size})")
         if self.uniform:
-            h = dg[0]
-            if np.abs(dg - h).max() > _SPACING_RTOL * h:
+            dg = np.diff(grid)
+            if np.abs(dg - dg[0]).max() > _SPACING_RTOL * dg[0]:
                 raise ValidationError(
                     "uniform", True, "constant spacing to 1 part in 1e10"
                 )
@@ -60,14 +52,10 @@ class SampledSignal:
     @classmethod
     def from_arrays(cls, grid, values) -> "SampledSignal":
         """Build a signal, detecting uniform spacing automatically."""
-        g = np.asarray(grid, dtype=float)
-        dg = np.diff(g)
-        uniform = bool(
-            len(dg) > 0
-            and (dg > 0).all()
-            and np.abs(dg - dg[0]).max() <= _SPACING_RTOL * dg[0]
-        )
-        return cls(grid=g, values=np.asarray(values, dtype=float), uniform=uniform)
+        signal = cls(grid=grid, values=values, uniform=False)
+        dg = np.diff(signal.grid)
+        uniform = bool(np.abs(dg - dg[0]).max() <= _SPACING_RTOL * dg[0])
+        return cls(grid=signal.grid, values=signal.values, uniform=uniform)
 
     @property
     def spacing(self) -> float:

@@ -54,7 +54,7 @@ import numpy as np
 from ._quad import adaptive_gk, eval_tables, geometric_edges, log_cheb_table
 from .charfun import CharParams, _psi_prime, branch_values, theta_of_rho, zener_ratio
 from .errors import NumericsError, ValidationError
-from .params import ModelParams, _require_in
+from .params import ModelParams, _require_in, _require_reals
 from .rootfinder import _zero_pair_batch, find_zero_pair
 
 __all__ = [
@@ -72,8 +72,8 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # fixed chunk width, so memory stays bounded and the reduction order fixed: points
-# per chunk of the cosine sweep, _tf_kernel_rows and _tf_field_rows, and 64 * _CHUNK
-# terms per block of solver._segment_transform
+# per chunk of _tf_kernel_rows and _tf_field_rows, and 64 * _CHUNK terms per block
+# of solver._segment_transform
 _CHUNK = 1024
 _Q_MAX = 1e6  # cap on every branch- and cut-integral truncation point
 _PANELS_PER_PERIOD = 8  # equal rho panels per 2*pi of the integrand's phase
@@ -228,15 +228,11 @@ def spectral_kernel_alpha0(rho, t, beta: float, tau: float):
     """Order-zero time kernel: S = cos(t * sqrt(2*theta(rho)/(1+tau)))."""
     _require_in("beta", beta, "[0, 1]")
     _require_in("tau", tau, "(0, 1)")
-    rho_a = np.asarray(rho, dtype=float)
-    t_a = np.asarray(t, dtype=float)
-    if np.any(rho_a < 0.0) or not np.all(np.isfinite(rho_a)):
-        raise ValidationError("rho", rho, "[0, inf)")
-    if np.any(t_a < 0.0) or not np.all(np.isfinite(t_a)):
-        raise ValidationError("t", t, "[0, inf)")
+    rho_a = _require_reals("rho", rho, "[0, inf)")
+    t_a = _require_reals("t", t, "[0, inf)")
     omega = np.sqrt(2.0 * theta_of_rho(rho_a, beta) / (1.0 + tau))
     out = np.cos(t_a * omega)
-    return float(out) if np.isscalar(rho) and np.isscalar(t) else out
+    return float(out[0]) if np.isscalar(rho) and np.isscalar(t) else out
 
 
 def _branch_span(top: float, t: float, alpha: float, tau: float, integrated: bool) -> float:
@@ -395,20 +391,15 @@ def spectral_kernel(rho: float, t: float, p: ModelParams) -> SpectralKernel:
 
 
 def _check_grids(x_grid, t_list) -> tuple[np.ndarray, tuple]:
-    """The one validator of a space grid and its output times."""
-    try:
-        x = np.asarray(x_grid, dtype=float)
-        arr = np.atleast_1d(np.asarray(t_list, dtype=float))
-    except (TypeError, ValueError):
-        raise ValidationError("x_grid/t_list", t_list, "arrays of real numbers") from None
-    if x.ndim != 1 or x.size < 1 or not np.all(np.isfinite(x)):
-        raise ValidationError("x_grid", "<array>", "finite 1-d array")
-    if np.any(np.diff(x) <= 0):
-        raise ValidationError("x_grid", "<array>", "strictly increasing")
-    if (arr.ndim != 1 or arr.size < 1 or np.any(arr <= 0) or np.any(~np.isfinite(arr))
-            or np.any(np.diff(arr) <= 0)):
-        raise ValidationError("t_list", t_list, "strictly increasing positive reals")
-    return x, tuple(arr.tolist())
+    """The one validator of a space grid and its output times: x_grid a
+    non-empty, strictly increasing array of finite reals, t_list one positive
+    time or such an array of them (params._require_reals)."""
+    admissible = "(-inf, inf), a strictly increasing array"
+    x = _require_reals("x_grid", x_grid, admissible, increasing=True)
+    if np.ndim(x_grid) == 0:  # one time may stand alone, one x may not
+        raise ValidationError("x_grid", x_grid, admissible)
+    ts = _require_reals("t_list", t_list, "(0, inf), strictly increasing", increasing=True)
+    return x, tuple(ts.tolist())
 
 
 def _panel_edges(freq_scale: float, rho_max: float, rho_cut: float | None = None) -> np.ndarray:
@@ -444,21 +435,6 @@ def _gauss_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return nodes, weights
-
-
-def _cosine_sweep(coeff: np.ndarray, rho: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Re sum_j coeff_j e^{i rho_j x} in fixed chunked order (thread-independent)."""
-    out = np.zeros(x.size)
-    for start in range(0, rho.size, _CHUNK):
-        c = coeff[start : start + _CHUNK, None]
-        block = np.outer(rho[start : start + _CHUNK], x)
-        if np.iscomplexobj(c):
-            block = c.real * np.cos(block) - c.imag * np.sin(block)
-        else:
-            np.cos(block, out=block)
-            block *= c
-        out += block.sum(axis=0)
-    return out
 
 
 def _chirp_plan(rho_max: float, n_panels: int, x: np.ndarray) -> Callable | None:

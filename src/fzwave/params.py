@@ -7,18 +7,22 @@ width ``epsilon`` used when displaying delta-like data. Physical inputs are
 reduced to this set plus a group of positive scale factors; multiplying a
 dimensionless quantity by its scale factor recovers the physical one.
 
-Every public scalar argument of the package with an admissible interval is
-checked by :func:`_require_in`: an int or a float (never a bool), finite, and
-inside the interval that starts its ``admissible`` text, or a
-:class:`ValidationError` naming the argument.
+Every input from outside the program with an admissible interval passes one
+of two checks: :func:`_require_in` for a number, :func:`_require_reals` for an
+array. Each entry must be an int or a float (never a bool or a string),
+finite, and inside the interval that starts its ``admissible`` text, or a
+:class:`ValidationError` names the argument.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -75,20 +79,48 @@ class Scales:
 
 # the interval an admissible text starts with: "[0, 1)", "(0, inf) (a note)"
 _INTERVAL = re.compile(r"([\[(])([^,]+), ([^\])]+)([\])])")
+# what each bracket asks of a value and its end: on a float, or an array elementwise
+_BRACKETS = {"[": operator.ge, "(": operator.gt, "]": operator.le, ")": operator.lt}
+
+
+def _inside(value, admissible: str):
+    """Whether ``value`` lies in the interval that ``admissible`` starts with."""
+    left, lo, hi, right = _INTERVAL.match(admissible).groups()
+    return _BRACKETS[left](value, float(lo)) & _BRACKETS[right](value, float(hi))
+
+
+def _is_real(value) -> bool:
+    """An int or a float, never a bool, and finite: an exact comparison, so
+    NaN, inf and an int past the floats all fail it."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _require_in(field: str, value: float, admissible: str) -> float:
     """``value`` as a float if it is an int or a float (never a bool), finite,
     and inside the interval that ``admissible`` starts with; otherwise a
     :class:`ValidationError` naming ``field``."""
-    left, lo, hi, right = _INTERVAL.match(admissible).groups()
-    # an exact comparison, so NaN, inf and an int past the floats all fail it
-    if (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max):
-        v, lo, hi = float(value), float(lo), float(hi)
-        if (lo < v or (left == "[" and v == lo)) and (v < hi or (right == "]" and v == hi)):
-            return v
+    if _is_real(value) and _inside(value, admissible):
+        return float(value)
     raise ValidationError(field, value, admissible)
+
+
+def _require_reals(field: str, values, admissible: str, increasing: bool = False) -> np.ndarray:
+    """``values``, a number or a list, tuple or NumPy array of them, as a float
+    array of at least one dimension, if each entry passes :func:`_require_in`'s
+    rule and, with ``increasing``, it is a non-empty 1-d array each of whose
+    entries exceeds the one before; otherwise a :class:`ValidationError`
+    naming ``field``. An array of ints or floats is checked whole, without a
+    Python loop; a list entry by entry."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        a = np.atleast_1d(np.asarray(values, dtype=float))
+    else:
+        items = values if isinstance(values, (list, tuple)) else [values]
+        a = np.array(items, dtype=float) if all(map(_is_real, items)) else None
+    if (a is not None and np.isfinite(a).all() and _inside(a, admissible).all()
+            and not (increasing and (a.ndim != 1 or a.size == 0 or np.any(np.diff(a) <= 0)))):
+        return a
+    raise ValidationError(field, values, admissible)
 
 
 def validate_model(m: ModelParams) -> ModelParams:

@@ -96,6 +96,10 @@ class InitialData:
     - ``sampled``: explicit :class:`~fzwave.fracops.SampledSignal`, scaled by
       ``height`` (``center`` and ``width`` are ignored; the samples are the
       data, taken as zero outside their grid).
+
+    ``center``, ``width`` and ``height`` must be finite reals, ``width``
+    positive for ``gaussian`` and ``box``; a kind that ignores one still
+    checks it.
     """
 
     kind: str
@@ -108,12 +112,9 @@ class InitialData:
         if self.kind not in _KINDS:
             raise ValidationError("kind", self.kind, f"one of {_KINDS}")
         for name in ("center", "width", "height"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ValidationError(name, v, "a finite real number")
-            object.__setattr__(self, name, float(v))
-        if self.kind in ("gaussian", "box") and self.width <= 0.0:
-            raise ValidationError("width", self.width, "> 0 for gaussian/box data")
+            object.__setattr__(self, name, _require_in(name, getattr(self, name), "(-inf, inf)"))
+        if self.kind in ("gaussian", "box"):
+            _require_in("width", self.width, "(0, inf) for gaussian/box data")
         if self.kind == "dirac" and self.samples is not None:
             raise ValidationError(
                 "samples", "<signal>", "none for dirac data (it is absorbed analytically)"
@@ -121,11 +122,9 @@ class InitialData:
         if self.kind == "sampled":
             if self.samples is None:
                 raise ValidationError("samples", None, "a SampledSignal for sampled data")
-            # integrability: trapezoid mass must be finite (the signal class
-            # already guarantees finite entries, so this is a belt check)
-            mass = float(np.trapezoid(self.samples.values, self.samples.grid))
-            if not math.isfinite(mass):
-                raise ValidationError("samples", "non-integrable", "finite trapezoid mass")
+            # finite entries can still overflow the trapezoid mass
+            _require_in("samples", float(np.trapezoid(self.samples.values, self.samples.grid)),
+                        "(-inf, inf) (a finite trapezoid mass)")
 
     @classmethod
     def dirac(cls, center: float = 0.0, height: float = 1.0) -> "InitialData":

@@ -77,7 +77,10 @@ def test_unreadable_config_exits_two_and_names_config(capsys, tmp_path):
     # a directory, and a file that is not UTF-8: usage errors, never a traceback
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"model": {"tau": 0.1}} # caf\xe9'.encode("latin-1"))
-    for path in (tmp_path, latin1):
+    # and JSON nested deeper than the parser's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    for path in (tmp_path, latin1, deep):
         rc, out, err = run(capsys, "kernel", "--config", str(path))
         assert rc == 2
         assert out == ""
@@ -141,29 +144,73 @@ def test_kernel_json_output(capsys, tmp_path):
     assert doc["u"] == field.values.tolist()
 
 
-@pytest.mark.parametrize("cfg", [
-    {"grid": {"t_list": ["a"]}},
-    {"grid": {"t_list": [[0.5, 1.0]]}},
-    {"grid": {"x_min": "a"}},
-    {"quadrature": {"rel_tol": "a"}},
-    {"quadrature": {"rho_max": [860.0]}},
-    {"quadrature": {"abs_tol": True}},
+def _sampled(grid, values):
+    return {"initial": {"u0": {"kind": "sampled", "samples": {"grid": grid, "values": values}}}}
+
+
+BEYOND_FLOATS = [10**400, -(10**400)]  # JSON integers that no float holds
+NON_NUMERIC_CONFIGS = [
+    ({"grid": {"t_list": ["a"]}}, "t_list"),
+    ({"grid": {"t_list": [[0.5, 1.0]]}}, "t_list"),
+    ({"grid": {"x_min": "a"}}, "x_min"),
+    ({"quadrature": {"rel_tol": "a"}}, "config"),
+    ({"quadrature": {"rho_max": [860.0]}}, "config"),
+    ({"quadrature": {"abs_tol": True}}, "config"),
     # JSON true/false where numbers belong: Python would take them for 1 and 0
-    {"grid": {"x_min": True}},
-    {"grid": {"x_max": False}},
-    {"grid": {"t_list": [True, 2.0]}},
-    {"grid": {"t_list": True}},
-    {"initial": {"u0": {"kind": "sampled",
-                        "samples": {"grid": [-0.5, 0.0, True], "values": [0.0, 1.0, 0.0]}}}},
-    {"initial": {"u0": {"kind": "sampled",
-                        "samples": {"grid": [-0.5, 0.0, 0.5], "values": [False, True, False]}}}},
-])
-def test_non_numeric_config_value_exits_two(capsys, tmp_path, cfg):
+    ({"grid": {"x_min": True}}, "x_min"),
+    ({"grid": {"x_max": False}}, "x_max"),
+    ({"grid": {"t_list": [True, 2.0]}}, "t_list"),
+    ({"grid": {"t_list": True}}, "t_list"),
+    (_sampled([-0.5, 0.0, True], [0.0, 1.0, 0.0]), "u0.samples.grid"),
+    (_sampled([-0.5, 0.0, 0.5], [False, True, False]), "u0.samples.values"),
+    *[({"initial": {"u0": {"kind": "gaussian", key: big}}}, key)
+      for key in ("center", "width", "height") for big in BEYOND_FLOATS],
+    *[({"grid": {key: big}}, key) for key in ("x_min", "x_max") for big in BEYOND_FLOATS],
+    *[({"grid": {"t_list": [big]}}, "t_list") for big in BEYOND_FLOATS],
+    *[(_sampled([-1.0, big, 1.0], [0.0, 1.0, 0.0]), "u0.samples.grid") for big in BEYOND_FLOATS],
+    *[(_sampled([-1.0, 0.0, 1.0], [0.0, big, 0.0]), "u0.samples.values")
+      for big in BEYOND_FLOATS],
+    # a section that is not a JSON object
+    ({"model": [1, 2]}, "model"),
+    ({"grid": "ab"}, "grid"),
+    ({"output": 5}, "output"),
+    ({"grid": [["nx", 5]]}, "grid"),
+]
+
+
+@pytest.mark.parametrize("cfg, field", NON_NUMERIC_CONFIGS,
+                         ids=[f"cfg{i}" for i in range(len(NON_NUMERIC_CONFIGS))])
+def test_non_numeric_config_value_exits_two(capsys, tmp_path, cfg, field):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    rc, _, err = run(capsys, "kernel", "--config", str(cfg_path))
+    rc, out, err = run(capsys, "kernel", "--config", str(cfg_path))
     assert rc == 2
-    assert err.startswith("error: ")
+    assert out == ""
+    assert err.startswith(f"error: {field}=")
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+@pytest.mark.parametrize("nx", [10**400, fzwave.cli._NX_MAX + 1],
+                         ids=["beyond-floats", "cap+1"])
+def test_nx_past_its_cap_exits_two_before_a_grid_exists(monkeypatch, capsys, tmp_path, nx,
+                                                         source):
+    linspace = np.linspace
+
+    def small_linspace(start, stop, num=50, *args, **kwargs):
+        if num > fzwave.cli._NX_MAX:
+            raise AssertionError(f"a {num}-point linspace was requested")
+        return linspace(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", small_linspace)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"grid": {"nx": nx}}))
+    argv = ["--config", str(cfg_path)] if source == "config" else ["--nx", str(nx)]
+    rc, out, err = run(capsys, "kernel", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: nx=")
+    # the cap itself is admitted, and nothing is allocated until a grid is asked for
+    assert fzwave.cli.GridSpec(nx=fzwave.cli._NX_MAX).nx == fzwave.cli._NX_MAX
 
 
 @pytest.mark.parametrize("key", ["panels_per_period", "q_max", "rho_max", "rel_tol", "abs_tol"])

@@ -27,6 +27,7 @@ from fzwave.fracops import (
     symmetrized_derivative,
 )
 from fzwave.kernel import (
+    _CHUNK,
     Field,
     delta_eps,
     kernel_classical,
@@ -553,6 +554,21 @@ def test_one_branch_quadrature_per_row(monkeypatch):
 # --------------------------------------------------------- rho -> x transform
 
 
+def _cosine_sweep(coeff: np.ndarray, rho: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Re sum_j coeff_j e^{i rho_j x} in fixed chunked order (thread-independent)."""
+    out = np.zeros(x.size)
+    for start in range(0, rho.size, _CHUNK):
+        c = coeff[start : start + _CHUNK, None]
+        block = np.outer(rho[start : start + _CHUNK], x)
+        if np.iscomplexobj(c):
+            block = c.real * np.cos(block) - c.imag * np.sin(block)
+        else:
+            np.cos(block, out=block)
+            block *= c
+        out += block.sum(axis=0)
+    return out
+
+
 # rho*x stays below ~1e4 rad, as on the package's grids: beyond that the
 # rounding of rho_j*x_i alone moves the dense sum by ~1e-12 sum|c|
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -577,7 +593,7 @@ def test_chirp_z_transform_matches_dense_sweep(n_panels, rho_max, x0, h, n, symm
     if n < 2:
         assert fast is None
         return
-    dense = fzwave.kernel._cosine_sweep(coeff, rho, x)
+    dense = _cosine_sweep(coeff, rho, x)
     assert np.max(np.abs(fast(coeff) - dense)) <= 1e-12 * np.sum(np.abs(coeff))
 
 
@@ -592,7 +608,7 @@ def test_chirp_z_transform_takes_complex_coefficients(n_panels, rho_max, x0, h, 
     coeff = rng.standard_normal(rho.size) + 1j * rng.standard_normal(rho.size)
     x = x0 + h * np.arange(n)
     dense = np.real(np.exp(1j * np.outer(x, rho)) @ coeff)
-    np.testing.assert_allclose(fzwave.kernel._cosine_sweep(coeff, rho, x), dense,
+    np.testing.assert_allclose(_cosine_sweep(coeff, rho, x), dense,
                                rtol=0.0, atol=1e-12 * np.sum(np.abs(coeff)))
     fast = fzwave.kernel._chirp_plan(rho_max, n_panels, x)
     assert np.max(np.abs(fast(coeff) - dense)) <= 1e-12 * np.sum(np.abs(coeff))
@@ -710,7 +726,7 @@ def test_factored_sum_matches_dense_sweep(n_panels, rho_max, x0, h, n, uniform,
         coeff = coeff + 1j * rng.standard_normal(rho.size)
     x = x0 + h * (np.arange(n) if uniform else np.cumsum(rng.uniform(0.0, 2.0, n)))
     fast = fzwave.kernel._factored_plan(rho_max, n_panels, x)
-    dense = fzwave.kernel._cosine_sweep(coeff, rho, x)
+    dense = _cosine_sweep(coeff, rho, x)
     assert np.max(np.abs(fast(coeff) - dense)) <= 1e-12 * np.sum(np.abs(coeff))
 
 
@@ -939,11 +955,22 @@ _BUMP = SampledSignal(np.linspace(-8.0, 8.0, 65), np.exp(-np.linspace(-8.0, 8.0,
     (e_alpha, (True, 0.5, 0.1), "t"),
     (e_alpha_prime, (True, 0.5, 0.1), "t"),
     (BromwichConfig, (True,), "s0"),
+    # arrays: a bool, a string or a complex number is not a real entry
+    (kernel_eps, ([0.0, 1.0], [True, 2.0], P_EXP), "t_list"),
+    (kernel_eps, ([0.0, 1.0], ["1"], P_EXP), "t_list"),
+    (kernel_eps, ([0.0, 1.0], [0, 10**400], P_EXP), "t_list"),
+    (kernel_eps, ([0j, 1.0], [1.0], P_EXP), "x_grid"),
+    (theta_of_rho, (math.nan, 0.5), "rho"),
+    (spectral_kernel_alpha0, (True, 1.0, 0.45, 0.1), "rho"),
+    (spectral_kernel_alpha0, ("1", 1.0, 0.45, 0.1), "rho"),
+    (SampledSignal.from_arrays, ([0.0, True], [0.0, 1.0]), "grid"),
 ], ids=["classical-tau", "classical-eps", "nonprop-eps", "spectral-rho", "spectral-t",
         "hat-rho", "time-fractional-tau", "bromwich-rho", "bromwich-t", "delta-eps",
         "alpha0-beta", "zener-alpha", "branch-alpha", "theta-beta", "charparams-alpha",
         "charparams-theta", "caputo-alpha", "symmetrized-beta", "l-operator-alpha",
-        "ml-alpha", "ml-beta", "e-alpha-t", "e-alpha-prime-t", "bromwich-s0"])
+        "ml-alpha", "ml-beta", "e-alpha-t", "e-alpha-prime-t", "bromwich-s0",
+        "grid-t-bool", "grid-t-string", "grid-t-beyond-floats", "grid-x-complex",
+        "theta-rho-nan", "alpha0-rho-bool", "alpha0-rho-string", "samples-grid-bool"])
 def test_public_number_arguments_refuse_booleans(call, args, field):
     # a bool would otherwise run as 0 or 1, each inside the argument's interval
     with pytest.raises(ValidationError) as exc:

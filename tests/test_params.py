@@ -8,6 +8,7 @@ from fzwave.params import (
     ModelParams,
     PhysicalParams,
     _require_in,
+    _require_reals,
     nondimensionalize,
     validate_model,
 )
@@ -86,6 +87,56 @@ def test_require_in_refuses_ints_beyond_the_floats():
         with pytest.raises(ValidationError) as exc:
             _require_in("rho", big, "[0, inf)")
         assert exc.value.value == big
+
+
+@pytest.mark.parametrize("values, admissible, increasing, want", [
+    (0.5, "(0, 1)", False, [0.5]),
+    ([0, 0.5, 0.25], "[0, 1)", False, [0.0, 0.5, 0.25]),
+    ((1, 2.0), "(0, inf)", True, [1.0, 2.0]),
+    (np.arange(3), "[0, inf)", True, [0.0, 1.0, 2.0]),
+    (np.float32([0.5, 1.0]), "(0, 1]", True, [0.5, 1.0]),
+    (np.float64(2.0), "(0, inf)", False, [2.0]),
+    (np.array([[0.0, 1.0], [2.0, 3.0]]), "[0, inf)", False, [[0.0, 1.0], [2.0, 3.0]]),
+    ([], "(-inf, inf)", False, []),
+    (np.array([]), "(-inf, inf)", False, []),
+    ([], "(-inf, inf)", True, None),
+    (np.array([]), "(-inf, inf)", True, None),
+    ([0.5, True], "[0, 1]", False, None),
+    (np.array([True, False]), "[0, 1]", False, None),
+    (np.bool_(True), "[0, 1]", False, None),
+    (["1"], "(0, inf)", False, None),
+    ("1", "(0, inf)", False, None),
+    ([1j], "(-inf, inf)", False, None),
+    (np.array([0j, 1.0]), "(-inf, inf)", False, None),
+    ([np.float32(0.5)], "[0, 1]", False, None),
+    ([[0.5, 1.0]], "(0, inf)", False, None),
+    ([1.0, None], "(-inf, inf)", False, None),
+    ([1.0, 10**400], "(0, inf)", False, None),
+    ([1.0, math.nan], "(-inf, inf)", False, None),
+    (np.array([1.0, math.inf]), "(-inf, inf)", False, None),
+    (np.array([0.0, 1.0]), "(0, inf)", False, None),
+    ([0.0, 1.0], "[0, 1)", False, None),
+    ([1.0, 1.0], "(0, inf)", True, None),
+    ([2.0, 1.0], "(0, inf)", False, [2.0, 1.0]),
+    ([2.0, 1.0], "(0, inf)", True, None),
+    (np.array([[0.0, 1.0]]), "[0, inf)", True, None),
+])
+def test_require_reals_takes_require_ins_rule_per_entry(values, admissible, increasing, want):
+    if want is not None:
+        got = _require_reals("x", values, admissible, increasing)
+        assert got.dtype == float
+        np.testing.assert_array_equal(got, want)
+        return
+    with pytest.raises(ValidationError) as exc:
+        _require_reals("x", values, admissible, increasing)
+    assert exc.value.field == "x"
+    assert exc.value.value is values
+    assert exc.value.admissible == admissible
+
+
+def test_require_reals_returns_a_float_array_as_given():
+    x = np.linspace(0.0, 1.0, 5)
+    assert _require_reals("x", x, "(-inf, inf)", increasing=True) is x
 
 
 def test_boundary_values_admitted():
