@@ -58,9 +58,10 @@ _ALPHA_PROBE = 1e-3
 
 # the model of a run that sets no order, ratio or width (the paper's)
 _MODEL_DEFAULTS = {"alpha": 0.25, "beta": 0.45, "tau": 0.1, "epsilon": DEFAULT_EPSILON}
-# most x points a grid may ask for, refused before the grid exists: the beta = 1
-# x-space mollifier sum holds ~32 KB per x for each t row in progress (peak RSS
-# 203 MB at 5,000 x, 359 MB at 10,000 x, one t), so 24,000 x stay within ~0.85 GB
+# most x points a grid may ask for, refused before the grid exists. No route's
+# memory grows much with x below it: the beta = 1 x-space mollifier sum of
+# `limits --case beta1` works in fixed _CHUNK x _CHUNK blocks per t row in
+# progress (peak RSS 70 MB at 5,000 x and at 24,000 x, one t and one thread)
 _NX_MAX = 24_000
 # shortest run of all-zero points that the CSV writer copies as text: a
 # shorter run costs more as its own piece than its values cost to format

@@ -7,6 +7,8 @@ not reach its requested accuracy.
 
 from __future__ import annotations
 
+_REPR_MAX = 80  # characters of a rejected value's repr that a message shows
+
 
 class FzwaveError(Exception):
     """Base class for all package-specific errors."""
@@ -23,13 +25,20 @@ class ValidationError(FzwaveError):
         The rejected value.
     admissible : str
         Human-readable description of the admissible set.
+
+    The message shows at most the first _REPR_MAX characters of the value's
+    repr, followed by the repr's full length, so that a huge number or a
+    long list still makes a short line; ``value`` keeps the object itself.
     """
 
     def __init__(self, field: str, value: object, admissible: str):
         self.field = field
         self.value = value
         self.admissible = admissible
-        super().__init__(f"{field}={value!r} is invalid; admissible: {admissible}")
+        shown = repr(value)
+        if len(shown) > _REPR_MAX:
+            shown = f"{shown[:_REPR_MAX]}... ({len(shown):,} characters)"
+        super().__init__(f"{field}={shown} is invalid; admissible: {admissible}")
 
 
 class NumericsError(FzwaveError):

@@ -22,11 +22,12 @@ sum is one exact factored matrix product (:func:`_factored_plan`), once the
 plan's nodes are checked to be the equal panels it factors over; wider
 uniform rows take chirp-z transforms, each checked against a dense sum at 8
 points. At beta = 1, alpha > 0 the time integral's signal is the transform of
-its x-space cut integral (:func:`_tf_samples`), one matrix product per t. A
-point source bypasses the transform only where :func:`_x_route` puts it in x:
-the closed forms (beta = 0, the classical pair) and that cut integral, summed
-against delta_eps directly (kernel_time_fractional runs it for K as an oracle);
-:func:`_kernel_eps_impl` wraps every route's values in a :class:`Field`.
+its x-space cut integral (:func:`_tf_samples`), one matrix product per t, for
+a point source and distributed data alike. Only the closed forms (beta = 0,
+the classical pair; :func:`_closed_form`) bypass the transform, and
+:func:`_kernel_eps_impl` wraps every route's values in a :class:`Field`. The
+one sum left in x is kernel_time_fractional's: K's cut samples against
+delta_eps, an oracle independent of both stages.
 
 Everything here is deterministic by construction: panel subdivision depends
 only on inputs, each row's transform runs on its own buffers, and every sum
@@ -72,8 +73,8 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # fixed chunk width, so memory stays bounded and the reduction order fixed: points
-# per chunk of _tf_kernel_rows and _tf_field_rows, and 64 * _CHUNK terms per block
-# of solver._segment_transform
+# per chunk of _tf_kernel_rows and of both axes of kernel_time_fractional's sum,
+# and 64 * _CHUNK terms per block of solver._segment_transform
 _CHUNK = 1024
 _Q_MAX = 1e6  # cap on every branch- and cut-integral truncation point
 _PANELS_PER_PERIOD = 8  # equal rho panels per 2*pi of the integrand's phase
@@ -775,39 +776,31 @@ def kernel_eps_time_integrated(x_grid, t_list, p: ModelParams) -> Field:
     """Time integral of K_eps over [0, t] for each requested t.
 
     Each spectral term is integrated analytically (exact antiderivatives). At
-    beta = 1, alpha > 0 the x-space cut integral of K^/s (_tf_kernel_rows) is
-    summed against delta_eps on its y samples, so a point source costs no
-    rho nodes; the spectral sum takes the transform of the same samples for
-    distributed data.
+    beta = 1, alpha > 0 the signal is the transform of the x-space cut
+    integral of K^/s (_tf_kernel_rows) on its y samples, as for distributed
+    data; at beta = 0 and the classical pair the integral is a closed form.
     """
     return _kernel_eps_impl(x_grid, t_list, p, integrated=True)
 
 
-def _x_route(p: ModelParams, integrated: bool) -> str | None:
-    """Where kernel_eps (integrated: its time integral) lives in x: "closed" at
-    beta = 0 and the classical pair, "cut" for the time integral at beta = 1,
-    alpha > 0 (the cut integral); None where the two Fourier stages serve it."""
-    if p.beta == 0.0 or (p.beta == 1.0 and p.alpha == 0.0):
-        return "closed"
-    if p.beta == 1.0 and integrated:
-        return "cut"
-    return None
+def _closed_form(p: ModelParams) -> bool:
+    """Whether kernel_eps and its time integral are closed forms in x: at
+    beta = 0 and at the classical pair (alpha = 0, beta = 1)."""
+    return p.beta == 0.0 or (p.beta == 1.0 and p.alpha == 0.0)
 
 
 def _kernel_eps_impl(x_grid, t_list, p: ModelParams, integrated: bool) -> Field:
     x, ts = _check_grids(x_grid, t_list)
-    route = _x_route(p, integrated)
+    closed = _closed_form(p)
     if p.beta == 0.0:
         base = np.asarray(delta_eps(x, p.epsilon), dtype=float)
         values = np.vstack([np.atleast_1d(base * (t if integrated else 1.0)) for t in ts])
-    elif route == "closed":
+    elif closed:
         values = _classical_field(x, ts, p.tau, p.epsilon, integrated)
-    elif route == "cut":
-        values = _tf_field_rows(x, ts, p.alpha, p.tau, p.epsilon, True)
     else:
         values = _fourier_rows(x, ts, p, _stage1(x, ts, p), [(1.0, integrated)])
     _check_even(x, values)
-    return Field(x, ts, values, _meta(asdict(p), route != "closed"))
+    return Field(x, ts, values, _meta(asdict(p), not closed))
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +929,8 @@ def _tf_kernel_rows(
     there is 65 at (alpha, tau, t) = (0.6, 0.5, 0.02) and 44 at (0.9, 0.3, 0.1).
     At early times and alpha >= 1/2 that band holds K's mass: at t = 0.02 the
     field keeps 0.247 of it at (0.6, 0.5) and 0.047 at (0.9, 0.3), and the time
-    integral, the one production term on this route, is 1.6 % and 0.7 % off t.
+    integral, whose transform is the spectral sum's beta = 1 signal (point
+    source and distributed data alike), is 1.6 % and 0.7 % off t.
     """
     sqrt_tau = math.sqrt(tau)
     margin = t - y * sqrt_tau
@@ -1023,44 +1017,37 @@ def _tf_samples(t: float, reach: float, alpha: float, tau: float, epsilon: float
     return y, _tf_kernel_rows(y, t, alpha, tau, integrated) * w
 
 
-def _tf_field_rows(
-    x: np.ndarray, ts: tuple, alpha: float, tau: float, epsilon: float, integrated: bool
-) -> np.ndarray:
-    """Mollified beta = 1 point-source field: the samples of :func:`_tf_samples`
-    (K(., t) or its time integral) summed against delta_eps(x -+ y)."""
-    reach = float(np.max(np.abs(x))) if x.size else 0.0
-    values = np.empty((len(ts), x.size))
-
-    def row(i: int) -> None:
-        y, kw = _tf_samples(ts[i], reach, alpha, tau, epsilon, integrated)
-        row_vals = np.zeros(x.size)
-        for start in range(0, y.size, _CHUNK):
-            y_c = y[start : start + _CHUNK]
-            g = np.asarray(delta_eps(x[:, None] - y_c[None, :], epsilon))
-            g += np.asarray(delta_eps(x[:, None] + y_c[None, :], epsilon))
-            g *= kw[start : start + _CHUNK][None, :]
-            row_vals += g.sum(axis=1)
-        values[i] = row_vals
-
-    _map_rows(row, len(ts))
-    return values
-
-
 def kernel_time_fractional(x_grid, t_list, alpha: float, tau: float, epsilon: float) -> Field:
     """Time-fractional wave kernel (beta = 1) from its x-space cut integral.
 
     Independent of the Fourier assembly, which kernel_eps runs at beta = 1:
     the spatial transform is inverted analytically first, leaving one
     branch-cut integral per point. The kernel is supported inside the cone
-    |x| < t/sqrt(tau) and is identically zero outside; the result is
-    mollified with delta_eps to match kernel_eps. Zeroing points within 1e-4
-    max(1, t) of the front uncertified (:func:`_tf_kernel_rows`) leaves mass
-    0.247 at (alpha, tau, t) = (0.6, 0.5, 0.02) and 0.047 at (0.9, 0.3, 0.02),
-    and the time integral on that y sum 1.6 % and 0.7 % off t.
+    |x| < t/sqrt(tau) and is identically zero outside; its samples
+    (:func:`_tf_samples`) are summed against delta_eps(x -+ y) to match
+    kernel_eps, in blocks of _CHUNK x and _CHUNK y, so memory does not grow
+    with the grid; no production route takes this sum. Zeroing points within
+    1e-4 max(1, t) of the front uncertified (:func:`_tf_kernel_rows`) leaves
+    mass 0.247 at (alpha, tau, t) = (0.6, 0.5, 0.02) and 0.047 at
+    (0.9, 0.3, 0.02).
     """
     p = ModelParams(alpha, 1.0, tau, epsilon)
     _require_in("alpha", alpha, "(0, 1) (alpha = 0 is the classical pair)")
     x, ts = _check_grids(x_grid, t_list)
-    values = _tf_field_rows(x, ts, p.alpha, p.tau, p.epsilon, False)
+    reach = float(np.max(np.abs(x)))
+    values = np.zeros((len(ts), x.size))
+
+    def row(i: int) -> None:
+        y, kw = _tf_samples(ts[i], reach, p.alpha, p.tau, p.epsilon, False)
+        for lo in range(0, x.size, _CHUNK):
+            x_c = x[lo : lo + _CHUNK, None]
+            for start in range(0, y.size, _CHUNK):
+                y_c = y[start : start + _CHUNK]
+                g = np.asarray(delta_eps(x_c - y_c, p.epsilon))
+                g += delta_eps(x_c + y_c, p.epsilon)
+                g *= kw[start : start + _CHUNK]
+                values[i, lo : lo + _CHUNK] += g.sum(axis=1)
+
+    _map_rows(row, len(ts))
     _check_even(x, values)
     return Field(x, ts, values, _meta(asdict(p), True))

@@ -13,12 +13,12 @@ grid: each datum has a transform in closed form about its centre
 ``sampled`` data, and a ``dirac``'s height), taken at the rho nodes of one
 stage-1 plan per distinct datum, and data sharing a plan share one transform
 per row. Gaussian data cut those nodes where the product of its transform and
-the mollifier meets the mollifier's own tail bound. Every distributed datum
-takes that sum at every beta, on any increasing x grid; at beta = 1,
-alpha > 0 the time-integrated signal is the transform of the kernel's x-space
-cut integral (kernel._spectral_signal). A ``dirac`` where kernel_eps is a
-closed form (beta = 0, the classical pair) or that cut integral is the kernel
-itself, translated and scaled, so no quadrature error is added.
+the mollifier meets the mollifier's own tail bound. Every datum takes that
+sum at every beta, on any increasing x grid; at beta = 1, alpha > 0 the
+time-integrated signal is the transform of the kernel's x-space cut integral
+(kernel._spectral_signal). The one exception is a ``dirac`` where kernel_eps
+is a closed form (beta = 0, the classical pair, kernel._closed_form): it is
+that kernel itself, translated and scaled, so no quadrature error is added.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .kernel import (
     _GL_NODES,
     Field,
     _check_grids,
+    _closed_form,
     _fourier_rows,
     _meta,
     _rho_max,
@@ -43,7 +44,6 @@ from .kernel import (
     _Stage1,
     _stage1,
     _symmetric,
-    _x_route,
     delta_eps,
     kernel_eps,
     kernel_eps_time_integrated,
@@ -346,9 +346,8 @@ def solve_field(
     than a quadrature over t (at beta = 1, alpha > 0 the transform of the
     cut integral of K^/s), so it adds no time-integration error. Any strictly
     increasing x grid serves. ``meta["assembly"]`` records each datum's route
-    (``zero``, ``kernel`` for a dirac that kernel_eps gives in x, or
-    ``fourier``) and, for ``fourier``, its plan's ``rho_nodes`` and
-    ``rho_max``.
+    (``zero``, ``kernel`` for every dirac, or ``fourier``) and, for
+    ``fourier``, its plan's ``rho_nodes`` and ``rho_max``.
     """
     if not isinstance(u0, InitialData) or not isinstance(v0, InitialData):
         raise ValidationError("u0/v0", type(u0).__name__, "InitialData instances")
@@ -361,7 +360,7 @@ def solve_field(
             continue
         if data.kind == "sampled":
             _check_sampled_edges(data)
-        if data.kind == "dirac" and _x_route(p, integrated):
+        if data.kind == "dirac" and _closed_form(p):
             assembly[name] = {"route": "kernel"}
             route = kernel_eps_time_integrated if integrated else kernel_eps
             parts.append(data.height * route(x - data.center, ts, p).values)

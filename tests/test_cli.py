@@ -213,6 +213,22 @@ def test_nx_past_its_cap_exits_two_before_a_grid_exists(monkeypatch, capsys, tmp
     assert fzwave.cli.GridSpec(nx=fzwave.cli._NX_MAX).nx == fzwave.cli._NX_MAX
 
 
+@pytest.mark.parametrize("cfg, field", [
+    ({"grid": {"nx": 10**400}}, "nx"),
+    (_sampled(np.linspace(-1.0, 1.0, 1201).tolist(), [0.0] * 600 + [10**400] + [0.0] * 600),
+     "u0.samples.values"),
+], ids=["nx-beyond-floats", "1201-samples"])
+def test_a_refused_long_value_makes_one_short_error_line(capsys, tmp_path, cfg, field):
+    # the message shows the head of the value's repr and its full length
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc, out, err = run(capsys, "solve", "--config", str(cfg_path))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {field}=") and err.count("\n") == 1
+    assert len(err) < 200
+    assert "characters)" in err
+
+
 @pytest.mark.parametrize("key", ["panels_per_period", "q_max", "rho_max", "rel_tol", "abs_tol"])
 def test_removed_quadrature_setting_exits_two(capsys, tmp_path, key):
     cfg_path = tmp_path / "cfg.json"

@@ -823,16 +823,26 @@ def test_time_fractional_integral_matches_a_time_quadrature(alpha, tau):
     assert np.max(np.abs(got - tw @ rows)) <= 1e-4
 
 
-@pytest.mark.parametrize("alpha, tau", [(0.25, 0.1), (0.6, 0.5)])
-def test_fourier_rows_of_the_integral_at_beta_one_match_the_cut_field(alpha, tau):
+def _cut_field(x, ts, alpha, tau, eps=0.01):
+    """x-space oracle of the beta = 1 time integral: the cut integral's y
+    samples summed against delta_eps(x -+ y), one dense sum per t."""
+    rows = []
+    for t in ts:
+        y, kw = fzwave.kernel._tf_samples(t, float(np.max(np.abs(x))), alpha, tau, eps, True)
+        rows.append((delta_eps(x[:, None] - y, eps) + delta_eps(x[:, None] + y, eps)) @ kw)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("alpha, tau, nx, ts", [
+    (0.25, 0.1, 41, (0.25, 0.5, 2.0)), (0.6, 0.5, 41, (0.25, 0.5, 2.0)),
+    (0.25, 0.1, 2500, (0.5,)),  # chirp-z serves the 1,250 points at x >= 0
+], ids=["0.25-0.1", "0.6-0.5", "0.25-0.1-2500x"])
+def test_fourier_rows_of_the_integral_at_beta_one_match_the_cut_field(alpha, tau, nx, ts):
     # the signal is the transform of the cut integral's samples; the branch
     # tables' integrated mode was 4.5e-2 off at t = 0.5 for (0.25, 0.1)
-    x, ts = np.linspace(-1.0, 1.0, 41), (0.25, 0.5, 2.0)
-    p = ModelParams(alpha, 1.0, tau)
-    plan = fzwave.kernel._stage1(x, ts, p)
-    rows = fzwave.kernel._fourier_rows(x, ts, p, plan, [(1.0, True)])
-    want = kernel_eps_time_integrated(x, ts, p).values
-    assert np.max(np.abs(rows - want)) <= 1e-10
+    x = np.linspace(-1.0, 1.0, nx)
+    got = kernel_eps_time_integrated(x, ts, ModelParams(alpha, 1.0, tau)).values
+    assert np.max(np.abs(got - _cut_field(x, ts, alpha, tau))) <= 1e-10
 
 
 @pytest.mark.parametrize("alpha, tau, t, tol", [

@@ -89,6 +89,14 @@ def test_require_in_refuses_ints_beyond_the_floats():
         assert exc.value.value == big
 
 
+def test_validation_message_cuts_a_long_repr_and_keeps_the_value():
+    big = 10**400
+    err = ValidationError("nx", big, "[3, 24000]")
+    assert err.value is big
+    assert str(err) == f"nx={repr(big)[:80]}... (401 characters) is invalid; admissible: [3, 24000]"
+    assert str(ValidationError("nx", 5, "[6, 9]")) == "nx=5 is invalid; admissible: [6, 9]"
+
+
 @pytest.mark.parametrize("values, admissible, increasing, want", [
     (0.5, "(0, 1)", False, [0.5]),
     ([0, 0.5, 0.25], "[0, 1)", False, [0.0, 0.5, 0.25]),
