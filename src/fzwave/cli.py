@@ -199,7 +199,7 @@ def _load_config_file(path: str | None):
         raise ValidationError("config", path, f"an existing JSON file ({path} not found)")
     except (OSError, UnicodeDecodeError) as e:
         raise ValidationError("config", path, f"a readable UTF-8 JSON file ({e})")
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # a JSONDecodeError, or an int past the digit limit
         raise ValidationError("config", path, f"valid JSON ({e})")
     return cfg
 

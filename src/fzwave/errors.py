@@ -28,14 +28,19 @@ class ValidationError(FzwaveError):
 
     The message shows at most the first _REPR_MAX characters of the value's
     repr, followed by the repr's full length, so that a huge number or a
-    long list still makes a short line; ``value`` keeps the object itself.
+    long list still makes a short line; a value whose repr raises (an int
+    past Python's digit limit) is named by its type. ``value`` keeps the
+    object itself.
     """
 
     def __init__(self, field: str, value: object, admissible: str):
         self.field = field
         self.value = value
         self.admissible = admissible
-        shown = repr(value)
+        try:
+            shown = repr(value)
+        except Exception:
+            shown = f"<{type(value).__name__} without a printable repr>"
         if len(shown) > _REPR_MAX:
             shown = f"{shown[:_REPR_MAX]}... ({len(shown):,} characters)"
         super().__init__(f"{field}={shown} is invalid; admissible: {admissible}")

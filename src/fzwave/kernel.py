@@ -16,12 +16,13 @@ every mode) and read at every node through one recurrence basis and matrix
 product (_quad.eval_tables). Stage 2,
 :func:`_fourier_rows`, sums each row Re[sum_j c_j e^{i rho_j x}] with
 c_j = w_j e^{-(eps rho_j)^2/4} sum_d hat_d(rho_j) S_d(rho_j, t) / pi, where
-hat_d is a datum's Fourier transform (1 for the kernel itself). On rows of
-at most _FACTORED_MAX points (after mirroring) and on any non-uniform x, the
-sum is one exact factored matrix product (:func:`_factored_plan`), once the
-plan's nodes are checked to be the equal panels it factors over; wider
-uniform rows take chirp-z transforms, each checked against a dense sum at 8
-points. At beta = 1, alpha > 0 the time integral's signal is the transform of
+hat_d is a datum's Fourier transform (1 for the kernel itself). The plan's
+nodes are one lattice, node p*8 + k at p*delta + c_k (:func:`_gauss_panels`),
+and every stage-2 sum factors e^{i rho x} over that lattice. On rows of at
+most _FACTORED_MAX points (after mirroring) and on any non-uniform x, the
+sum is one exact factored matrix product (:func:`_factored_plan`); wider
+uniform rows take chirp-z transforms, each checked against the factored sum
+at 8 points. At beta = 1, alpha > 0 the time integral's signal is the transform of
 its x-space cut integral (:func:`_tf_samples`), one matrix product per t, for
 a point source and distributed data alike. Only the closed forms (beta = 0,
 the classical pair; :func:`_closed_form`) bypass the transform, and
@@ -78,8 +79,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _CHUNK = 1024
 _Q_MAX = 1e6  # cap on every branch- and cut-integral truncation point
 _PANELS_PER_PERIOD = 8  # equal rho panels per 2*pi of the integrand's phase
-# rho nodes one field may ask for; each costs ~205 B of peak memory (~215 B where
-# chirp-z and its probe serve the rows), ~0.85 GB in all
+# rho nodes one field may ask for; each costs ~205 B of peak memory (at most ~215 B
+# where chirp-z serves the rows), ~0.85 GB in all
 _RHO_NODE_BUDGET = 4_000_000
 _RHO_MAX_MARGIN = 1.002  # factor over the tail bound at which rho panels are cut
 # the accuracy every quadrature, table and spot check of a field aims at
@@ -180,9 +181,6 @@ class Field:
             )
         if not np.all(np.isfinite(v)):
             raise ValidationError("values", "<array>", "finite entries")
-
-    def row(self, t_index: int) -> np.ndarray:
-        return self.values[t_index]
 
 
 def _check_even(x: np.ndarray, values: np.ndarray) -> None:
@@ -310,8 +308,6 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple) -> Callable[[f
 
     cut = p.beta == 1.0 and any(modes)
     tabled = tuple(m for m in modes if not (cut and m))
-    if cut:
-        _check_panel_nodes(plan)  # the product sum has no spot check to catch a stray node
     if tabled:  # only the tables read the zeros
         s_z, psi_p = _zero_pair_batch(alpha, tau, theta)
     u, lo, hi = np.log(theta), float(np.min(theta)), float(np.max(theta))
@@ -342,7 +338,7 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple) -> Callable[[f
     def signal(t: float) -> list:
         rows = iter(table_rows(t) if tabled else ())
         y, kw = _tf_samples(t, plan.reach, alpha, tau, p.epsilon, True)
-        integral = 2.0 * _scattered_sums(kw, y, plan.rho_max / plan.n_panels, plan.n_panels)[0].real
+        integral = 2.0 * _scattered_sums(kw, y, plan.delta, plan.rho.size)[0].real
         return [integral if integrated else next(rows) for integrated in modes]
 
     return signal
@@ -403,42 +399,48 @@ def _check_grids(x_grid, t_list) -> tuple[np.ndarray, tuple]:
     return x, tuple(ts.tolist())
 
 
-def _panel_edges(freq_scale: float, rho_max: float, rho_cut: float | None = None) -> np.ndarray:
-    """Edges of the equal rho panels at _PANELS_PER_PERIOD density.
+def _panel_lattice(freq_scale: float, rho_max: float,
+                   rho_cut: float | None = None) -> tuple[float, int, float]:
+    """Width delta, count and end of the equal rho panels at _PANELS_PER_PERIOD
+    density.
 
     freq_scale is the largest phase rate (radians per unit rho) the integrand
     carries: the e^{i rho x} sweep contributes the reach of x - y over the
     output grid and the data, and the spectral factor contributes
     ~ t * d|s_z|/d rho through its oscillating pole pair. The panels tile
-    (0, rho_max]; with rho_cut they stop at the first edge at or past it,
-    the head of the same tiling. A node count above _RHO_NODE_BUDGET is
+    (0, rho_max]; with rho_cut only the panels up to the first edge at or past
+    it are kept, the head of the same tiling, which ends there (at rho_max
+    itself when none is dropped). A node count above _RHO_NODE_BUDGET is
     refused before anything is allocated.
     """
     width = min(2.0 * math.pi / (_PANELS_PER_PERIOD * max(freq_scale, 1e-9)), 0.5)
     n_panels = max(int(math.ceil(rho_max / width)), 1)
-    step = rho_max / n_panels
-    n_kept = n_panels if rho_cut is None else min(n_panels, max(math.ceil(rho_cut / step), 1))
+    delta = rho_max / n_panels
+    n_kept = n_panels if rho_cut is None else min(n_panels, max(math.ceil(rho_cut / delta), 1))
     n_nodes = n_kept * _GL_NODES.size
     if n_nodes > _RHO_NODE_BUDGET:
         raise ValidationError(
             "t_list", f"a latest t needing {n_nodes:,} rho nodes",
             f"at most {_RHO_NODE_BUDGET:,} rho nodes (the count grows with max t and max|x|)",
         )
-    if n_kept == n_panels:
-        return np.linspace(0.0, rho_max, n_panels + 1)
-    return np.arange(n_kept + 1) * step  # linspace's own head: k * step
+    return delta, n_kept, rho_max if n_kept == n_panels else n_kept * delta
 
 
-def _gauss_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """8-point Gauss-Legendre nodes (ascending) and weights on every panel."""
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
+def _node_offsets(delta: float) -> np.ndarray:
+    """c_k = delta (1 + x_k)/2: the 8 Gauss-Legendre abscissae x_k mapped onto
+    a panel [0, delta], ascending."""
+    return 0.5 * delta * (1.0 + _GL_NODES)
 
 
-def _chirp_plan(rho_max: float, n_panels: int, x: np.ndarray) -> Callable | None:
+def _gauss_panels(delta: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rho lattice of every plan: node p*8 + k at p*delta + c_k
+    (:func:`_node_offsets`) with weight delta w_k / 2, on n_panels equal panels
+    of width delta. Every stage-2 sum factors e^{i rho x} over these nodes."""
+    nodes = (delta * np.arange(n_panels))[:, None] + _node_offsets(delta)
+    return nodes.ravel(), np.tile(0.5 * delta * _GL_WEIGHTS, n_panels)
+
+
+def _chirp_plan(delta: float, n_panels: int, x: np.ndarray) -> Callable | None:
     """The sum Re sum_j c_j e^{i rho_j x} as eight chirp-z transforms; None
     unless x is uniform. The coefficients c_j may be real or complex.
 
@@ -456,7 +458,6 @@ def _chirp_plan(rho_max: float, n_panels: int, x: np.ndarray) -> Callable | None
     h = (x[-1] - x[0]) / (n - 1)
     if np.max(np.abs(x - (x[0] + h * i))) > 4.0 * np.spacing(np.max(np.abs(x))):
         return None
-    delta = rho_max / n_panels
     w = delta * h
     p = np.arange(n_panels)
     size = 1 << (n_panels + n - 2).bit_length()  # no wrap-around: >= n_panels + n - 1
@@ -469,7 +470,7 @@ def _chirp_plan(rho_max: float, n_panels: int, x: np.ndarray) -> Callable | None
     pad = np.zeros(size - n - n_panels + 1)
     spectrum = np.fft.fft(np.concatenate([chirp[:n], pad, chirp[n_panels - 1 : 0 : -1]]).conj())
     pre = np.exp(1j * delta * x[0] * p) * chirp[:n_panels]
-    post = np.exp(1j * np.outer(0.5 * delta * (1.0 + _GL_NODES), x)) * chirp[:n]
+    post = np.exp(1j * np.outer(_node_offsets(delta), x)) * chirp[:n]
 
     def sweep(coeff: np.ndarray) -> np.ndarray:
         u = np.fft.fft(coeff.reshape(n_panels, _GL_NODES.size).T * pre, size)
@@ -495,13 +496,13 @@ def _panel_factors(y: np.ndarray, delta: float, n_panels: int,
     block = max(1, math.isqrt(n_panels))
     n_outer = -(-n_panels // block)
     rates = np.concatenate([(block * delta) * np.arange(n_outer), delta * np.arange(block),
-                            0.5 * delta * (1.0 + _GL_NODES)])
+                            _node_offsets(delta)])
     table = np.exp(1j * np.outer(sign * rates, y))  # outer, coarse and fine rows
     coarse, fine = table[n_outer : n_outer + block], table[n_outer + block :]
     return table[:n_outer], (coarse[:, None, :] * fine).reshape(-1, y.size)
 
 
-def _factored_plan(rho_max: float, n_panels: int, x: np.ndarray) -> Callable:
+def _factored_plan(delta: float, n_panels: int, x: np.ndarray) -> Callable:
     """The sum Re sum_j c_j e^{i rho_j x} on any x as one matrix product per
     row; the coefficients c_j may be real or complex.
 
@@ -513,7 +514,7 @@ def _factored_plan(rho_max: float, n_panels: int, x: np.ndarray) -> Callable:
     it needs no spot check; its cost grows with n, so chirp-z takes wide
     uniform rows.
     """
-    outer, inner = _panel_factors(x, rho_max / n_panels, n_panels)
+    outer, inner = _panel_factors(x, delta, n_panels)
     product = _serial_product(inner)
 
     def sweep(coeff: np.ndarray) -> np.ndarray:
@@ -566,24 +567,26 @@ def _even_blocks(total: int, most: int) -> tuple[int, int]:
     return -(-total // count), count
 
 
-def _scattered_sums(f: np.ndarray, y: np.ndarray, delta: float, n_panels: int) -> np.ndarray:
-    """sum_m f_m e^{-i rho_j y_m} at every node rho_j of the first n_panels equal
-    panels of width delta, for any y; f holds one weight vector per row.
+def _scattered_sums(f: np.ndarray, y: np.ndarray, delta: float, n_nodes: int) -> np.ndarray:
+    """sum_m f_m e^{-i rho_j y_m} at the first n_nodes nodes rho_j of the lattice
+    of panel width delta (:func:`_gauss_panels`), for any y; f holds one weight
+    vector per row.
 
     With the tables of :func:`_panel_factors` (sign -1), the sums are one
     matrix product (:func:`_serial_product`) of e^{-i (b delta + c_k) y_m}
     (8B rows) and f_m e^{-i a B delta y_m} (one column per a and weight
     vector), accumulated over fixed chunks of _SCATTER_CHUNK points. Nodes
-    come back in panel order, as from :func:`_gauss_panels`.
+    come back in lattice order.
     """
     f = np.atleast_2d(f)
+    n_panels = -(-n_nodes // _GL_NODES.size)
     sums = 0.0
     for start in range(0, y.size, _SCATTER_CHUNK):
         yc = y[start : start + _SCATTER_CHUNK]
         outer, inner = _panel_factors(yc, delta, n_panels, -1.0)
         right = (f[:, None, start : start + _SCATTER_CHUNK] * outer).reshape(-1, yc.size)
         sums = sums + _serial_product(np.ascontiguousarray(right.T))(inner)
-    return sums.T.reshape(f.shape[0], -1)[:, : n_panels * _GL_NODES.size]
+    return sums.T.reshape(f.shape[0], -1)[:, :n_nodes]
 
 
 @functools.lru_cache(maxsize=64)
@@ -594,18 +597,6 @@ def _spot_indices(n: int) -> np.ndarray:
     idx = idx[np.diff(idx, prepend=-1) > 0]  # ascending, so this drops the repeats
     idx.flags.writeable = False
     return idx
-
-
-def _probe_table(rho: np.ndarray, x: np.ndarray, real: bool) -> np.ndarray:
-    """e^{i rho_j x_k} at the spot-check points x_k of x, one row per point;
-    only its real part, cos(rho_j x_k), where the coefficients are real."""
-    table = np.outer(x[_spot_indices(x.size)], rho)
-    if real:
-        return np.cos(table, out=table)
-    probe = np.empty(table.shape, dtype=complex)
-    np.cos(table, out=probe.real)
-    np.sin(table, out=probe.imag)
-    return probe
 
 
 def _spot_check(fast: np.ndarray, exact_at: Callable, abs_tol: float, rel_tol: float,
@@ -669,19 +660,21 @@ def _freq_scale(x: np.ndarray, ts: tuple, beta: float, tau: float) -> float:
 class _Stage1:
     """The node-only part of a field: what it needs of neither x nor the data.
 
-    ``weights`` are the Gauss weights times the mollifier damping, ``budget``
-    the uniform signal error the branch tables may carry, ``rho_max`` and
-    ``n_panels`` the extent and count of the equal panels, and ``reach`` the
-    largest |x - y| over the output grid and the data (max|x| plus the data's
-    reach), where the beta = 1 cut samples end.
+    ``rho`` is the lattice of :func:`_gauss_panels` on ``n_panels`` equal
+    panels of width ``delta``, which end at ``rho_max``; ``weights`` are the
+    Gauss weights times the mollifier damping, ``budget`` the uniform signal
+    error the branch tables may carry, and ``reach`` the largest |x - y| over
+    the output grid and the data (max|x| plus the data's reach), where the
+    beta = 1 cut samples end.
     """
 
     rho: np.ndarray
     weights: np.ndarray
     theta: np.ndarray
     budget: float
-    rho_max: float
+    delta: float
     n_panels: int
+    rho_max: float
     reach: float
 
 
@@ -693,9 +686,12 @@ def _stage1(
     rho_cut: float | None = None,
 ) -> _Stage1:
     """The stage-1 plan of a field on x from data within reach of 0 (by
-    default a point source at 0), its panels cut at rho_cut if given."""
-    edges = _panel_edges(_freq_scale(x, ts, p.beta, p.tau) + reach, _rho_max(p.epsilon), rho_cut)
-    rho, wts = _gauss_panels(edges)
+    default a point source at 0), its panels cut at rho_cut if given: the
+    nodes and weights of :func:`_gauss_panels` on the panels of
+    :func:`_panel_lattice`, so stage 2 factors over them by construction."""
+    scale = _freq_scale(x, ts, p.beta, p.tau) + reach
+    delta, n_panels, rho_max = _panel_lattice(scale, _rho_max(p.epsilon), rho_cut)
+    rho, wts = _gauss_panels(delta, n_panels)
     weights = wts * np.exp(-np.square(p.epsilon * rho) / 4.0)
     # Gauss nodes are interior, so theta is positive unless beta = 0 (then 0)
     theta = theta_of_rho(rho, p.beta)
@@ -705,21 +701,11 @@ def _stage1(
         theta=theta,
         # a uniform signal error e moves a row by at most e * sum|w damp| / pi
         budget=1e-2 * _ABS_TOL * math.pi / float(np.sum(weights)),
-        rho_max=float(edges[-1]),
-        n_panels=edges.size - 1,
+        delta=delta,
+        n_panels=n_panels,
+        rho_max=rho_max,
         reach=float(np.max(np.abs(x))) + reach,
     )
-
-
-def _check_panel_nodes(plan: _Stage1) -> None:
-    """The factored sum of stage 2 splits e^{i rho x} over node p*8 + k at
-    p*delta + c_k: plan.rho must be that lattice to a few ulps of rho_max."""
-    delta = plan.rho_max / plan.n_panels
-    lattice = (delta * np.arange(plan.n_panels))[:, None] + 0.5 * delta * (1.0 + _GL_NODES)
-    gap = float(np.max(np.abs(plan.rho - lattice.ravel())))
-    if not gap <= 8.0 * np.spacing(plan.rho_max):  # NaN fails too
-        raise NumericsError("rho nodes are off the equal Gauss panels that stage 2 factors",
-                            achieved=gap)
 
 
 def _fourier_rows(x: np.ndarray, ts: tuple, p: ModelParams, plan: _Stage1,
@@ -731,30 +717,30 @@ def _fourier_rows(x: np.ndarray, ts: tuple, p: ModelParams, plan: _Stage1,
     integrated selects S or its time integral, so data sharing a plan share
     one transform per row. Real coefficients on a symmetric grid are summed
     on x >= 0 and mirrored, so such rows are exactly even. Uniform rows wider
-    than _FACTORED_MAX points take the spot-checked chirp-z transform, every
-    other row the factored sum.
+    than _FACTORED_MAX points take the chirp-z transform, spot-checked against
+    the factored sum at its 8 _spot_indices; every other row takes the
+    factored sum.
     """
     signal = _spectral_signal(plan, p, tuple(integrated for _, integrated in terms))
     real = not any(np.iscomplexobj(hat) for hat, _ in terms)
     half = x.size // 2 if real and _symmetric(x) else 0
     xs = x[half:]
-    chirp = _chirp_plan(plan.rho_max, plan.n_panels, xs) if xs.size > _FACTORED_MAX else None
+    chirp = _chirp_plan(plan.delta, plan.n_panels, xs) if xs.size > _FACTORED_MAX else None
     if chirp is None:
-        _check_panel_nodes(plan)  # the factored sum has no spot check to catch a stray node
-        sweep, probe = _factored_plan(plan.rho_max, plan.n_panels, xs), None
+        sweep, spot = _factored_plan(plan.delta, plan.n_panels, xs), None
     else:
-        sweep, probe = chirp, _probe_table(plan.rho, xs, real)
+        sweep, spot = chirp, _factored_plan(plan.delta, plan.n_panels, xs[_spot_indices(xs.size)])
     values = np.empty((len(ts), x.size))
 
     def row(i: int) -> None:
         parts = [hat * s for (hat, _), s in zip(terms, signal(ts[i]))]
         coeff = plan.weights * sum(parts[1:], parts[0]) / math.pi
         values[i, half:] = sweep(coeff)
-        if probe is not None:
-            # the probe rows are the exponentials at exactly these _spot_indices
-            _spot_check(values[i, half:], lambda _idx: (probe @ coeff).real,
+        if spot is not None:
+            # spot is the factored sum at exactly these _spot_indices
+            _spot_check(values[i, half:], lambda _idx: spot(coeff),
                         1e-12 * float(np.sum(np.abs(coeff))), 0.0,
-                        "chirp-z transform disagrees with the dense sum")
+                        "chirp-z transform disagrees with the factored sum")
 
     _map_rows(row, len(ts))
     values[:, :half] = values[:, ::-1][:, :half]

@@ -32,7 +32,6 @@ from .errors import ValidationError
 from .fracops import SampledSignal
 from .kernel import (
     _CHUNK,
-    _GL_NODES,
     Field,
     _check_grids,
     _closed_form,
@@ -281,7 +280,7 @@ def _sampled_transform(y: np.ndarray, values: np.ndarray, plan: _Stage1) -> np.n
     Every exponential sum is one kernel._scattered_sums call, and the result
     must match the per-segment form at 8 spot nodes within 1e-12 of int|u|.
     """
-    rho, delta = plan.rho, plan.rho_max / plan.n_panels
+    rho, delta = plan.rho, plan.delta
     a, b, fa, fb = y[:-1], y[1:], values[:-1], values[1:]
     length = b - a
     mass = 0.5 * float(np.sum(length * (np.abs(fa) + np.abs(fb))))
@@ -290,7 +289,7 @@ def _sampled_transform(y: np.ndarray, values: np.ndarray, plan: _Stage1) -> np.n
     low = int(np.searchsorted(rho, rho_jump))
     out = np.empty(rho.size, dtype=complex)
     if low < rho.size:
-        sums = _scattered_sums(jumps, y, delta, plan.n_panels)[0, low:]
+        sums = _scattered_sums(jumps, y, delta, rho.size)[0, low:]
         r = rho[low:]
         ends = values[0] * np.exp(-1j * r * y[0]) - values[-1] * np.exp(-1j * r * y[-1])
         out[low:] = -(sums + 1j * r * ends) / np.square(r)
@@ -304,10 +303,10 @@ def _sampled_transform(y: np.ndarray, values: np.ndarray, plan: _Stage1) -> np.n
         k = np.arange(power + 1)[:, None]
         shape = np.where(k % 2 == 0, 0.5 * (fa + fb), 0.5 * (fb - fa))
         weights = _taylor_rows(power)[:, None] * length * shape * (length / l_max) ** k
-        sums = _scattered_sums(weights, 0.5 * (a + b), delta, -(-taylor // _GL_NODES.size))
-        acc = sums[power, :taylor]
+        sums = _scattered_sums(weights, 0.5 * (a + b), delta, taylor)
+        acc = sums[power]
         for k in range(power - 1, -1, -1):
-            acc = acc * zeta + sums[k, :taylor]
+            acc = acc * zeta + sums[k]
         out[:taylor] = acc
     out[taylor:low] = _segment_transform(a, b, fa, fb, rho[taylor:low])
     _spot_check(out, lambda idx: _segment_transform(a, b, fa, fb, rho[idx]), 1e-12 * mass, 0.0,

@@ -229,6 +229,18 @@ def test_a_refused_long_value_makes_one_short_error_line(capsys, tmp_path, cfg, 
     assert "characters)" in err
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python reads ints of any length")
+def test_an_int_past_the_digit_limit_is_invalid_json(capsys, tmp_path):
+    # json raises a plain ValueError for an int of more than 4,300 digits
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"grid": {"nx": 1' + "0" * 5000 + "}}")
+    rc, out, err = run(capsys, "solve", "--config", str(cfg_path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: config=") and err.count("\n") == 1
+    assert "valid JSON" in err
+
+
 @pytest.mark.parametrize("key", ["panels_per_period", "q_max", "rho_max", "rel_tol", "abs_tol"])
 def test_removed_quadrature_setting_exits_two(capsys, tmp_path, key):
     cfg_path = tmp_path / "cfg.json"

@@ -272,8 +272,8 @@ def _field_nodes(p: ModelParams, t: float):
     """theta at the rho nodes of a 41-point field on [-1, 1], and its table budget."""
     x = np.linspace(-1.0, 1.0, 41)
     scale = fzwave.kernel._freq_scale(x, (t,), p.beta, p.tau)
-    edges = fzwave.kernel._panel_edges(scale, fzwave.kernel._rho_max(p.epsilon))
-    rho, wts = fzwave.kernel._gauss_panels(edges)
+    delta, n_panels, _ = fzwave.kernel._panel_lattice(scale, fzwave.kernel._rho_max(p.epsilon))
+    rho, wts = fzwave.kernel._gauss_panels(delta, n_panels)
     damp = np.exp(-np.square(p.epsilon * rho) / 4.0)
     budget = 1e-2 * ABS_TOL * math.pi / float(np.sum(wts * damp))
     return fzwave.kernel.theta_of_rho(rho, p.beta), budget
@@ -585,11 +585,11 @@ def _cosine_sweep(coeff: np.ndarray, rho: np.ndarray, x: np.ndarray) -> np.ndarr
 @example(n_panels=1, rho_max=997.0, x0=0.3, h=0.0197, n=300, symmetric=False, seed=1)
 @example(n_panels=3, rho_max=640.0, x0=0.0, h=0.0191, n=299, symmetric=True, seed=2)
 def test_chirp_z_transform_matches_dense_sweep(n_panels, rho_max, x0, h, n, symmetric, seed):
-    rho, _ = fzwave.kernel._gauss_panels(np.linspace(0.0, rho_max, n_panels + 1))
+    rho, _ = fzwave.kernel._gauss_panels(rho_max / n_panels, n_panels)
     coeff = np.random.default_rng(seed).standard_normal(rho.size)
     half_width = 0.5 * h * (n - 1)
     x = np.linspace(-half_width, half_width, n) if symmetric else x0 + h * np.arange(n)
-    fast = fzwave.kernel._chirp_plan(rho_max, n_panels, x)
+    fast = fzwave.kernel._chirp_plan(rho_max / n_panels, n_panels, x)
     if n < 2:
         assert fast is None
         return
@@ -603,14 +603,14 @@ def test_chirp_z_transform_matches_dense_sweep(n_panels, rho_max, x0, h, n, symm
 ])
 def test_chirp_z_transform_takes_complex_coefficients(n_panels, rho_max, x0, h, n, seed):
     # data off the origin give complex coefficients: Re sum_j c_j e^{i rho_j x}
-    rho, _ = fzwave.kernel._gauss_panels(np.linspace(0.0, rho_max, n_panels + 1))
+    rho, _ = fzwave.kernel._gauss_panels(rho_max / n_panels, n_panels)
     rng = np.random.default_rng(seed)
     coeff = rng.standard_normal(rho.size) + 1j * rng.standard_normal(rho.size)
     x = x0 + h * np.arange(n)
     dense = np.real(np.exp(1j * np.outer(x, rho)) @ coeff)
     np.testing.assert_allclose(_cosine_sweep(coeff, rho, x), dense,
                                rtol=0.0, atol=1e-12 * np.sum(np.abs(coeff)))
-    fast = fzwave.kernel._chirp_plan(rho_max, n_panels, x)
+    fast = fzwave.kernel._chirp_plan(rho_max / n_panels, n_panels, x)
     assert np.max(np.abs(fast(coeff) - dense)) <= 1e-12 * np.sum(np.abs(coeff))
 
 
@@ -620,26 +620,58 @@ def test_chirp_z_transform_takes_complex_coefficients(n_panels, rho_max, x0, h, 
 def test_scattered_sums_match_the_dense_sum(n_panels, rho_max, m, seed):
     # sum_m f_m e^{-i rho_j y_m} at any sample points, as a blocked product,
     # for two weight vectors at once
-    rho, _ = fzwave.kernel._gauss_panels(np.linspace(0.0, rho_max, n_panels + 1))
+    rho, _ = fzwave.kernel._gauss_panels(rho_max / n_panels, n_panels)
     rng = np.random.default_rng(seed)
     f, y = rng.standard_normal((2, m)), np.sort(rng.uniform(-3.0, 3.0, m))
     dense = f @ np.exp(-1j * np.outer(rho, y)).T
-    got = fzwave.kernel._scattered_sums(f, y, rho_max / n_panels, n_panels)
+    got = fzwave.kernel._scattered_sums(f, y, rho_max / n_panels, rho.size)
     assert got.shape == dense.shape
     assert np.max(np.abs(got - dense)) <= 1e-12 * np.sum(np.abs(f))
 
 
 def test_cut_panels_are_the_head_of_the_full_tiling():
-    rho_max = fzwave.kernel._rho_max(P_EXP.epsilon)
-    full = fzwave.kernel._panel_edges(2.85, rho_max)
-    cut = fzwave.kernel._panel_edges(2.85, rho_max, rho_cut=85.6)
-    assert cut[-2] < 85.6 <= cut[-1] and cut.size < full.size
-    np.testing.assert_array_equal(cut, full[: cut.size])
-    np.testing.assert_array_equal(fzwave.kernel._panel_edges(2.85, rho_max, rho_cut=2e3), full)
+    # a Gaussian's plan keeps the full plan's first nodes and weights, bit for bit
+    x, reach = np.linspace(-1.0, 1.0, 41), 0.7
+    full = fzwave.kernel._stage1(x, (0.5,), P_EXP, reach)
+    cut = fzwave.kernel._stage1(x, (0.5,), P_EXP, reach, rho_cut=85.6)
+    assert cut.rho_max - cut.delta < 85.6 <= cut.rho_max and cut.n_panels < full.n_panels
+    assert cut.delta == full.delta and cut.rho.size == 8 * cut.n_panels
+    np.testing.assert_array_equal(cut.rho, full.rho[: cut.rho.size])
+    np.testing.assert_array_equal(cut.weights, full.weights[: cut.rho.size])
+    past = fzwave.kernel._stage1(x, (0.5,), P_EXP, reach, rho_cut=2e3)
+    np.testing.assert_array_equal(past.rho, full.rho)
+    assert past.rho_max == full.rho_max == fzwave.kernel._rho_max(P_EXP.epsilon)
+
+
+@pytest.mark.parametrize("rho_cut", [None, 85.6], ids=["full", "cut"])
+def test_plan_nodes_are_the_panel_lattice(rho_cut):
+    # stage 2 factors e^{i rho x} over node p*8 + k at p*delta + c_k: the plan's
+    # nodes and weights are that lattice itself
+    plan = fzwave.kernel._stage1(np.linspace(-1.0, 1.0, 41), (0.5,), P_EXP, 0.7, rho_cut)
+    rho, wts = fzwave.kernel._gauss_panels(plan.delta, plan.n_panels)
+    np.testing.assert_array_equal(plan.rho, rho)
+    np.testing.assert_array_equal(plan.weights, wts * np.exp(-np.square(P_EXP.epsilon * rho) / 4))
+
+
+@pytest.mark.parametrize("complex_coeff", [False, True])
+def test_chirp_z_spot_reference_matches_the_dense_sweep(complex_coeff):
+    # the 8-point factored sum a chirp-z row is checked against, on the plan
+    # of kernel_eps on 1,201 x (601 at x >= 0), against the dense sweep
+    x = np.linspace(0.0, 1.0, 601)
+    plan = fzwave.kernel._stage1(x, (0.5,), P_EXP)
+    rng = np.random.default_rng(5)
+    coeff = rng.standard_normal(plan.rho.size)
+    if complex_coeff:
+        coeff = coeff + 1j * rng.standard_normal(plan.rho.size)
+    spot = x[fzwave.kernel._spot_indices(x.size)]
+    assert spot.size == 8 and spot[0] == 0.0 and spot[-1] == 1.0
+    got = fzwave.kernel._factored_plan(plan.delta, plan.n_panels, spot)(coeff)
+    assert np.max(np.abs(got - _cosine_sweep(coeff, plan.rho, spot))) <= 1e-12 * np.sum(
+        np.abs(coeff))
 
 
 def test_spot_check_catches_a_wrong_transform(monkeypatch, capsys):
-    # the spot check recomputes the first point of every row densely
+    # the spot check recomputes the first point of every row by the factored sum
     plan = fzwave.kernel._chirp_plan
 
     def off_by_1e_9(*args):
@@ -657,7 +689,7 @@ def test_spot_check_catches_a_wrong_transform(monkeypatch, capsys):
     x = np.linspace(-1.0, 1.0, 1201)
     with pytest.raises(NumericsError, match="chirp-z"):
         kernel_eps(x, [0.5], P_EXP)
-    # off-centre data: complex coefficients, checked against the e^{i rho x} probe
+    # off-centre data: complex coefficients, checked the same way
     with pytest.raises(NumericsError, match="chirp-z"):
         solve_field(InitialData.gaussian(0.1, 0.1), InitialData.zero(), x, [0.5], P_EXP)
     rc = fzwave.cli.run_command(["kernel", "--nx", "1201", "--t-list", "0.5"])
@@ -679,24 +711,26 @@ def test_dense_fallback_agrees_with_chirp_z_through_kernel_eps():
 
 
 def test_only_wide_uniform_rows_build_a_chirp_plan_and_probe(monkeypatch):
+    # the probe of a chirp-z plan is the factored sum at its 8 spot points
     built = []
-    chirp_plan, probe_table = fzwave.kernel._chirp_plan, fzwave.kernel._probe_table
+    chirp_plan, factored_plan = fzwave.kernel._chirp_plan, fzwave.kernel._factored_plan
 
     def counted_plan(*args):
         built.append("chirp")
         return chirp_plan(*args)
 
-    def counted_table(*args):
-        built.append("probe")
-        return probe_table(*args)
+    def counted_factored(delta, n_panels, x):
+        built.append(f"factored {x.size}")
+        return factored_plan(delta, n_panels, x)
 
     monkeypatch.setattr(fzwave.kernel, "_chirp_plan", counted_plan)
-    monkeypatch.setattr(fzwave.kernel, "_probe_table", counted_table)
+    monkeypatch.setattr(fzwave.kernel, "_factored_plan", counted_factored)
     solve_field(*_solve_data_input())
     kernel_eps(np.linspace(-1.0, 1.0, 201), [0.25, 0.5, 0.75, 1.0], P_EXP)  # cli_export's A
-    assert built == []
+    assert built == ["factored 21", "factored 101"]  # both mirrored about x = 0
+    built.clear()
     kernel_eps(np.linspace(-1.0, 1.0, 1201), [0.5], P_EXP)
-    assert built == ["chirp", "probe"]
+    assert built == ["chirp", "factored 8"]
 
 
 # x*rho below ~1e4 rad, as for the chirp-z test above
@@ -719,56 +753,36 @@ def test_only_wide_uniform_rows_build_a_chirp_plan_and_probe(monkeypatch):
          complex_coeff=False, seed=3)
 def test_factored_sum_matches_dense_sweep(n_panels, rho_max, x0, h, n, uniform,
                                           complex_coeff, seed):
-    rho, _ = fzwave.kernel._gauss_panels(np.linspace(0.0, rho_max, n_panels + 1))
+    rho, _ = fzwave.kernel._gauss_panels(rho_max / n_panels, n_panels)
     rng = np.random.default_rng(seed)
     coeff = rng.standard_normal(rho.size)
     if complex_coeff:
         coeff = coeff + 1j * rng.standard_normal(rho.size)
     x = x0 + h * (np.arange(n) if uniform else np.cumsum(rng.uniform(0.0, 2.0, n)))
-    fast = fzwave.kernel._factored_plan(rho_max, n_panels, x)
+    fast = fzwave.kernel._factored_plan(rho_max / n_panels, n_panels, x)
     dense = _cosine_sweep(coeff, rho, x)
     assert np.max(np.abs(fast(coeff) - dense)) <= 1e-12 * np.sum(np.abs(coeff))
 
 
-def test_a_node_off_the_panel_lattice_is_refused(monkeypatch, capsys):
-    # the factored sum has no spot check: its plan must be the equal panels
-    panels = fzwave.kernel._gauss_panels
-
-    def one_node_off(edges):
-        nodes, weights = panels(edges)
-        nodes[nodes.size // 2] *= 1.0 + 1e-9
-        return nodes, weights
-
-    monkeypatch.setattr(fzwave.kernel, "_gauss_panels", one_node_off)
-    with pytest.raises(NumericsError, match="equal Gauss panels"):
-        kernel_eps(np.linspace(-1.0, 1.0, 41), [0.5], P_EXP)
-    with pytest.raises(NumericsError, match="equal Gauss panels"):
-        solve_field(*_solve_data_input())
-    rc = fzwave.cli.run_command(["kernel", "--nx", "21", "--x-min", "-1", "--x-max", "1",
-                                 "--t-list", "0.5"])
-    assert rc == 3
-    assert "equal Gauss panels" in capsys.readouterr().err
-
-
 def test_dense_sweep_sees_only_spot_check_points(monkeypatch):
-    # on uniform chirp-z grids the only dense sums are the 8 probe rows of
-    # each transform: one for the kernel, one for the data sharing a plan
-    tables = []
-    probe_table = fzwave.kernel._probe_table
+    # on uniform chirp-z grids the only other sum is the 8-point factored
+    # reference of each transform: one for the kernel, one for the data
+    # sharing a plan
+    points = []
+    factored_plan = fzwave.kernel._factored_plan
 
-    def counted_table(rho, x, real):
-        table = probe_table(rho, x, real)
-        tables.append(table.shape == (8, rho.size))
-        return table
+    def counted_factored(delta, n_panels, x):
+        points.append(x.size)
+        return factored_plan(delta, n_panels, x)
 
-    monkeypatch.setattr(fzwave.kernel, "_probe_table", counted_table)
+    monkeypatch.setattr(fzwave.kernel, "_factored_plan", counted_factored)
     p = ModelParams(0.25, 0.45, 0.1, 0.05)
     kernel_eps(np.linspace(-1.0, 1.0, 1201), [0.5, 1.0], p)
-    assert tables == [True]
-    tables.clear()
+    assert points == [8]
+    points.clear()
     u0 = InitialData.gaussian(0.1, 0.2)
     solve_field(u0, InitialData.gaussian(0.1, 0.2, 0.5), np.linspace(-1.0, 1.0, 1201), (0.5,), p)
-    assert tables == [True]
+    assert points == [8]
 
 
 # ------------------------------------------------------- time-fractional edge
@@ -816,7 +830,7 @@ def test_time_fractional_integral_matches_a_time_quadrature(alpha, tau):
     # oracle: 50 Gauss-Legendre panels in t' of the Fourier route's K rows
     x, t = np.linspace(-1.0, 1.0, 41), 0.5
     p = ModelParams(alpha, 1.0, tau)
-    tp, tw = fzwave.kernel._gauss_panels(np.linspace(0.0, t, 51))
+    tp, tw = fzwave.kernel._gauss_panels(t / 50, 50)
     plan = fzwave.kernel._stage1(x, tuple(tp), p)
     rows = fzwave.kernel._fourier_rows(x, tuple(tp), p, plan, [(1.0, False)])
     got = kernel_eps_time_integrated(x, [t], p).values[0]

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -95,6 +96,16 @@ def test_validation_message_cuts_a_long_repr_and_keeps_the_value():
     assert err.value is big
     assert str(err) == f"nx={repr(big)[:80]}... (401 characters) is invalid; admissible: [3, 24000]"
     assert str(ValidationError("nx", 5, "[6, 9]")) == "nx=5 is invalid; admissible: [6, 9]"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python prints ints of any length")
+def test_validation_message_names_a_value_whose_repr_raises():
+    huge = 10**5000  # repr raises ValueError past Python's 4,300-digit limit
+    with pytest.raises(ValidationError) as exc:
+        _require_in("x", huge, "[0, 1]")
+    assert exc.value.value is huge
+    assert str(exc.value) == "x=<int without a printable repr> is invalid; admissible: [0, 1]"
 
 
 @pytest.mark.parametrize("values, admissible, increasing, want", [

@@ -183,7 +183,7 @@ FIELD_SETTINGS = [(0.25, 0.45, 0.1), (0.6, 0.8, 0.1), (0.9, 0.45, 0.9), (0.9, 0.
 
 def _field_theta(beta: float, n_panels: int = 2000, rho_max: float = 860.0) -> np.ndarray:
     """theta at the 8-point Gauss nodes of equal panels on (0, rho_max]."""
-    rho, _ = fzwave.kernel._gauss_panels(np.linspace(0.0, rho_max, n_panels + 1))
+    rho, _ = fzwave.kernel._gauss_panels(rho_max / n_panels, n_panels)
     return theta_of_rho(rho, beta)
 
 
