@@ -50,14 +50,12 @@ from .solver import InitialData, solve_field
 
 __all__ = ["RunConfig", "run_command", "main"]
 
-# near-limit probe orders used by `limits` when neither a flag nor the
-# config file sets the order
-_BETA_PROBE = 0.99
-_BETA0_PROBE = 1e-3
-_ALPHA_PROBE = 1e-3
-
 # the model of a run that sets no order, ratio or width (the paper's)
 _MODEL_DEFAULTS = {"alpha": 0.25, "beta": 0.45, "tau": 0.1, "epsilon": DEFAULT_EPSILON}
+# the near-limit orders each `limits` case runs the general assembly at, under
+# any order that the config file or a flag sets
+_LIMIT_PROBES = {"beta0": {"beta": 1e-3}, "beta1": {"beta": 0.99}, "alpha0": {"alpha": 1e-3},
+                 "classical": {"alpha": 1e-3, "beta": 0.99}}
 # most x points a grid may ask for, refused before the grid exists. No route's
 # memory grows much with x below it: the beta = 1 x-space mollifier sum of
 # `limits --case beta1` works in fixed _CHUNK x _CHUNK blocks per t row in
@@ -167,10 +165,12 @@ def _initial_from_mapping(name: str, d: dict | None) -> InitialData:
     return InitialData(kind=kind, samples=None, **kwargs)
 
 
-def _config_from_sources(file_cfg, args: argparse.Namespace) -> RunConfig:
-    """Merge config-file values with flag overrides and fill defaults."""
+def _config_from_sources(file_cfg, args: argparse.Namespace,
+                         probes: dict | None = None) -> RunConfig:
+    """Merge config-file values with flag overrides and fill defaults, with
+    ``probes`` over the default model."""
     cfg = _section("config", file_cfg, fields(RunConfig))
-    model = ModelParams(**{**_MODEL_DEFAULTS,
+    model = ModelParams(**{**_MODEL_DEFAULTS, **(probes or {}),
                            **_section("model", cfg.get("model", {}), fields(ModelParams)),
                            **_given(args, alpha="alpha", beta="beta", tau="tau", eps="epsilon")})
     grid_d = {**_section("grid", cfg.get("grid", {}), fields(GridSpec)),
@@ -321,34 +321,20 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_limits(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    cfg = _config_from_sources(file_cfg, args)
-    m, grid = cfg.model, cfg.grid
-    x = grid.x_grid()
-    ts = grid.t_list
-    # an order set by flag or config file is honoured; otherwise the probe
-    given = set(file_cfg.get("model", {})) | {k for k in ("alpha", "beta")
-                                              if getattr(args, k) is not None}
-    alpha = m.alpha if "alpha" in given else _ALPHA_PROBE
-    beta_probe = _BETA0_PROBE if args.case == "beta0" else _BETA_PROBE
-    beta = m.beta if "beta" in given else beta_probe
-    # each case runs the general assembly at a near-limit order next to the
-    # dedicated closed form / limit route
+    cfg = _config_from_sources(_load_config_file(args.config), args, _LIMIT_PROBES[args.case])
+    m, x, ts = cfg.model, cfg.grid.x_grid(), cfg.grid.t_list
+    # the general assembly at the near-limit model, next to the dedicated
+    # closed form / limit route
+    gen = kernel_eps(x, ts, m)
     if args.case == "beta0":
-        gen = kernel_eps(x, ts, ModelParams(m.alpha, beta, m.tau, m.epsilon))
         row = np.asarray(delta_eps(x, m.epsilon))
         limit = np.vstack([row for _ in ts])
     elif args.case == "beta1":
-        gen = kernel_eps(x, ts, ModelParams(m.alpha, beta, m.tau, m.epsilon))
         limit = kernel_time_fractional(x, ts, m.alpha, m.tau, m.epsilon).values
     elif args.case == "alpha0":
-        gen = kernel_eps(x, ts, ModelParams(alpha, m.beta, m.tau, m.epsilon))
         limit = kernel_eps(x, ts, ModelParams(0.0, m.beta, m.tau, m.epsilon)).values
-    elif args.case == "classical":
-        gen = kernel_eps(x, ts, ModelParams(alpha, beta, m.tau, m.epsilon))
+    else:
         limit = kernel_classical(x, ts, m.tau, m.epsilon).values
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError("case", args.case, "beta0|beta1|alpha0|classical")
 
     chunks = _grid_csv("x,t,u_general,u_limit,abs_diff", x, ts,
                        gen.values, limit, np.abs(gen.values - limit))
@@ -426,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("limits", help="general assembly next to a closed-form limit")
-    sp.add_argument("--case", required=True, choices=("beta0", "beta1", "alpha0", "classical"))
+    sp.add_argument("--case", required=True, choices=tuple(_LIMIT_PROBES))
     _add_model_flags(sp)
     _add_grid_flags(sp)
     _add_io_flags(sp)

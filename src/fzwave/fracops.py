@@ -9,7 +9,7 @@ convolution operator built from the relaxation function e_alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,11 +24,15 @@ _PAD_FACTOR = 16
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Real-valued samples on a strictly increasing grid."""
+    """Real-valued samples on a strictly increasing grid.
+
+    ``uniform`` is read from the grid, not passed: it holds when every spacing
+    matches the first to 1 part in 1e10.
+    """
 
     grid: np.ndarray
     values: np.ndarray
-    uniform: bool
+    uniform: bool = field(init=False)
 
     def __post_init__(self) -> None:
         grid = _require_reals("grid", self.grid, "(-inf, inf), strictly increasing",
@@ -38,24 +42,18 @@ class SampledSignal:
             raise ValidationError("grid", grid.size, "at least 2 points")
         if values.shape != grid.shape:
             raise ValidationError("values", values.shape, f"one per grid point ({grid.size})")
-        if self.uniform:
-            dg = np.diff(grid)
-            if np.abs(dg - dg[0]).max() > _SPACING_RTOL * dg[0]:
-                raise ValidationError(
-                    "uniform", True, "constant spacing to 1 part in 1e10"
-                )
         grid.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
+        dg = np.diff(grid)
+        object.__setattr__(self, "uniform",
+                           bool(np.abs(dg - dg[0]).max() <= _SPACING_RTOL * dg[0]))
 
     @classmethod
     def from_arrays(cls, grid, values) -> "SampledSignal":
-        """Build a signal, detecting uniform spacing automatically."""
-        signal = cls(grid=grid, values=values, uniform=False)
-        dg = np.diff(signal.grid)
-        uniform = bool(np.abs(dg - dg[0]).max() <= _SPACING_RTOL * dg[0])
-        return cls(grid=signal.grid, values=signal.values, uniform=uniform)
+        """Build a signal from any two array-likes of reals."""
+        return cls(grid=grid, values=values)
 
     @property
     def spacing(self) -> float:
@@ -85,7 +83,7 @@ def caputo_derivative(f: SampledSignal, alpha: float) -> SampledSignal:
     if len(f.grid) < 3:
         raise ValidationError("f.grid", len(f.grid), "at least 3 points")
     if alpha == 0.0:
-        return SampledSignal(f.grid, f.values.copy(), uniform=True)
+        return SampledSignal(f.grid, f.values.copy())
     n = len(f.grid)
     h = f.spacing
     k = np.arange(n - 1, dtype=float)
@@ -94,7 +92,7 @@ def caputo_derivative(f: SampledSignal, alpha: float) -> SampledSignal:
     out = np.zeros(n)
     out[1:] = np.convolve(b, df)[: n - 1]
     out[1:] *= h ** (-alpha) / math.gamma(2.0 - alpha)
-    return SampledSignal(f.grid, out, uniform=True)
+    return SampledSignal(f.grid, out)
 
 
 def symmetrized_derivative(f: SampledSignal, beta: float) -> SampledSignal:
@@ -112,7 +110,7 @@ def symmetrized_derivative(f: SampledSignal, beta: float) -> SampledSignal:
         raise ValidationError("f.uniform", False, "uniform grid for the spectral route")
     scale = float(np.abs(f.values).max())
     if scale == 0.0:
-        return SampledSignal(f.grid, np.zeros_like(f.values), uniform=True)
+        return SampledSignal(f.grid, np.zeros_like(f.values))
     edge = max(abs(float(f.values[0])), abs(float(f.values[-1])))
     if edge > _BOUNDARY_DECAY * scale:
         raise ValidationError(
@@ -128,7 +126,7 @@ def symmetrized_derivative(f: SampledSignal, beta: float) -> SampledSignal:
     xi = 2.0 * math.pi * np.fft.fftfreq(m, d=h)
     symbol = 1j * np.sign(xi) * np.abs(xi) ** beta * math.sin(0.5 * math.pi * beta)
     out = np.fft.ifft(np.fft.fft(padded) * symbol).real[start : start + n]
-    return SampledSignal(f.grid, out, uniform=True)
+    return SampledSignal(f.grid, out)
 
 
 def _relaxation_tables(alpha: float, tau: float, h: float, n: int):
@@ -159,7 +157,7 @@ def l_operator_apply(f: SampledSignal, alpha: float, tau: float) -> SampledSigna
     _require_in("tau", tau, "(0, 1)")
     _require_uniform_from_zero(f, "the constitutive operator")
     if alpha == 0.0:
-        return SampledSignal(f.grid, (2.0 / (1.0 + tau)) * f.values, uniform=True)
+        return SampledSignal(f.grid, (2.0 / (1.0 + tau)) * f.values)
     n = len(f.grid)
     h = f.spacing
     e1, g = _relaxation_tables(alpha, tau, h, n - 1)
@@ -175,4 +173,4 @@ def l_operator_apply(f: SampledSignal, alpha: float, tau: float) -> SampledSigna
     # convolve's row n picks up q[n]*f[0], one cell beyond the causal sum
     c[1:-1] -= q[1:] * f.values[0]
     out = f.values / tau + (1.0 / tau - 1.0) * c
-    return SampledSignal(f.grid, out, uniform=True)
+    return SampledSignal(f.grid, out)

@@ -136,19 +136,15 @@ class SpectralKernel:
     t: float
     branch_part: float
     residue_part: float
-    total: float
 
     def __post_init__(self) -> None:
-        if not all(
-            math.isfinite(v)
-            for v in (self.rho, self.t, self.branch_part, self.residue_part, self.total)
-        ):
+        if not all(math.isfinite(v)
+                   for v in (self.rho, self.t, self.branch_part, self.residue_part)):
             raise ValidationError("SpectralKernel", "non-finite entry", "finite fields")
-        gap = abs(self.total - (self.branch_part + self.residue_part))
-        if gap > 1e-12 * max(1.0, abs(self.total)):
-            raise ValidationError(
-                "total", self.total, "branch_part + residue_part (consistency)"
-            )
+
+    @property
+    def total(self) -> float:
+        return self.branch_part + self.residue_part
 
 
 def _meta(model: dict, quadrature: bool) -> dict:
@@ -308,10 +304,13 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple) -> Callable[[f
 
     cut = p.beta == 1.0 and any(modes)
     tabled = tuple(m for m in modes if not (cut and m))
-    if tabled:  # only the tables read the zeros
+    if tabled:  # only the tables read the zeros and log theta
+        lo, hi = float(np.min(theta)), float(np.max(theta))
+        if lo == 0.0:
+            raise NumericsError("theta(rho) underflows to 0 at the smallest rho nodes, where "
+                                "the branch tables' variable log theta does not exist")
         s_z, psi_p = _zero_pair_batch(alpha, tau, theta)
-    u, lo, hi = np.log(theta), float(np.min(theta)), float(np.max(theta))
-    spot = theta[_spot_indices(theta.size)]
+        u, spot = np.log(theta), theta[_spot_indices(theta.size)]
 
     def table_rows(t: float) -> list:
         direct = []  # the spot nodes' branch integrals, from the first pass
@@ -348,8 +347,10 @@ def spectral_kernel(rho: float, t: float, p: ModelParams) -> SpectralKernel:
     """Residue-plus-branch-cut evaluation of one spectral mode, certified.
 
     The conjugate pole pair is located and certified by the winding-number
-    test before use; the imaginary residual of the explicitly summed pair is
-    asserted below 1e-10 relative and then discarded.
+    test before use. Its residues s e^{st}/psi'(s) at s_z and at the conjugate
+    zero are conjugates bit for bit (charfun._power and cmath.exp are exactly
+    conjugate-symmetric), so the pair sums to 2 Re[s_z e^{s_z t}/psi'(s_z)],
+    the form :func:`_spectral_signal` reads.
     """
     _require_in("alpha", p.alpha, "(0, 1) (the order-zero case has its own closed form)")
     _require_in("rho", rho, "[0, inf)")
@@ -357,29 +358,12 @@ def spectral_kernel(rho: float, t: float, p: ModelParams) -> SpectralKernel:
     theta = float(theta_of_rho(rho, p.beta))
     if theta == 0.0:
         # the transform degenerates to 1/s: a unit step carried by the pole part
-        return SpectralKernel(rho=float(rho), t=float(t), branch_part=0.0,
-                              residue_part=1.0, total=1.0)
+        return SpectralKernel(rho=float(rho), t=float(t), branch_part=0.0, residue_part=1.0)
 
-    pair = find_zero_pair(CharParams(alpha=p.alpha, tau=p.tau, theta=theta))
-    s = pair.s_z
-    dpsi = complex(_psi_prime(s, p.alpha, p.tau, theta))
-    dpsi_conj = complex(_psi_prime(s.conjugate(), p.alpha, p.tau, theta))
-    pole_sum = s * cmath.exp(s * t) / dpsi + s.conjugate() * cmath.exp(
-        s.conjugate() * t
-    ) / dpsi_conj
-    residue = pole_sum.real
-    im_resid = abs(pole_sum.imag)
-
+    s = find_zero_pair(CharParams(alpha=p.alpha, tau=p.tau, theta=theta)).s_z
+    residue = 2.0 * (s * cmath.exp(s * t) / complex(_psi_prime(s, p.alpha, p.tau, theta))).real
     branch = float(_branch_part(np.array([theta]), float(t), p.alpha, p.tau)[0, 0])
-    total = branch + residue
-    if im_resid > 1e-10 * max(1.0, abs(total)):
-        raise NumericsError(
-            "conjugate pole pair failed to cancel to a real residue sum",
-            achieved=im_resid,
-        )
-    return SpectralKernel(
-        rho=float(rho), t=float(t), branch_part=branch, residue_part=residue, total=total
-    )
+    return SpectralKernel(rho=float(rho), t=float(t), branch_part=branch, residue_part=residue)
 
 
 # ---------------------------------------------------------------------------

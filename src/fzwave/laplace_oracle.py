@@ -21,6 +21,7 @@ smallness of the imaginary residual is a real check, not an identity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ _T_GUARD = 1e-3
 _MAX_DOUBLINGS = 12
 _REL_TOL = 1e-7  # agreement of two consecutive Richardson levels
 _ABS_TOL = 1e-9  # bound on the truncation tail beyond p_max
+_EXP_ARG_MAX = math.log(sys.float_info.max)  # largest s0*t whose e^(s0 t) is finite
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,11 @@ def bromwich_invert(
         return 1.0  # Q vanishes identically; the unit step is exact
 
     s0 = c.s0
+    if s0 * t > _EXP_ARG_MAX:
+        raise NumericsError(
+            f"e^(s0 t) overflows a float at s0*t = {s0 * t:g} > {_EXP_ARG_MAX:.2f}; "
+            "the Bromwich line cannot amplify its integral that far (lower s0 or t)"
+        )
     amp = math.exp(s0 * t) / (2.0 * math.pi)
     # Tail beyond p_max: |Q| ~ (theta/tau) p^-3 and integration by parts
     # against e^{ipt} gains a 1/t factor; |int| <= (|Q(p_max)| + int |Q'|)/t

@@ -107,7 +107,7 @@ def _rect_path(re_lo, re_hi, im_lo, im_hi) -> list[complex]:
     return [sw, se, ne, nw, sw]
 
 
-def winding_number(rect, p: CharParams, node_budget: int = _NODE_BUDGET) -> int:
+def winding_number(rect, p: CharParams) -> int:
     """Number of zeros of the characteristic function inside a rectangle.
 
     ``rect`` is ``(re_lo, re_hi, im_lo, im_hi)``, traversed counterclockwise;
@@ -147,7 +147,7 @@ def winding_number(rect, p: CharParams, node_budget: int = _NODE_BUDGET) -> int:
     else:
         raise NumericsError("zero too close to contour (perturbation failed)")
 
-    budget = [node_budget]
+    budget = [_NODE_BUDGET]
     total = 0.0
     for a, b in zip(path[:-1], path[1:]):
         total += _arg_sweep(f, a, b, budget)

@@ -75,11 +75,9 @@ _JUMP_RTOL = 1e-14
 _TAYLOR_Z = 1.0
 _TAYLOR_TAIL = 1e-17
 
-# (sin z - z cos z)/z^2 is summed as its Taylor series below this |z|, where
-# the closed form cancels; coefficients of z^(2n-1) in powers of z^2, n = 1..7
+# (sin z - z cos z)/z^2 is summed as its Taylor series (_J1_SERIES) below
+# this |z|, where the closed form cancels
 _J1_SWITCH = 0.5
-_J1_SERIES = np.array([1 / 3, -1 / 30, 1 / 840, -1 / 45360, 1 / 3991680,
-                       -1 / 518918400, 1 / 93405312000])
 
 
 @dataclass(frozen=True)
@@ -262,6 +260,10 @@ def _taylor_rows(power: int) -> np.ndarray:
     even = np.where(k % 2 == 0, (-1.0) ** (k // 2) / fact, 0.0)
     odd = np.where(k % 2 == 1, (-1.0) ** ((k - 1) // 2) * (k + 1) / (fact * (k + 2)), 0.0)
     return even - 1j * odd
+
+
+# j1's Taylor coefficients of z^(2n-1), n = 1..7, as a series in z^2
+_J1_SERIES = -_taylor_rows(13).imag[1::2]
 
 
 def _sampled_transform(y: np.ndarray, values: np.ndarray, plan: _Stage1) -> np.ndarray:

@@ -100,6 +100,12 @@ def test_numerics_error_exits_three(capsys):
     assert "p_max" in err
 
 
+def test_oracle_past_the_exponential_range_exits_three(capsys):
+    rc, out, err = run(capsys, "oracle", "--rho", "1", "--t", "800")
+    assert (rc, out) == (3, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     rc, out, _ = run(capsys, "--help")
     assert rc == 0
@@ -545,6 +551,31 @@ def test_limits_honours_config_file_order(capsys, tmp_path):
     u_gen = np.array([float(ln.split(",")[2]) for ln in out.strip().split("\n")[1:]])
     want = kernel_eps(x, [0.5], ModelParams(0.25, 1e-4, 0.1, 0.01)).values[0]
     np.testing.assert_array_equal(u_gen, want)
+
+
+@pytest.mark.parametrize("case, model, flags, order", [
+    ("beta0", {}, [], (0.25, 1e-3)),
+    ("beta0", {"alpha": 0.3}, [], (0.3, 1e-3)),
+    ("beta1", {}, [], (0.25, 0.99)),
+    ("beta1", {}, ["--alpha", "0.3"], (0.3, 0.99)),
+    ("alpha0", {}, [], (1e-3, 0.45)),
+    ("alpha0", {}, ["--beta", "0.6"], (1e-3, 0.6)),
+    ("classical", {}, [], (1e-3, 0.99)),
+    ("classical", {"alpha": 0.3}, [], (0.3, 0.99)),
+    ("classical", {}, ["--beta", "0.6"], (1e-3, 0.6)),
+])
+def test_limits_unset_order_takes_the_case_probe(capsys, tmp_path, case, model, flags, order):
+    # an order set by neither the config file nor a flag takes the case's probe
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": model}))
+    rc, out, _ = run(
+        capsys, "limits", "--case", case, "--config", str(cfg_path), *flags, "--nx", "11",
+        "--x-min", "-1", "--x-max", "1", "--t-list", "0.5",
+    )
+    assert rc == 0
+    u_gen = np.array([float(ln.split(",")[2]) for ln in out.strip().split("\n")[1:]])
+    want = kernel_eps(np.linspace(-1.0, 1.0, 11), [0.5], ModelParams(*order, 0.1, 0.01))
+    np.testing.assert_array_equal(u_gen, want.values[0])
 
 
 # ------------------------------------------------------------------- oracle

@@ -203,12 +203,15 @@ def test_l_operator_encodes_constitutive_law():
 
 def test_signal_rejects_non_monotone_grid():
     with pytest.raises(ValidationError):
-        SampledSignal(np.array([0.0, 1.0, 0.5]), np.zeros(3), uniform=False)
+        SampledSignal(np.array([0.0, 1.0, 0.5]), np.zeros(3))
 
 
-def test_signal_rejects_uniform_claim_on_ragged_grid():
-    with pytest.raises(ValidationError):
-        SampledSignal(np.array([0.0, 1.0, 2.5]), np.zeros(3), uniform=True)
+def test_signal_reads_uniform_spacing_from_its_grid():
+    # the grid alone decides it: no flag to pass, and none to pass wrongly
+    t = np.linspace(0.0, 1.0, 11)
+    d = caputo_derivative(SampledSignal(t, t), 0.5)
+    assert d.uniform
+    np.testing.assert_allclose(d.values, t**0.5 / math.gamma(1.5), atol=1e-12)
 
 
 def test_from_arrays_detects_spacing():

@@ -6,6 +6,7 @@ Bromwich-contour inversion (two unrelated routes agreeing to ~1e-10); they
 are pinned at 1e-8 so incidental quadrature retuning does not move them.
 """
 
+import cmath
 import functools
 import math
 
@@ -18,7 +19,7 @@ import fzwave._quad
 import fzwave.cli
 import fzwave.kernel
 import fzwave.rootfinder
-from fzwave.charfun import CharParams, branch_values, theta_of_rho, zener_ratio
+from fzwave.charfun import CharParams, _psi_prime, branch_values, theta_of_rho, zener_ratio
 from fzwave.errors import NumericsError, ValidationError
 from fzwave.fracops import (
     SampledSignal,
@@ -40,6 +41,7 @@ from fzwave.kernel import (
 )
 from fzwave.laplace_oracle import BromwichConfig, bromwich_invert
 from fzwave.params import ModelParams
+from fzwave.rootfinder import find_zero_pair
 from fzwave.solver import InitialData, nonprop_solution, solve_field
 from fzwave.specfun import e_alpha, e_alpha_prime, mittag_leffler
 
@@ -111,6 +113,25 @@ def test_spectral_kernel_is_bounded_and_decays():
     early = max(abs(spectral_kernel(1.0, t, P_EXP).total) for t in (0.5, 1.0, 1.5, 2.0))
     late = max(abs(spectral_kernel(1.0, t, P_EXP).total) for t in (10.0, 15.0, 20.0))
     assert late < 0.5 * early
+
+
+@pytest.mark.filterwarnings("ignore:characteristic zero hugs the imaginary axis")
+def test_residue_terms_are_conjugate_symmetric_bit_for_bit():
+    # spectral_kernel sums the pole pair as 2 Re[s e^{st}/psi'(s)]: exact only if
+    # the conjugate zero's psi' and e^{st} are the conjugates, to the last bit,
+    # of the zero's own (criterion 2's draws)
+    rng = np.random.default_rng(20240817)
+    for _ in range(200):
+        p = CharParams(
+            alpha=float(rng.uniform(0.0, 0.95)),
+            tau=float(rng.uniform(0.05, 0.95)),
+            theta=float(10.0 ** rng.uniform(-2.0, 3.0)),
+        )
+        s = find_zero_pair(p).s_z
+        dpsi = complex(_psi_prime(s, p.alpha, p.tau, p.theta))
+        assert complex(_psi_prime(s.conjugate(), p.alpha, p.tau, p.theta)) == dpsi.conjugate()
+        for t in (0.1, 1.0, 7.3):
+            assert cmath.exp(s.conjugate() * t) == cmath.exp(s * t).conjugate()
 
 
 def test_spectral_kernel_rejects_alpha_edges():
@@ -948,9 +969,8 @@ def test_closed_forms_record_no_quadrature():
     assert kernel_eps(x, [0.5], ModelParams(0.25, 1.0, 0.1)).meta["quadrature"] is not None
 
 
-_RAMP = SampledSignal(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5), uniform=True)
-_BUMP = SampledSignal(np.linspace(-8.0, 8.0, 65), np.exp(-np.linspace(-8.0, 8.0, 65) ** 2),
-                      uniform=True)
+_RAMP = SampledSignal(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
+_BUMP = SampledSignal(np.linspace(-8.0, 8.0, 65), np.exp(-np.linspace(-8.0, 8.0, 65) ** 2))
 
 
 @pytest.mark.parametrize("call, args, field", [

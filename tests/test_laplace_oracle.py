@@ -52,6 +52,13 @@ def test_tail_gate_raises_rather_than_truncates():
         bromwich_invert(5.0, 1.0, p_hot)
 
 
+def test_time_past_the_exponential_range_is_refused():
+    # e^(s0 t) passes the largest float near s0 t = 709.78: refused before it is
+    # taken, as the tail gate refuses shorter times, not an OverflowError
+    with pytest.raises(NumericsError):
+        bromwich_invert(1.0, 800.0, P_EXP)
+
+
 def test_tail_gate_clears_with_larger_p_max():
     p_hot = ModelParams(0.25, 0.99, 0.1)
     got = bromwich_invert(5.0, 1.0, p_hot, BromwichConfig(p_max=1e5, n_nodes=1 << 18))

@@ -37,9 +37,10 @@ def test_winding_contour_may_pass_through_the_origin():
     assert winding_number((-1.0, 1.0, 0.0, 2.0), P_BASE) == 1
 
 
-def test_winding_budget_exhaustion_raises():
+def test_winding_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(fzwave.rootfinder, "_NODE_BUDGET", 1)
     with pytest.raises(NumericsError):
-        winding_number((-2.0, -1e-3, 1e-3, 2.0), P_BASE, node_budget=1)
+        winding_number((-2.0, -1e-3, 1e-3, 2.0), P_BASE)
 
 
 def test_winding_rejects_degenerate_rect():

@@ -485,6 +485,23 @@ def test_beta_zero_velocity_term_is_linear_at_a_late_time():
     assert np.max(np.abs(late.values - 1e4 * early.values)) <= 1e-12 * peak
 
 
+def test_theta_underflow_at_the_first_nodes_is_refused():
+    # a 1e300-wide Gaussian cuts the panels near rho = 1e-300, where theta(rho)
+    # underflows to 0 and log theta, the tables' variable, does not exist
+    with pytest.raises(NumericsError):
+        solve_field(InitialData.gaussian(width=1e300), InitialData.zero(), [0.0, 0.5], [0.5],
+                    P_EXP)
+
+
+def test_wide_velocity_at_beta_one_reads_no_log_theta():
+    # its theta = rho^2 underflows too, but only a table would read log theta: the
+    # time integral at beta = 1 takes the cut samples, and a datum that is 1 on
+    # every scale the field sees moves the whole line by t
+    f = solve_field(InitialData.zero(), InitialData.gaussian(width=1e300), [-0.5, 0.0, 0.5],
+                    [0.5], P_TF)
+    np.testing.assert_allclose(f.values, 0.5, rtol=1e-6)
+
+
 def test_sampled_data_must_vanish_at_its_edges():
     grid = np.linspace(-1.0, 1.0, 101)
     with pytest.raises(ValidationError):
