@@ -106,8 +106,9 @@ def adaptive_gk(
     f takes a flat array of nodes and returns values of shape (n,) or (n, m);
     integration is carried out independently for each of the m components.
     Returns ``(integral, err_estimate)`` with shape (m,) each (scalars are
-    squeezed). Raises :class:`NumericsError` if the budget of _MAX_PANELS
-    panels is exhausted before every component reaches
+    squeezed). Raises :class:`NumericsError` if an error estimate is not
+    finite (a NaN or inf value of f), or if the budget of _MAX_PANELS panels
+    or 64 rounds is exhausted before every component reaches
     max(abs_tol, rel_tol * |I|).
     """
     edges = np.asarray(edges, dtype=float)
@@ -118,6 +119,8 @@ def adaptive_gk(
     for _ in range(64):
         total = contrib.sum(axis=0)
         total_err = err.sum(axis=0)
+        if not np.all(np.isfinite(total_err)):
+            raise NumericsError(f"non-finite error estimate while refining {what}")
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         failing = total_err > tol
         if not failing.any():
@@ -127,13 +130,12 @@ def adaptive_gk(
                 f"panel budget ({_MAX_PANELS}) exhausted while refining {what}",
                 achieved=float(np.max(total_err / np.maximum(tol, 1e-300))),
             )
-        # Bisect every panel carrying more than an equal share of some
-        # failing component's budget; always at least the single worst one.
+        # Bisect every panel carrying more than half an equal share of some
+        # failing component's budget. A failing component's shares sum past 1,
+        # so at least one panel carries more than 1/len(lo) of it.
         share = err[:, failing] / np.maximum(tol[failing], 1e-300)
         panel_score = share.max(axis=1)
         split = panel_score > 0.5 / len(lo)
-        if not split.any():
-            split[np.argmax(panel_score)] = True
         n_allowed = _MAX_PANELS - len(lo)
         if split.sum() > n_allowed:
             order = np.argsort(panel_score)[::-1]

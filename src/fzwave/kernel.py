@@ -179,24 +179,6 @@ class Field:
             raise ValidationError("values", "<array>", "finite entries")
 
 
-def _check_even(x: np.ndarray, values: np.ndarray) -> None:
-    """Kernel rows must be even in x whenever the grid is symmetric.
-
-    This is an assembly self-check, not input validation: the kernel is even
-    by construction, so asymmetry on a symmetric grid means the quadrature or
-    the sweep went wrong. Fields built from off-center initial data are
-    legitimately asymmetric and never pass through here.
-    """
-    if _symmetric(x):
-        skew = np.max(np.abs(values - values[:, ::-1]))
-        if skew > 1e-12 * max(1.0, float(np.max(np.abs(values)))):
-            raise NumericsError(
-                "kernel assembly lost evenness on a symmetric grid "
-                f"(max asymmetry {skew:.3e})",
-                achieved=float(skew),
-            )
-
-
 def _symmetric(x: np.ndarray) -> bool:
     """x is its own mirror image to 1e-12 of its scale."""
     tol = 1e-12 * max(1.0, float(np.max(np.abs(x))))
@@ -590,7 +572,7 @@ def _spot_check(fast: np.ndarray, exact_at: Callable, abs_tol: float, rel_tol: f
     idx = _spot_indices(fast.size)
     exact = exact_at(idx)
     gap = np.abs(fast[idx] - exact)
-    if np.any(gap > np.maximum(abs_tol, rel_tol * np.abs(exact))):
+    if not np.all(gap <= np.maximum(abs_tol, rel_tol * np.abs(exact))):  # NaN fails too
         raise NumericsError(what, achieved=float(np.max(gap)))
 
 
@@ -769,7 +751,6 @@ def _kernel_eps_impl(x_grid, t_list, p: ModelParams, integrated: bool) -> Field:
         values = _classical_field(x, ts, p.tau, p.epsilon, integrated)
     else:
         values = _fourier_rows(x, ts, p, _stage1(x, ts, p), [(1.0, integrated)])
-    _check_even(x, values)
     return Field(x, ts, values, _meta(asdict(p), not closed))
 
 
@@ -799,7 +780,6 @@ def kernel_classical(x_grid, t_list, tau: float, epsilon: float) -> Field:
     _require_in("epsilon", epsilon, "(0, 1]")
     x, ts = _check_grids(x_grid, t_list)
     values = _classical_field(x, ts, float(tau), float(epsilon), integrated=False)
-    _check_even(x, values)
     meta = _meta(
         {"alpha": 0.0, "beta": 1.0, "tau": float(tau), "epsilon": float(epsilon)}, False
     )
@@ -1019,5 +999,4 @@ def kernel_time_fractional(x_grid, t_list, alpha: float, tau: float, epsilon: fl
                 values[i, lo : lo + _CHUNK] += g.sum(axis=1)
 
     _map_rows(row, len(ts))
-    _check_even(x, values)
     return Field(x, ts, values, _meta(asdict(p), True))

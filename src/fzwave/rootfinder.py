@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _CHEB_FIRST, eval_tables, log_cheb_table
+from ._quad import eval_tables, log_cheb_table
 from .charfun import CharParams, _power, _psi, _psi_pair, _psi_prime
 from .errors import NumericsError, ValidationError
 
@@ -307,16 +307,13 @@ def _zero_pair_batch(
     table, from one fixed-point step past the elastic root
     (:func:`_fixed_point_start`); every node then takes the root from
     :func:`_quad.eval_tables` and one plain Newton step, which squares the
-    table's error (its error is held to 1e-8). A batch no larger than the
-    first table is swept directly from the same start. Each node pays two
-    powers s^alpha (charfun._power): one for the Newton step, one for the
-    residual and the returned psi'. Table samples and nodes alike that fail
-    the residual test are recomputed through find_zero_pair.
+    table's error (its error is held to 1e-8). Each node pays two powers
+    s^alpha (charfun._power): one for the Newton step, one for the residual
+    and the returned psi'. Table samples and nodes alike that fail the
+    residual test are recomputed through find_zero_pair. It serves alpha > 0
+    (the kernel's alpha = 0 signal is a closed form) and theta of positive span.
     """
     theta = np.asarray(theta, dtype=float)
-    if alpha == 0.0:
-        s = _elastic_root(tau, theta)
-        return s, 2.0 * s
 
     def certified(s: np.ndarray, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """s in the upper half-plane and psi'(s), each root that fails the
@@ -333,8 +330,6 @@ def _zero_pair_batch(
     def sweep(th: np.ndarray) -> np.ndarray:
         return _damped_newton(alpha, tau, th, _fixed_point_start(alpha, tau, th))
 
-    if theta.size <= _CHEB_FIRST + 1:
-        return certified(sweep(theta), theta)
     table = log_cheb_table(lambda th: certified(sweep(th), th)[0] / np.sqrt(th),
                            float(np.min(theta)), float(np.max(theta)), 1e-8, "zero-pair table")
     s = eval_tables([table], np.log(theta))[0]

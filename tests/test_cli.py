@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 import fzwave
 from fzwave.cli import _ZERO_RUN, _grid_csv, run_command
+from fzwave.errors import ValidationError
 from fzwave.kernel import kernel_eps
 from fzwave.params import ModelParams
+from fzwave.solver import InitialData
 
 
 def run(capsys, *argv):
@@ -181,6 +183,10 @@ NON_NUMERIC_CONFIGS = [
     ({"grid": "ab"}, "grid"),
     ({"output": 5}, "output"),
     ({"grid": [["nx", 5]]}, "grid"),
+    # a count that is not an integer, an output setting of the wrong kind
+    ({"grid": {"nx": 10.5}}, "nx"),
+    ({"output": {"format": "xml"}}, "format"),
+    ({"output": {"path": 5}}, "path"),
 ]
 
 
@@ -193,6 +199,20 @@ def test_non_numeric_config_value_exits_two(capsys, tmp_path, cfg, field):
     assert rc == 2
     assert out == ""
     assert err.startswith(f"error: {field}=")
+
+
+def test_non_numeric_t_list_flag_exits_two(capsys):
+    rc, out, err = run(capsys, "kernel", "--t-list", "0.5,a")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: t_list='0.5,a' is invalid")
+
+
+def test_run_config_needs_both_initial_data():
+    with pytest.raises(ValidationError) as exc:
+        fzwave.cli.RunConfig(ModelParams(0.25, 0.45, 0.1), fzwave.cli.GridSpec(),
+                             {"u0": InitialData.zero()}, fzwave.cli.OutputSpec())
+    assert exc.value.field == "initial"
 
 
 @pytest.mark.parametrize("source", ["config", "flag"])

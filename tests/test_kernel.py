@@ -281,6 +281,9 @@ def test_zero_pairs_are_found_once_per_field(monkeypatch):
     calls.clear()
     spectral_kernel(1.0, 1.0, P_EXP)
     assert calls == []
+    # at alpha = 0 the signal is the closed form cos(omega t): no zeros to find
+    kernel_eps(np.linspace(-0.5, 0.5, 11), [0.1, 0.2], ModelParams(0.0, 0.45, 0.1, 0.1))
+    assert calls == []
 
 
 # ------------------------------------------------------ Chebyshev branch table
@@ -519,6 +522,26 @@ def test_cheb_table_without_a_falling_tail_raises():
                                      "kinked table")
 
 
+def test_adaptive_gk_refuses_an_exhausted_panel_budget():
+    # the last rounds split only the worst panels up to the cap of 2000
+    with pytest.raises(NumericsError, match="panel budget") as exc:
+        fzwave._quad.adaptive_gk(lambda u: np.sin(1e6 * u), [0.0, 1.0], 1e-10, 1e-12)
+    assert exc.value.achieved > 1e10
+
+
+def test_adaptive_gk_refuses_a_refinement_that_does_not_end():
+    # each round splits only the panel at the singularity: 64 rounds, 65 panels
+    with pytest.raises(NumericsError, match="did not terminate"):
+        fzwave._quad.adaptive_gk(lambda u: u**-0.9, [0.0, 1.0], 1e-10, 1e-12)
+
+
+def test_adaptive_gk_refuses_a_nan_integrand():
+    # a NaN error estimate fails no comparison, so it would pass as converged
+    with pytest.raises(NumericsError, match="non-finite error estimate while refining probe"):
+        fzwave._quad.adaptive_gk(lambda u: np.where(u > 0.5, np.nan, u), [0.0, 1.0],
+                                 what="probe")
+
+
 def test_branch_spot_check_catches_a_wrong_table(monkeypatch, capsys):
     build = fzwave.kernel.log_cheb_table
 
@@ -718,9 +741,51 @@ def test_spot_check_catches_a_wrong_transform(monkeypatch, capsys):
     assert "chirp-z" in capsys.readouterr().err
 
 
-def test_fourier_rows_are_exactly_even_on_symmetric_grids():
-    f = kernel_eps(np.linspace(-1.0, 1.0, 201), [0.25, 1.0], P_EXP)
+def test_spot_check_catches_a_nan_transform(monkeypatch, capsys):
+    # a NaN gap fails no comparison: the check must not read it as a pass
+    plan = fzwave.kernel._chirp_plan
+
+    def nan_rows(*args):
+        fast = plan(*args)
+        return lambda coeff: np.full_like(fast(coeff), np.nan)
+
+    monkeypatch.setattr(fzwave.kernel, "_chirp_plan", nan_rows)
+    with pytest.raises(NumericsError, match="chirp-z") as exc:
+        kernel_eps(np.linspace(-1.0, 1.0, 1201), [0.5], P_EXP)
+    assert math.isnan(exc.value.achieved)
+    rc = fzwave.cli.run_command(["kernel", "--nx", "1201", "--t-list", "0.5"])
+    assert rc == 3
+    assert "chirp-z" in capsys.readouterr().err
+
+
+_XP = np.linspace(0.01, 1.0, 100)
+
+
+@pytest.mark.parametrize("route", [
+    lambda x, ts: kernel_eps(x, ts, ModelParams(0.25, 0.0, 0.1, 0.01)),
+    lambda x, ts: kernel_eps_time_integrated(x, ts, ModelParams(0.25, 0.0, 0.1, 0.01)),
+    lambda x, ts: kernel_eps(x, ts, ModelParams(0.0, 1.0, 0.1, 0.01)),
+    lambda x, ts: kernel_eps_time_integrated(x, ts, ModelParams(0.0, 1.0, 0.1, 0.01)),
+    lambda x, ts: kernel_classical(x, ts, 0.1, 0.01),
+    lambda x, ts: kernel_time_fractional(x, ts, 0.5, 0.3, 0.01),
+    lambda x, ts: kernel_eps(x, ts, P_EXP),
+], ids=["beta-zero", "beta-zero-integrated", "classical-pair", "classical-pair-integrated",
+        "kernel-classical", "time-fractional", "fourier"])
+def test_fourier_rows_are_exactly_even_on_symmetric_grids(route):
+    # every route is even by construction: the closed forms and the cut sum
+    # from x -> -x symmetric arithmetic, the Fourier route by mirroring
+    x = np.r_[-_XP[::-1], 0.0, _XP]
+    f = route(x, [0.25, 1.0])
     np.testing.assert_array_equal(f.values, f.values[:, ::-1])
+
+
+def test_closed_form_is_exact_on_a_nearly_symmetric_grid():
+    # kernel._symmetric takes this grid for its own mirror image (to 1e-12 of
+    # its scale), yet delta_eps, steep there, moves 2e-9 with the moved point
+    x = np.linspace(-1.0, 1.0, 201)
+    x[np.argmin(np.abs(x - 0.01))] += 5e-13
+    f = kernel_eps(x, [0.5], ModelParams(0.25, 0.0, 0.1, 0.01))
+    np.testing.assert_array_equal(f.values[0], delta_eps(x, 0.01))
 
 
 def test_dense_fallback_agrees_with_chirp_z_through_kernel_eps():
@@ -844,6 +909,23 @@ def test_time_fractional_rejects_alpha_edges():
         kernel_time_fractional([0.0, 1.0], [1.0], 0.0, 0.1, 0.01)
     with pytest.raises(ValidationError):
         kernel_time_fractional([0.0, 1.0], [1.0], 1.0, 0.1, 0.01)
+
+
+def test_time_fractional_refuses_an_uncertified_exponent(monkeypatch):
+    # an exponent peak past the budget everywhere: the shifted-line bound at
+    # y = 0 cannot certify the kernel negligible there
+    monkeypatch.setattr(fzwave.kernel, "_tf_exponent_peak", lambda *args: 100.0)
+    with pytest.raises(NumericsError, match="cancellation budget") as exc:
+        kernel_time_fractional(np.linspace(-3.0, 3.0, 61), [1.0], 0.25, 0.1, 0.01)
+    assert exc.value.achieved > ABS_TOL
+
+
+def test_time_fractional_refuses_growth_the_scan_missed(monkeypatch):
+    # a scan reporting no peak lets the growing integrand reach the quadrature
+    monkeypatch.setattr(fzwave.kernel, "_tf_exponent_peak", lambda *args: 0.0)
+    with pytest.raises(NumericsError, match="growth detected") as exc:
+        kernel_time_fractional(np.linspace(-3.0, 3.0, 61), [2.0], 0.05, 0.5, 0.01)
+    assert exc.value.achieved > fzwave.kernel._TF_COND_BUDGET + 2.0
 
 
 @pytest.mark.parametrize("alpha, tau", [(0.25, 0.1), (0.6, 0.5)])
@@ -971,6 +1053,7 @@ def test_closed_forms_record_no_quadrature():
 
 _RAMP = SampledSignal(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
 _BUMP = SampledSignal(np.linspace(-8.0, 8.0, 65), np.exp(-np.linspace(-8.0, 8.0, 65) ** 2))
+_SKEWED = SampledSignal(np.array([0.0, 1.0, 2.5]), np.zeros(3))
 
 
 @pytest.mark.parametrize("call, args, field", [
@@ -1004,17 +1087,28 @@ _BUMP = SampledSignal(np.linspace(-8.0, 8.0, 65), np.exp(-np.linspace(-8.0, 8.0,
     (kernel_eps, ([0.0, 1.0], ["1"], P_EXP), "t_list"),
     (kernel_eps, ([0.0, 1.0], [0, 10**400], P_EXP), "t_list"),
     (kernel_eps, ([0j, 1.0], [1.0], P_EXP), "x_grid"),
+    (kernel_eps, (0.0, [1.0], P_EXP), "x_grid"),
     (theta_of_rho, (math.nan, 0.5), "rho"),
     (spectral_kernel_alpha0, (True, 1.0, 0.45, 0.1), "rho"),
     (spectral_kernel_alpha0, ("1", 1.0, 0.45, 0.1), "rho"),
     (SampledSignal.from_arrays, ([0.0, True], [0.0, 1.0]), "grid"),
+    # a signal or operator refusing what it cannot serve, a non-finite argument
+    (SampledSignal, (np.array([0.0]), np.array([0.0])), "grid"),
+    (SampledSignal, (np.array([0.0, 1.0]), np.zeros(3)), "values"),
+    (caputo_derivative, (_SKEWED, 0.5), "f.uniform"),
+    (caputo_derivative, (SampledSignal(np.array([0.0, 1.0]), np.array([0.0, 1.0])), 0.5),
+     "f.grid"),
+    (symmetrized_derivative, (_SKEWED, 0.5), "f.uniform"),
+    (mittag_leffler, (0.5, 1.0, complex(math.nan, 0.0)), "z"),
 ], ids=["classical-tau", "classical-eps", "nonprop-eps", "spectral-rho", "spectral-t",
         "hat-rho", "time-fractional-tau", "bromwich-rho", "bromwich-t", "delta-eps",
         "alpha0-beta", "zener-alpha", "branch-alpha", "theta-beta", "charparams-alpha",
         "charparams-theta", "caputo-alpha", "symmetrized-beta", "l-operator-alpha",
         "ml-alpha", "ml-beta", "e-alpha-t", "e-alpha-prime-t", "bromwich-s0",
-        "grid-t-bool", "grid-t-string", "grid-t-beyond-floats", "grid-x-complex",
-        "theta-rho-nan", "alpha0-rho-bool", "alpha0-rho-string", "samples-grid-bool"])
+        "grid-t-bool", "grid-t-string", "grid-t-beyond-floats", "grid-x-complex", "grid-x-scalar",
+        "theta-rho-nan", "alpha0-rho-bool", "alpha0-rho-string", "samples-grid-bool",
+        "samples-one-point", "samples-values-per-point", "caputo-non-uniform",
+        "caputo-two-points", "symmetrized-non-uniform", "ml-z-nan"])
 def test_public_number_arguments_refuse_booleans(call, args, field):
     # a bool would otherwise run as 0 or 1, each inside the argument's interval
     with pytest.raises(ValidationError) as exc:
@@ -1029,6 +1123,20 @@ def test_field_shape_validation():
         Field(np.array([1.0, 0.0]), (1.0,), np.zeros((1, 2)), meta={})
     with pytest.raises(ValidationError):
         Field(np.array([0.0, 1.0]), (-1.0,), np.zeros((1, 2)), meta={})
+    with pytest.raises(ValidationError) as exc:
+        Field(np.array([0.0, 1.0]), (1.0,), np.array([[0.0, math.nan]]), meta={})
+    assert exc.value.field == "values"
+    with pytest.raises(ValidationError) as exc:
+        fzwave.kernel.SpectralKernel(rho=1.0, t=1.0, branch_part=math.inf, residue_part=0.0)
+    assert exc.value.field == "SpectralKernel"
+
+
+@pytest.mark.parametrize("threads", ["x", "-1"])
+def test_thread_count_refuses_a_bad_environment_value(monkeypatch, threads):
+    monkeypatch.setenv("FZWAVE_THREADS", threads)
+    with pytest.raises(ValidationError) as exc:
+        fzwave.kernel._map_rows(lambda i: None, 4)
+    assert exc.value.field == "FZWAVE_THREADS"
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "5"])

@@ -1,7 +1,12 @@
 """Tests for the independent Bromwich-contour inversion used as an oracle."""
 
+import math
+
+import numpy as np
 import pytest
 
+import fzwave.cli
+import fzwave.laplace_oracle
 from fzwave.errors import NumericsError, ValidationError
 from fzwave.kernel import spectral_kernel, spectral_kernel_alpha0
 from fzwave.laplace_oracle import BromwichConfig, bromwich_invert
@@ -75,3 +80,33 @@ def test_config_validation():
         BromwichConfig(n_nodes=8)
     with pytest.raises(ValidationError):
         bromwich_invert(-1.0, 1.0, P_EXP)
+    with pytest.raises(ValidationError) as exc:
+        bromwich_invert(1.0, 1.0, P_EXP, BromwichConfig(p_max=50.0))
+    assert exc.value.field == "p_max"
+
+
+def test_unconverged_node_doubling_is_refused(monkeypatch, capsys):
+    # one level leaves no second Richardson value to compare with
+    monkeypatch.setattr(fzwave.laplace_oracle, "_MAX_DOUBLINGS", 1)
+    with pytest.raises(NumericsError, match="did not converge") as exc:
+        bromwich_invert(1.0, 1.0, P_EXP)
+    assert exc.value.achieved == math.inf
+    assert fzwave.cli.run_command(["oracle"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("numerical failure: Bromwich node doubling")
+
+
+def test_imaginary_residual_is_refused(monkeypatch):
+    # an even, purely imaginary term integrates to an imaginary part that the
+    # two half-lines of a real kernel never leave
+    q_hat = fzwave.laplace_oracle._q_hat
+
+    def skewed(pp, *args):
+        return q_hat(pp, *args) + 1e-3j * np.exp(-np.square(pp))
+
+    monkeypatch.setattr(fzwave.laplace_oracle, "_q_hat", skewed)
+    with pytest.raises(NumericsError, match="imaginary residual") as exc:
+        bromwich_invert(1.0, 1.0, P_EXP)
+    assert exc.value.achieved > 1e-6

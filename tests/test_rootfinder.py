@@ -43,9 +43,76 @@ def test_winding_budget_exhaustion_raises(monkeypatch):
         winding_number((-2.0, -1e-3, 1e-3, 2.0), P_BASE)
 
 
+def test_winding_refuses_a_contour_that_stays_on_a_zero(monkeypatch):
+    # psi vanishing everywhere: no padding moves the boundary off a zero
+    monkeypatch.setattr(fzwave.rootfinder, "_psi", lambda s, *args: np.zeros_like(s))
+    with pytest.raises(NumericsError, match="perturbation failed"):
+        winding_number((-2.0, -1e-3, 1e-3, 2.0), P_BASE)
+
+
+def test_winding_refuses_a_count_far_from_an_integer(monkeypatch):
+    # one radian per edge: 4/(2 pi) turns is 0.36 from the nearest integer
+    monkeypatch.setattr(fzwave.rootfinder, "_arg_sweep", lambda *args: 1.0)
+    with pytest.raises(NumericsError, match="did not converge to an integer") as exc:
+        winding_number((-2.0, -1e-3, 1e-3, 2.0), P_BASE)
+    assert exc.value.achieved == pytest.approx(1.0 - 4.0 / (2.0 * math.pi))
+
+
+def _winding_counts(monkeypatch, first, later=None):
+    """winding_number counts first on its first call, later (default first) after."""
+    calls = []
+
+    def scripted(rect, p):
+        calls.append(rect)
+        return first if len(calls) == 1 or later is None else later
+
+    monkeypatch.setattr(fzwave.rootfinder, "winding_number", scripted)
+
+
+def test_bisection_refuses_an_empty_search_window(monkeypatch):
+    _winding_counts(monkeypatch, 0)
+    with pytest.raises(NumericsError, match="no zero of the characteristic function"):
+        fzwave.rootfinder._bisection_fallback(P_BASE)
+
+
+def test_bisection_refuses_a_zero_lost_between_subdivisions(monkeypatch):
+    # the window holds a zero, none of its four quarters does
+    _winding_counts(monkeypatch, 1, 0)
+    with pytest.raises(NumericsError, match="lost the zero"):
+        fzwave.rootfinder._bisection_fallback(P_BASE)
+
+
+def test_unpolished_root_is_refused(monkeypatch):
+    # Newton and the bisection both end 0.1 off the zero
+    monkeypatch.setattr(fzwave.rootfinder, "_damped_newton",
+                        lambda alpha, tau, theta, start=None: np.array(start) + 0.1)
+    monkeypatch.setattr(fzwave.rootfinder, "_bisection_fallback", lambda p: 1j)
+    with pytest.raises(NumericsError, match="residual too large") as exc:
+        find_zero_pair(P_BASE)
+    assert exc.value.achieved == abs(psi(0.1 + 1j, P_BASE))
+
+
+def test_root_in_the_right_half_plane_is_refused(monkeypatch):
+    # a zero the residual test passes but passivity rules out
+    monkeypatch.setattr(fzwave.rootfinder, "_psi", lambda s, *args: np.zeros_like(s))
+    monkeypatch.setattr(fzwave.rootfinder, "_damped_newton",
+                        lambda *args: np.array([0.5 + 1.0j]))
+    with pytest.raises(NumericsError, match="right half-plane"):
+        find_zero_pair(P_BASE)
+
+
+def test_certification_refuses_a_second_zero(monkeypatch):
+    _winding_counts(monkeypatch, 2)
+    with pytest.raises(NumericsError, match="contains 2 zeros instead of 1"):
+        find_zero_pair(P_BASE)
+
+
 def test_winding_rejects_degenerate_rect():
     with pytest.raises(ValidationError):
         winding_number((1.0, 1.0, -1.0, 1.0), P_BASE)
+    # a rectangle across the cut must reach past 0 for its keyhole to close
+    with pytest.raises(ValidationError, match="must extend past zero"):
+        winding_number((-2.0, -1.0, -1.0, 1.0), P_BASE)
 
 
 def test_alpha_zero_root_is_elastic():
@@ -128,6 +195,8 @@ def test_zero_pair_validates_its_fields():
         ZeroPair(s_z=1.0 - 1.0j, residual=0.0)
     with pytest.raises(ValidationError):
         ZeroPair(s_z=-0.1 + 1.0j, residual=1.0)
+    with pytest.raises(ValidationError, match="left half-plane"):
+        ZeroPair(s_z=1.0 + 1.0j, residual=0.0)
 
 
 def test_random_parameter_sweep_certifies():
@@ -209,6 +278,15 @@ def test_table_roots_match_damped_newton_on_every_node(alpha, beta, tau, monkeyp
     assert np.max(np.abs(s - oracle) / np.abs(oracle)) <= 1e-12
     assert fallbacks == []
     np.testing.assert_array_equal(dpsi, _psi_prime(s, alpha, tau, theta))
+
+
+def test_a_small_batch_takes_its_roots_from_the_table():
+    # 8 theta: fewer than the table's 65 points, which it reads like any batch
+    theta = np.geomspace(0.3, 40.0, 8)
+    s, dpsi = fzwave.rootfinder._zero_pair_batch(0.25, 0.1, theta)
+    oracle = np.array([find_zero_pair(CharParams(0.25, 0.1, float(th))).s_z for th in theta])
+    assert np.max(np.abs(s - oracle) / np.abs(oracle)) <= 1e-14
+    np.testing.assert_array_equal(dpsi, _psi_prime(s, 0.25, 0.1, theta))
 
 
 def test_skewed_root_table_falls_back_to_certified_roots(monkeypatch):

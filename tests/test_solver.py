@@ -8,6 +8,7 @@ import pytest
 import fzwave.kernel
 import fzwave.solver
 from fzwave.errors import NumericsError, ValidationError
+from fzwave.fracops import SampledSignal
 from fzwave.kernel import (
     Field,
     delta_eps,
@@ -47,6 +48,11 @@ def test_initial_data_validation():
         InitialData.dirac(center=math.inf)
     with pytest.raises(ValidationError):
         InitialData.dirac().evaluate(np.array([0.0]))
+    signal = SampledSignal(np.linspace(-1.0, 1.0, 5), np.zeros(5))
+    with pytest.raises(ValidationError, match="none for dirac data"):
+        InitialData("dirac", samples=signal)
+    with pytest.raises(ValidationError, match="a SampledSignal for sampled data"):
+        InitialData("sampled")
 
 
 def test_sampled_data_interpolates_with_zero_extension():
@@ -517,6 +523,9 @@ def test_sampled_data_must_vanish_at_its_edges():
 def test_solver_requires_initial_data_instances():
     with pytest.raises(ValidationError):
         solve_field(None, InitialData.zero(), np.linspace(-1, 1, 11), [1.0], P_EXP)
+    with pytest.raises(ValidationError) as exc:
+        nonprop_solution(None, InitialData.zero(), np.linspace(-1, 1, 11), [1.0])
+    assert exc.value.field == "u0/v0"
 
 
 def test_meta_records_the_initial_data():
@@ -598,3 +607,9 @@ def test_peak_metrics_validation():
     )
     with pytest.raises(ValidationError):
         peak_metrics(asym, 0)
+    with pytest.raises(ValidationError) as exc:
+        peak_metrics(f.values, 0)
+    assert exc.value.field == "f"
+    short = Field(np.array([-1.0, 0.0, 1.0]), (1.0,), np.ones((1, 3)), meta={})
+    with pytest.raises(ValidationError, match="at least 3 points with x >= 0"):
+        peak_metrics(short, 0)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from fzwave.errors import ValidationError
+from fzwave.errors import NumericsError, ValidationError
 from fzwave.specfun import e_alpha, e_alpha_prime, mittag_leffler
 
 
@@ -133,3 +133,11 @@ def test_e_alpha_laplace_transform():
     )
     assert err < 1e-7
     assert got == pytest.approx(want, abs=1e-6)
+
+
+def test_ml_refuses_an_argument_no_regime_serves():
+    # |z| = 30 off the negative axis: past the series, outside the asymptotic
+    # cone, and not on the spectral route's half-line
+    with pytest.raises(NumericsError, match="not evaluable") as exc:
+        mittag_leffler(0.5, 1.0, 30j)
+    assert exc.value.achieved == math.inf
