@@ -25,7 +25,7 @@ _EXPORTS = {
     "kernel": ("Field", "SpectralKernel", "delta_eps", "kernel_classical", "kernel_eps",
                "kernel_eps_time_integrated", "kernel_time_fractional", "laplace_kernel_hat",
                "spectral_kernel", "spectral_kernel_alpha0"),
-    "laplace_oracle": ("BromwichConfig", "bromwich_invert"),
+    "laplace_oracle": ("bromwich_invert",),
     "params": ("ModelParams", "PhysicalParams", "Scales", "nondimensionalize",
                "validate_model"),
     "rootfinder": ("ZeroPair", "find_zero_pair", "winding_number"),

@@ -43,7 +43,7 @@ from .kernel import (
     spectral_kernel,
     spectral_kernel_alpha0,
 )
-from .laplace_oracle import BromwichConfig, bromwich_invert
+from .laplace_oracle import bromwich_invert
 from .params import DEFAULT_EPSILON, ModelParams, _require_in, _require_reals
 from .rootfinder import find_zero_pair
 from .solver import InitialData, solve_field
@@ -351,7 +351,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         spectral = float(spectral_kernel_alpha0(rho, t, m.beta, m.tau))
     else:
         spectral = spectral_kernel(rho, t, m).total
-    oracle = bromwich_invert(rho, t, m, BromwichConfig())
+    oracle = bromwich_invert(rho, t, m)
     chunks = _grid_csv("rho,t,s_spectral,s_oracle,abs_diff", [rho], [t],
                        [[spectral]], [[oracle]], [[abs(spectral - oracle)]])
     _emit(chunks, cfg.output.path)

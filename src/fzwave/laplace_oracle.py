@@ -16,40 +16,31 @@ and |Q| ~ (theta/tau) |s|^-3, so the numerical integral converges like the
 tail of p^-3 and the unit step is added back exactly. Both half-lines are
 evaluated independently — conjugate symmetry is *not* exploited — so the
 smallness of the imaginary residual is a real check, not an identity.
+
+Nothing is tuned by the caller. The line |p| <= p_max is as long as the
+tail bound asks for 1e-9 and at least 100*max(1, 1/t); a line that would need
+more than 2^21 start nodes is refused before any node is evaluated. Only the
+abscissa s0 is free, because the result must not depend on it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .charfun import theta_of_rho
-from .errors import NumericsError, ValidationError
+from .errors import NumericsError
 from .params import ModelParams, _require_in
 
 _T_GUARD = 1e-3
 _MAX_DOUBLINGS = 12
 _REL_TOL = 1e-7  # agreement of two consecutive Richardson levels
 _ABS_TOL = 1e-9  # bound on the truncation tail beyond p_max
+_MIN_START = 1 << 16  # start nodes on the shortest line
+_START_BUDGET = 1 << 21  # start nodes past which a line is refused unsampled
 _EXP_ARG_MAX = math.log(sys.float_info.max)  # largest s0*t whose e^(s0 t) is finite
-
-
-@dataclass(frozen=True)
-class BromwichConfig:
-    """Inversion-line placement: s = s0 + i p, |p| <= p_max, n_nodes to start."""
-
-    s0: float = 1.0
-    p_max: float = 1e4
-    n_nodes: int = 65536
-
-    def __post_init__(self) -> None:
-        _require_in("s0", self.s0, "(0, inf)")
-        _require_in("p_max", self.p_max, "(0, inf)")
-        if not self.n_nodes >= 16:
-            raise ValidationError("n_nodes", self.n_nodes, ">= 16")
 
 
 def _q_hat(p: np.ndarray, s0: float, theta: float, alpha: float, tau: float) -> np.ndarray:
@@ -60,32 +51,26 @@ def _q_hat(p: np.ndarray, s0: float, theta: float, alpha: float, tau: float) -> 
     return theta * d / (s**3 + s * theta * d)
 
 
-def bromwich_invert(
-    rho: float,
-    t: float,
-    p: ModelParams,
-    c: BromwichConfig = BromwichConfig(),
-) -> float:
-    """Invert the Laplace-domain kernel at (rho, t) along the Bromwich line.
+def bromwich_invert(rho: float, t: float, p: ModelParams, *, s0: float = 1.0) -> float:
+    """Invert the Laplace-domain kernel at (rho, t) along the line Re s = s0.
 
-    Returns 1 - (e^(s0 t)/2pi) * Int Q(s0+ip) e^(ipt) dp, refined by node
-    doubling with one Richardson extrapolation per level and accepted after
-    two consecutive levels agree to 1e-7 relative. The truncation tail and the
-    imaginary residual are checked explicitly; failure of either is an error,
-    never a silent degradation.
+    Returns 1 - (e^(s0 t)/2pi) * Int_{|p| <= p_max} Q(s0+ip) e^(ipt) dp,
+    refined by node doubling with one Richardson extrapolation per level and
+    accepted after two consecutive levels agree to 1e-7 relative. p_max is
+    the root of the truncation-tail bound at 1e-9, and at least
+    100*max(1, 1/t) so that e^(ipt) is resolved. A line that needs more than
+    2^21 start nodes, an e^(s0 t) past the float range, an unconverged
+    doubling and a large imaginary residual are each a NumericsError, never a
+    silent degradation.
     """
     _require_in("rho", rho, "[0, inf)")
     _require_in("t", t, f"[{_T_GUARD:g}, inf) (e^(s0 t)-amplified truncation error "
                 "is unbounded below the guard)")
-    if c.p_max < 100.0 * max(1.0, 1.0 / t):
-        raise ValidationError(
-            "p_max", c.p_max, f">= 100*max(1, 1/t) = {100.0 * max(1.0, 1.0 / t):g}"
-        )
+    _require_in("s0", s0, "(0, inf)")
     theta = float(theta_of_rho(rho, p.beta))
     if theta == 0.0:
         return 1.0  # Q vanishes identically; the unit step is exact
 
-    s0 = c.s0
     if s0 * t > _EXP_ARG_MAX:
         raise NumericsError(
             f"e^(s0 t) overflows a float at s0*t = {s0 * t:g} > {_EXP_ARG_MAX:.2f}; "
@@ -94,22 +79,25 @@ def bromwich_invert(
     amp = math.exp(s0 * t) / (2.0 * math.pi)
     # Tail beyond p_max: |Q| ~ (theta/tau) p^-3 and integration by parts
     # against e^{ipt} gains a 1/t factor; |int| <= (|Q(p_max)| + int |Q'|)/t
-    # ~ 2(theta/tau) p_max^-3 / t per half-line. Safety factor 4.
-    tail = 16.0 * (theta / p.tau) / (t * c.p_max**3) * amp
-    if tail > _ABS_TOL:
+    # ~ 2(theta/tau) p_max^-3 / t per half-line. Safety factor 4, so the
+    # amplified tail is 16 (theta/tau) amp / (t p_max^3); p_max sets it to
+    # _ABS_TOL, solved in logarithms so that no factor overflows.
+    log_p = (math.log(16.0 * theta / (p.tau * t * _ABS_TOL)) + math.log(amp)) / 3.0
+    p_max = max(100.0 * max(1.0, 1.0 / t), math.exp(log_p))
+    # Start fine enough that e^{ipt} is resolved before extrapolation begins.
+    start = 8.0 * p_max * max(1.0, t) / math.pi
+    if not start <= _START_BUDGET:
         raise NumericsError(
-            f"Bromwich truncation tail {tail:.3e} exceeds 1e-9 at p_max={c.p_max:g}; "
-            "raise p_max rather than accept a silently truncated inversion",
-            achieved=tail,
+            f"the Bromwich tail bound asks for p_max = {p_max:.3g}, {start:.3g} start "
+            f"nodes past the budget of {_START_BUDGET:,}; refused before sampling"
         )
 
     def f(pp: np.ndarray) -> np.ndarray:
         return _q_hat(pp, s0, theta, p.alpha, p.tau) * np.exp(1j * pp * t)
 
-    # Start fine enough that e^{ipt} is resolved before extrapolation begins.
-    n = max(c.n_nodes, int(math.ceil(2.0 * c.p_max / (math.pi / (4.0 * max(1.0, t))))))
-    h = 2.0 * c.p_max / n
-    vals = f(-c.p_max + h * np.arange(n + 1))
+    n = max(_MIN_START, math.ceil(start))
+    h = 2.0 * p_max / n
+    vals = f(-p_max + h * np.arange(n + 1))
     trap = h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
     n_int = n
 
@@ -117,7 +105,7 @@ def bromwich_invert(
     result: complex | None = None
     achieved = math.inf
     for _ in range(_MAX_DOUBLINGS):
-        mids = -c.p_max + h * (np.arange(n_int) + 0.5)
+        mids = -p_max + h * (np.arange(n_int) + 0.5)
         trap_half = 0.5 * trap + 0.5 * h * f(mids).sum()
         richardson = (4.0 * trap_half - trap) / 3.0
         if prev_richardson is not None:

@@ -29,6 +29,12 @@ _CUT_CLEARANCE = 1e-9
 _NEWTON_MAX_ITER = 100
 # the winding-count descent stops at boxes this wide relative to their corner
 _BISECTION_STOP = 1e-7
+_RESIDUAL_TOL = 1e-10  # |psi(s)| <= _RESIDUAL_TOL * max(1, |s|^2) certifies a zero s
+
+
+def _certified(residual, s):
+    """Whether |psi(s)| = residual certifies s as a zero, elementwise; NaN fails."""
+    return residual <= _RESIDUAL_TOL * np.maximum(1.0, np.abs(s) ** 2)
 
 
 @dataclass(frozen=True)
@@ -47,9 +53,9 @@ class ZeroPair:
             raise ValidationError("s_z", self.s_z, "Im(s_z) > 0")
         if self.s_z.real > _CUT_CLEARANCE:
             raise ValidationError("s_z", self.s_z, "Re(s_z) <= 0 (left half-plane)")
-        if not 0.0 <= self.residual <= 1e-10 * max(1.0, abs(self.s_z) ** 2):
+        if not (0.0 <= self.residual and _certified(self.residual, self.s_z)):
             raise ValidationError(
-                "residual", self.residual, "<= 1e-10 * max(1, |s_z|^2)"
+                "residual", self.residual, f"<= {_RESIDUAL_TOL:g} * max(1, |s_z|^2)"
             )
 
     @property
@@ -229,10 +235,10 @@ def find_zero_pair(p: CharParams) -> ZeroPair:
     s = complex(_elastic_root(tau, theta))
     if alpha != 0.0:  # at alpha = 0 the characteristic function is quadratic: s is exact
         s = polish(s)
-        if not residual(s) <= 1e-10 * max(1.0, abs(s) ** 2):  # NaN fails too
+        if not _certified(residual(s), s):
             s = polish(_bisection_fallback(p))
     res = residual(s)
-    if not res <= 1e-10 * max(1.0, abs(s) ** 2):
+    if not _certified(res, s):
         raise NumericsError("characteristic-zero residual too large", achieved=res)
     if s.real > _CUT_CLEARANCE:
         raise NumericsError(
@@ -320,7 +326,7 @@ def _zero_pair_batch(
         residual test replaced by find_zero_pair's."""
         s = np.where(s.imag < 0.0, np.conj(s), s)
         fs, dfs = _psi_pair(s, alpha, tau, th)
-        bad = ~(np.abs(fs) <= 1e-10 * np.maximum(1.0, np.abs(s) ** 2))  # NaN fails too
+        bad = ~_certified(np.abs(fs), s)
         if bad.any():
             for i in np.flatnonzero(bad):
                 s[i] = find_zero_pair(CharParams(alpha, tau, float(th[i]))).s_z

@@ -36,7 +36,7 @@ from fzwave.kernel import (
     spectral_kernel,
     spectral_kernel_alpha0,
 )
-from fzwave.laplace_oracle import BromwichConfig, bromwich_invert
+from fzwave.laplace_oracle import bromwich_invert
 from fzwave.params import ModelParams
 from fzwave.rootfinder import find_zero_pair, winding_number
 from fzwave.solver import InitialData, peak_metrics, solve_field
@@ -100,7 +100,7 @@ def test_criterion_03_oracle_equivalence():
             b_val = bromwich_invert(rho, t, P_EXP)
             worst = max(worst, abs(s_val - b_val) / max(1.0, abs(s_val)))
     vals = [
-        bromwich_invert(1.0, 1.0, P_EXP, BromwichConfig(s0=s0)) for s0 in (0.5, 1.0, 2.0)
+        bromwich_invert(1.0, 1.0, P_EXP, s0=s0) for s0 in (0.5, 1.0, 2.0)
     ]
     spread = max(vals) - min(vals)
     ok = worst <= 1e-5 and spread <= 1e-5

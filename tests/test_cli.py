@@ -96,8 +96,8 @@ def test_validation_error_exits_two(capsys):
 
 
 def test_numerics_error_exits_three(capsys):
-    # rho=5 at beta=0.99 trips the oracle's certified truncation gate
-    rc, _, err = run(capsys, "oracle", "--rho", "5", "--beta", "0.99", "--t", "1")
+    # at t = 50 the oracle's tail bound asks for a line past its start-node budget
+    rc, _, err = run(capsys, "oracle", "--t", "50")
     assert rc == 3
     assert "p_max" in err
 

@@ -39,7 +39,7 @@ from fzwave.kernel import (
     spectral_kernel,
     spectral_kernel_alpha0,
 )
-from fzwave.laplace_oracle import BromwichConfig, bromwich_invert
+from fzwave.laplace_oracle import bromwich_invert
 from fzwave.params import ModelParams
 from fzwave.rootfinder import find_zero_pair
 from fzwave.solver import InitialData, nonprop_solution, solve_field
@@ -1081,7 +1081,7 @@ _SKEWED = SampledSignal(np.array([0.0, 1.0, 2.5]), np.zeros(3))
     (mittag_leffler, (0.5, True, -1.0), "ml_beta"),
     (e_alpha, (True, 0.5, 0.1), "t"),
     (e_alpha_prime, (True, 0.5, 0.1), "t"),
-    (BromwichConfig, (True,), "s0"),
+    (functools.partial(bromwich_invert, s0=True), (1.0, 1.0, P_EXP), "s0"),
     # arrays: a bool, a string or a complex number is not a real entry
     (kernel_eps, ([0.0, 1.0], [True, 2.0], P_EXP), "t_list"),
     (kernel_eps, ([0.0, 1.0], ["1"], P_EXP), "t_list"),
