@@ -12,7 +12,7 @@ spectral node, all tables of one domain through one recurrence basis
 (:func:`eval_tables`).
 
 Evaluation counts, panel order, and summation order are pure functions of the
-integrand values, so results are reproducible across runs and thread counts.
+integrand values, so results are reproducible across runs.
 """
 
 from __future__ import annotations

@@ -17,8 +17,7 @@ Field CSV uses the header ``x,t,u``, one row per sample, row-major in t then
 x, values printed with 17 significant digits (which round-trip float64
 exactly). Rows are streamed one t at a time, and only
 after the whole field is computed, so a numerical failure leaves no partial
-output. Running the same configuration twice produces byte-identical files
-regardless of FZWAVE_THREADS.
+output. Running the same configuration twice produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ _LIMIT_PROBES = {"beta0": {"beta": 1e-3}, "beta1": {"beta": 0.99}, "alpha0": {"a
 # most x points a grid may ask for, refused before the grid exists. No route's
 # memory grows much with x below it: the beta = 1 x-space mollifier sum of
 # `limits --case beta1` works in fixed _CHUNK x _CHUNK blocks per t row in
-# progress (peak RSS 70 MB at 5,000 x and at 24,000 x, one t and one thread)
+# progress (peak RSS 70 MB at 5,000 x and at 24,000 x, one t)
 _NX_MAX = 24_000
 # shortest run of all-zero points that the CSV writer copies as text: a
 # shorter run costs more as its own piece than its values cost to format

@@ -31,14 +31,13 @@ one sum left in x is kernel_time_fractional's: K's cut samples against
 delta_eps, an oracle independent of both stages.
 
 Everything here is deterministic by construction: panel subdivision depends
-only on inputs, each row's transform runs on its own buffers, and every sum
-reduces in a fixed order, so a run with FZWAVE_THREADS=8 is byte-identical to
-a serial one (threads only split work across rows of the time grid). The
-factored sum, the sampled-data sums and the cut transform are matrix products
-run in blocks that BLAS keeps on one thread (:func:`_serial_product`), so
-BLAS's own thread count does not change their bits either. Every quadrature,
-table and spot check aims at the fixed targets _ABS_TOL and _REL_TOL, and the
-Fourier integral ends at :func:`_rho_max`, which follows from eps.
+only on inputs, the rows of the time grid run one after another, and every
+sum reduces in a fixed order. The factored sum, the sampled-data sums and the
+cut transform are matrix products run in blocks that BLAS keeps on one thread
+(:func:`_serial_product`), so BLAS's thread count does not change their bits
+either. Every quadrature, table and spot check aims at the fixed targets
+_ABS_TOL and _REL_TOL, and the Fourier integral ends at :func:`_rho_max`,
+which follows from eps.
 """
 
 from __future__ import annotations
@@ -46,8 +45,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import os
-import threading
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
@@ -96,20 +93,6 @@ _SERIAL_MNK = 1 << 18
 # outputs at _SERIAL_MNK (1024 points, 16 x 16 blocks, made a sampled solve 1.3x slower)
 _SCATTER_CHUNK = 256
 _erf = np.vectorize(math.erf, otypes=[float])
-
-
-def _thread_count(n_rows: int) -> int:
-    """Worker count for row-parallel loops, from FZWAVE_THREADS (0 = auto)."""
-    raw = os.environ.get("FZWAVE_THREADS", "0")
-    try:
-        requested = int(raw)
-    except ValueError as exc:
-        raise ValidationError("FZWAVE_THREADS", raw, "integer >= 0") from exc
-    if requested < 0:
-        raise ValidationError("FZWAVE_THREADS", requested, "integer >= 0")
-    if requested == 0:
-        requested = os.cpu_count() or 1
-    return max(1, min(requested, n_rows))
 
 
 def delta_eps(x: np.ndarray | float, epsilon: float) -> np.ndarray | float:
@@ -515,7 +498,7 @@ def _serial_product(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
         m = a.shape[0]
         rows, row_blocks = _even_blocks(len(parts) * m, cells // width)
-        c = np.zeros((row_blocks * rows, depth))  # per call: rows run on threads
+        c = np.zeros((row_blocks * rows, depth))
         for k, part in enumerate(parts):
             c[k * m : (k + 1) * m] = part
         prod = np.empty((row_blocks * rows, n_blocks * width))
@@ -574,40 +557,6 @@ def _spot_check(fast: np.ndarray, exact_at: Callable, abs_tol: float, rel_tol: f
     gap = np.abs(fast[idx] - exact)
     if not np.all(gap <= np.maximum(abs_tol, rel_tol * np.abs(exact))):  # NaN fails too
         raise NumericsError(what, achieved=float(np.max(gap)))
-
-
-def _map_rows(worker, n_rows: int) -> None:
-    """worker(i) for every row i; with more than one worker, each thread takes
-    the next unclaimed row until none is left. A failure stops the claiming,
-    and once every thread has ended, the failure of the lowest row is raised."""
-    workers = _thread_count(n_rows)
-    if workers == 1:
-        for i in range(n_rows):
-            worker(i)
-        return
-    rows = iter(range(n_rows))
-    lock = threading.Lock()
-    failures = []
-
-    def drain() -> None:
-        while True:
-            with lock:
-                i = None if failures else next(rows, None)
-            if i is None:
-                return
-            try:
-                worker(i)
-            except BaseException as exc:
-                with lock:
-                    failures.append((i, exc))
-
-    threads = [threading.Thread(target=drain) for _ in range(workers)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
 
 
 def _freq_scale(x: np.ndarray, ts: tuple, beta: float, tau: float) -> float:
@@ -697,18 +646,15 @@ def _fourier_rows(x: np.ndarray, ts: tuple, p: ModelParams, plan: _Stage1,
     else:
         sweep, spot = chirp, _factored_plan(plan.delta, plan.n_panels, xs[_spot_indices(xs.size)])
     values = np.empty((len(ts), x.size))
-
-    def row(i: int) -> None:
-        parts = [hat * s for (hat, _), s in zip(terms, signal(ts[i]))]
+    for t, row in zip(ts, values):
+        parts = [hat * s for (hat, _), s in zip(terms, signal(t))]
         coeff = plan.weights * sum(parts[1:], parts[0]) / math.pi
-        values[i, half:] = sweep(coeff)
+        row[half:] = sweep(coeff)
         if spot is not None:
             # spot is the factored sum at exactly these _spot_indices
-            _spot_check(values[i, half:], lambda _idx: spot(coeff),
+            _spot_check(row[half:], lambda _idx: spot(coeff),
                         1e-12 * float(np.sum(np.abs(coeff))), 0.0,
                         "chirp-z transform disagrees with the factored sum")
-
-    _map_rows(row, len(ts))
     values[:, :half] = values[:, ::-1][:, :half]
     return values
 
@@ -986,9 +932,8 @@ def kernel_time_fractional(x_grid, t_list, alpha: float, tau: float, epsilon: fl
     x, ts = _check_grids(x_grid, t_list)
     reach = float(np.max(np.abs(x)))
     values = np.zeros((len(ts), x.size))
-
-    def row(i: int) -> None:
-        y, kw = _tf_samples(ts[i], reach, p.alpha, p.tau, p.epsilon, False)
+    for t, row in zip(ts, values):
+        y, kw = _tf_samples(t, reach, p.alpha, p.tau, p.epsilon, False)
         for lo in range(0, x.size, _CHUNK):
             x_c = x[lo : lo + _CHUNK, None]
             for start in range(0, y.size, _CHUNK):
@@ -996,7 +941,5 @@ def kernel_time_fractional(x_grid, t_list, alpha: float, tau: float, epsilon: fl
                 g = np.asarray(delta_eps(x_c - y_c, p.epsilon))
                 g += delta_eps(x_c + y_c, p.epsilon)
                 g *= kw[start : start + _CHUNK]
-                values[i, lo : lo + _CHUNK] += g.sum(axis=1)
-
-    _map_rows(row, len(ts))
+                row[lo : lo + _CHUNK] += g.sum(axis=1)
     return Field(x, ts, values, _meta(asdict(p), True))

@@ -38,7 +38,7 @@ _T_GUARD = 1e-3
 _MAX_DOUBLINGS = 12
 _REL_TOL = 1e-7  # agreement of two consecutive Richardson levels
 _ABS_TOL = 1e-9  # bound on the truncation tail beyond p_max
-_MIN_START = 1 << 16  # start nodes on the shortest line
+_MIN_START = 1 << 16  # start nodes on the shortest line, and nodes per evaluated block
 _START_BUDGET = 1 << 21  # start nodes past which a line is refused unsampled
 _EXP_ARG_MAX = math.log(sys.float_info.max)  # largest s0*t whose e^(s0 t) is finite
 
@@ -49,6 +49,15 @@ def _q_hat(p: np.ndarray, s0: float, theta: float, alpha: float, tau: float) -> 
     sa = s**alpha
     d = (1.0 + sa) / (1.0 + tau * sa)
     return theta * d / (s**3 + s * theta * d)
+
+
+def _line_sum(f, p_max: float, h: float, count: int, shift: float) -> complex:
+    """sum of f(-p_max + h (k + shift)) over k < count, in blocks of _MIN_START
+    nodes added in order, so memory stays fixed however many nodes a level has."""
+    total = 0j
+    for lo in range(0, count, _MIN_START):
+        total += f(-p_max + h * (np.arange(lo, min(lo + _MIN_START, count)) + shift)).sum()
+    return total
 
 
 def bromwich_invert(rho: float, t: float, p: ModelParams, *, s0: float = 1.0) -> float:
@@ -97,16 +106,14 @@ def bromwich_invert(rho: float, t: float, p: ModelParams, *, s0: float = 1.0) ->
 
     n = max(_MIN_START, math.ceil(start))
     h = 2.0 * p_max / n
-    vals = f(-p_max + h * np.arange(n + 1))
-    trap = h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+    trap = h * (_line_sum(f, p_max, h, n + 1, 0.0) - 0.5 * f(-p_max + h * np.array([0, n])).sum())
     n_int = n
 
     prev_richardson: complex | None = None
     result: complex | None = None
     achieved = math.inf
     for _ in range(_MAX_DOUBLINGS):
-        mids = -p_max + h * (np.arange(n_int) + 0.5)
-        trap_half = 0.5 * trap + 0.5 * h * f(mids).sum()
+        trap_half = 0.5 * trap + 0.5 * h * _line_sum(f, p_max, h, n_int, 0.5)
         richardson = (4.0 * trap_half - trap) / 3.0
         if prev_richardson is not None:
             achieved = abs(richardson - prev_richardson) * amp

@@ -406,16 +406,22 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_thread_pool():
-    # a one-worker run starts no thread, and no run loads concurrent.futures
-    # (which pulls in logging): rows run on plain threads when there are more workers
+    # every field computes its t rows on the calling thread, whatever the
+    # environment asks for: the spectral kernel, the x-space time-fractional sum
+    # and the beta = 1 cut route start no thread and load no concurrent module
     pkg_root = str(Path(fzwave.__file__).resolve().parents[1])
     code = ("import sys, threading, numpy as np, fzwave, fzwave.cli; started = []; "
-            "threading.Thread.start = lambda self: started.append(self); "
-            "fzwave.kernel_eps(np.linspace(-1, 1, 21), [0.25, 0.5], fzwave.ModelParams(0.25, 0.45, 0.1)); "
+            "start = threading.Thread.start; "
+            "threading.Thread.start = lambda self: (started.append(self), start(self)); "
+            "x, ts = np.linspace(-1, 1, 21), [0.25, 0.5]; "
+            "fzwave.kernel_eps(x, ts, fzwave.ModelParams(0.25, 0.45, 0.1)); "
+            "fzwave.kernel_time_fractional(x, ts, 0.25, 0.1, 0.01); "
+            "fzwave.solve_field(fzwave.InitialData.zero(), fzwave.InitialData.dirac(), x, ts, "
+            "fzwave.ModelParams(0.25, 1.0, 0.1)); "
             "print(len(started), sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))")
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root, "FZWAVE_THREADS": "1"},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root, "FZWAVE_THREADS": "4"},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -442,7 +448,7 @@ def test_reader_closing_early_exits_1_without_a_traceback():
     argv = ["kernel", "--alpha", "0", "--beta", "1", "--nx", "10001", "--t-list", "0.5,1"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "fzwave", *argv],
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root, "FZWAVE_THREADS": "1"},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     try:
@@ -460,15 +466,14 @@ def test_reader_closing_early_exits_1_without_a_traceback():
 # -------------------------------------------------------------------- solve
 
 
-def test_solve_writes_deterministic_csv(capsys, tmp_path, monkeypatch):
+def test_solve_writes_deterministic_csv(capsys, tmp_path):
     args = (
         "solve", "--beta", "0.45", "--nx", "41", "--x-min", "-2", "--x-max", "2",
         "--t-list", "0.5,1",
     )
     outputs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("FZWAVE_THREADS", threads)
-        path = tmp_path / f"run{threads}.csv"
+    for run_no in (1, 2):
+        path = tmp_path / f"run{run_no}.csv"
         rc, _, _ = run(capsys, *args, "--out", str(path))
         assert rc == 0
         outputs.append(path.read_bytes())
@@ -492,8 +497,8 @@ def test_sampled_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
         for threads in ("1", "2"):
             proc = subprocess.run(
                 [sys.executable, "-m", "fzwave", "solve", "--config", str(cfg_path), *model],
-                env={"OPENBLAS_NUM_THREADS": threads, "FZWAVE_THREADS": "1",
-                     "PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
+                env={"OPENBLAS_NUM_THREADS": threads, "PATH": "/usr/bin:/bin",
+                     "PYTHONPATH": pkg_root},
                 capture_output=True, timeout=300,
             )
             assert proc.returncode == 0, proc.stderr.decode(errors="replace")

@@ -599,7 +599,7 @@ def test_one_branch_quadrature_per_row(monkeypatch):
 
 
 def _cosine_sweep(coeff: np.ndarray, rho: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Re sum_j coeff_j e^{i rho_j x} in fixed chunked order (thread-independent)."""
+    """Re sum_j coeff_j e^{i rho_j x} in fixed chunked order."""
     out = np.zeros(x.size)
     for start in range(0, rho.size, _CHUNK):
         c = coeff[start : start + _CHUNK, None]
@@ -983,15 +983,6 @@ def test_kernel_at_beta_one_keeps_unit_mass_early(alpha, tau, t):
     assert np.trapezoid(f.values[0], x) == pytest.approx(1.0, abs=1e-4)
 
 
-def test_time_fractional_integral_bytes_do_not_depend_on_threads(monkeypatch):
-    x, ts, p = np.linspace(-2.0, 2.0, 201), [0.25, 0.5, 1.0], ModelParams(0.25, 1.0, 0.1)
-    runs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("FZWAVE_THREADS", threads)
-        runs.append(kernel_eps_time_integrated(x, ts, p).values.tobytes())
-    assert runs[0] == runs[1]
-
-
 # ------------------------------------------------------------- configuration
 
 
@@ -1129,31 +1120,3 @@ def test_field_shape_validation():
     with pytest.raises(ValidationError) as exc:
         fzwave.kernel.SpectralKernel(rho=1.0, t=1.0, branch_part=math.inf, residue_part=0.0)
     assert exc.value.field == "SpectralKernel"
-
-
-@pytest.mark.parametrize("threads", ["x", "-1"])
-def test_thread_count_refuses_a_bad_environment_value(monkeypatch, threads):
-    monkeypatch.setenv("FZWAVE_THREADS", threads)
-    with pytest.raises(ValidationError) as exc:
-        fzwave.kernel._map_rows(lambda i: None, 4)
-    assert exc.value.field == "FZWAVE_THREADS"
-
-
-@pytest.mark.parametrize("threads", ["1", "2", "5"])
-def test_map_rows_runs_every_row_once(monkeypatch, threads):
-    monkeypatch.setenv("FZWAVE_THREADS", threads)
-    seen = []
-    fzwave.kernel._map_rows(seen.append, 13)
-    assert sorted(seen) == list(range(13))
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_map_rows_raises_the_lowest_failing_row(monkeypatch, threads):
-    monkeypatch.setenv("FZWAVE_THREADS", threads)
-
-    def row(i):
-        if i in (3, 5):
-            raise NumericsError(f"row {i}")
-
-    with pytest.raises(NumericsError, match="row 3"):
-        fzwave.kernel._map_rows(row, 8)

@@ -78,6 +78,23 @@ def test_oracle_reaches_the_rho_range_of_the_fields(rho, t, beta):
     assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
 
 
+def test_line_is_evaluated_in_fixed_blocks(monkeypatch):
+    # at (860, 1) the start line has 237,252 nodes and the last doubling level
+    # 1,898,008; each is evaluated 2^16 nodes at a time, so memory stays fixed
+    q_hat = fzwave.laplace_oracle._q_hat
+    sizes = []
+
+    def spy(pp, *args):
+        sizes.append(pp.size)
+        return q_hat(pp, *args)
+
+    monkeypatch.setattr(fzwave.laplace_oracle, "_q_hat", spy)
+    got = bromwich_invert(860.0, 1.0, P_EXP)
+    assert max(sizes) <= 1 << 16
+    # the value of the same line evaluated in one block per level
+    assert abs(got - -5.001288814421301e-06) <= 1e-12
+
+
 def test_start_node_budget_refuses_before_sampling(monkeypatch):
     # at t = 50, e^(s0 t) asks for p_max ~ 1e10: refused before any node is
     # evaluated, naming the p_max the tail bound asks for

@@ -80,7 +80,7 @@ def test_cli_process_runs_on_the_blas_threads_asked_for(tmp_path, blas_env, task
     proc = subprocess.run(
         [sys.executable, "-m", "fzwave", "kernel", "--nx", "5", "--t-list", "0.5"],
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": f"{tmp_path}{os.pathsep}{PKG_ROOT}",
-             "FZWAVE_THREADS": "1", **blas_env},
+             **blas_env},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
