@@ -20,13 +20,12 @@ _EXPORTS = {
     "charfun": ("CharParams", "branch_values", "psi", "psi_prime", "theta_of_rho",
                 "zener_ratio"),
     "errors": ("FzwaveError", "NumericsError", "ValidationError"),
-    "fracops": ("SampledSignal", "caputo_derivative", "l_operator_apply",
-                "symmetrized_derivative"),
+    "fracops": ("caputo_derivative", "l_operator_apply", "symmetrized_derivative"),
     "kernel": ("Field", "SpectralKernel", "delta_eps", "kernel_classical", "kernel_eps",
                "kernel_eps_time_integrated", "kernel_time_fractional", "laplace_kernel_hat",
                "spectral_kernel", "spectral_kernel_alpha0"),
     "laplace_oracle": ("bromwich_invert",),
-    "params": ("ModelParams", "PhysicalParams", "Scales", "nondimensionalize",
+    "params": ("ModelParams", "PhysicalParams", "SampledSignal", "Scales", "nondimensionalize",
                "validate_model"),
     "rootfinder": ("ZeroPair", "find_zero_pair", "winding_number"),
     "solver": ("InitialData", "nonprop_solution", "peak_metrics", "solve_field"),

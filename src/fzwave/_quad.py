@@ -8,8 +8,8 @@ Mittag-Leffler cut integral is a single such integrand): a 7/15
 Gauss-Kronrod pair is applied to an explicit panel list, with panels bisected
 until every component meets max(abs_tol, rel_tol*|I|). The tables carry
 those integrals, and the zero pairs, from their Chebyshev points to every
-spectral node, all tables of one domain through one recurrence basis
-(:func:`eval_tables`).
+spectral node, all tables of one domain (plain coefficient arrays) through
+one recurrence basis (:func:`eval_tables`).
 
 Evaluation counts, panel order, and summation order are pure functions of the
 integrand values, so results are reproducible across runs.
@@ -193,9 +193,9 @@ def log_cheb_table(f, lo: float, hi: float, budget: float, what: str):
     series"), is at most ``budget``; otherwise every column is resampled at
     twice n, from 64 up to 512, after which NumericsError names ``what``. Each
     column keeps its own shortest head whose dropped coefficients sum to at
-    most ``budget - tail``, so it stays within ``budget`` of f. Returns the
-    numpy Chebyshev in log(theta), or a list of them, one per column; they
-    carry the coefficients and domain, and :func:`eval_tables` evaluates them.
+    most ``budget - tail``, so it stays within ``budget`` of f. Returns that
+    head as a 1-d coefficient array, or a list of them, one per column;
+    :func:`eval_tables` evaluates them given the same lo and hi.
     """
     u_lo, u_hi = math.log(lo), math.log(hi)
     n = _CHEB_FIRST
@@ -210,8 +210,7 @@ def log_cheb_table(f, lo: float, hi: float, budget: float, what: str):
             # dropped[m]: the sum of |c_k| over k >= m, 0 when all are kept
             dropped = np.vstack([np.cumsum(np.abs(c[::-1]), axis=0)[::-1], np.zeros(c.shape[1])])
             keep = np.maximum(np.argmax(dropped <= budget - tail, axis=0), 1)
-            tables = [np.polynomial.Chebyshev(c[:k, j], domain=[u_lo, u_hi])
-                      for j, k in enumerate(keep)]
+            tables = [c[:k, j] for j, k in enumerate(keep)]
             return tables if values.ndim > 1 else tables[0]
         if 2 * n > _CHEB_MAX:
             raise NumericsError(f"Chebyshev {what} tail above budget at {n} intervals",
@@ -219,24 +218,25 @@ def log_cheb_table(f, lo: float, hi: float, budget: float, what: str):
         n *= 2
 
 
-def eval_tables(tables, u: np.ndarray) -> np.ndarray:
-    """Chebyshev tables sharing one domain at u, one row per table: complex
-    if any table is.
+def eval_tables(tables, u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Coefficient arrays from :func:`log_cheb_table` over [lo, hi] at u, one
+    row per table: complex if any table is.
 
-    u maps to x by the tables' own mapparms(), as in Chebyshev.__call__.
-    T_0..T_{n-1}(x) come from the three-term recurrence, in place, over
-    blocks of _EVAL_BLOCK nodes, and each block takes one matrix product
-    with the coefficients, zero-padded to the longest table; complex tables
-    add one row per table for the imaginary parts.
+    u maps [log lo, log hi] onto x in [-1, 1] by the map of Chebyshev.mapparms,
+    bit for bit. T_0..T_{n-1}(x) come from the three-term recurrence, in
+    place, over blocks of _EVAL_BLOCK nodes, and each block takes one matrix
+    product with the coefficients, zero-padded to the longest table; complex
+    tables add one row per table for the imaginary parts.
     """
-    off, scl = tables[0].mapparms()
-    n = max(t.coef.size for t in tables)
-    cplx = any(np.iscomplexobj(t.coef) for t in tables)
+    u_lo, u_hi = math.log(lo), math.log(hi)
+    off, scl = -(u_hi + u_lo) / (u_hi - u_lo), 2.0 / (u_hi - u_lo)
+    n = max(t.size for t in tables)
+    cplx = any(np.iscomplexobj(t) for t in tables)
     coef = np.zeros(((1 + cplx) * len(tables), n))
     for i, t in enumerate(tables):
-        coef[i, : t.coef.size] = t.coef.real
+        coef[i, : t.size] = t.real
         if cplx:
-            coef[len(tables) + i, : t.coef.size] = t.coef.imag
+            coef[len(tables) + i, : t.size] = t.imag
     out = np.empty((len(tables), u.size), dtype=complex if cplx else float)
     basis = np.empty((n, min(u.size, _EVAL_BLOCK)))
     for start in range(0, u.size, _EVAL_BLOCK):

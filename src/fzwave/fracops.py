@@ -3,61 +3,22 @@
 Three operators drive the dimensionless model: the left Caputo derivative in
 time (L1 product-integration scheme), the symmetrized fractional derivative
 in space (spectral, via its odd Fourier symbol), and the constitutive
-convolution operator built from the relaxation function e_alpha.
+convolution operator built from the relaxation function e_alpha, each on a
+:class:`~fzwave.params.SampledSignal`. No field or CLI run loads this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .params import _require_in, _require_reals
-from .specfun import e_alpha, mittag_leffler
+from .params import SampledSignal, _require_in
+from .specfun import mittag_leffler
 
-_SPACING_RTOL = 1e-10
 _BOUNDARY_DECAY = 1e-12
 _PAD_FACTOR = 16
-
-
-@dataclass(frozen=True)
-class SampledSignal:
-    """Real-valued samples on a strictly increasing grid.
-
-    ``uniform`` is read from the grid, not passed: it holds when every spacing
-    matches the first to 1 part in 1e10.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    uniform: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        grid = _require_reals("grid", self.grid, "(-inf, inf), strictly increasing",
-                              increasing=True)
-        values = _require_reals("values", self.values, "(-inf, inf)")
-        if grid.size < 2:
-            raise ValidationError("grid", grid.size, "at least 2 points")
-        if values.shape != grid.shape:
-            raise ValidationError("values", values.shape, f"one per grid point ({grid.size})")
-        grid.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        dg = np.diff(grid)
-        object.__setattr__(self, "uniform",
-                           bool(np.abs(dg - dg[0]).max() <= _SPACING_RTOL * dg[0]))
-
-    @classmethod
-    def from_arrays(cls, grid, values) -> "SampledSignal":
-        """Build a signal from any two array-likes of reals."""
-        return cls(grid=grid, values=values)
-
-    @property
-    def spacing(self) -> float:
-        return float(self.grid[1] - self.grid[0])
 
 
 def _require_uniform_from_zero(f: SampledSignal, op: str) -> None:

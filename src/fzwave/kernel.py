@@ -69,7 +69,13 @@ __all__ = [
     "kernel_classical",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# the 8-point Gauss-Legendre rule on [-1, 1], as numpy's leggauss(8) gives it
+_GL_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                      -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                      0.7966664774136267, 0.9602898564975362])
+_GL_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                        0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                        0.22238103445337443, 0.10122853629037706])
 # fixed chunk width, so memory stays bounded and the reduction order fixed: points
 # per chunk of _tf_kernel_rows and of both axes of kernel_time_fractional's sum,
 # and 64 * _CHUNK terms per block of solver._segment_transform
@@ -286,7 +292,8 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple) -> Callable[[f
             direct.append(vals[:, th.size :])
             return vals[:, : th.size].T
 
-        tables = eval_tables(log_cheb_table(branch, lo, hi, plan.budget, "branch table"), u)
+        tables = eval_tables(log_cheb_table(branch, lo, hi, plan.budget, "branch table"),
+                             u, lo, hi)
         growth = np.exp(s_z * t)
         for integrated, values, exact in zip(tabled, tables, direct[0]):
             _spot_check(values, lambda _idx: exact, _ABS_TOL, _REL_TOL,

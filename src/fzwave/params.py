@@ -6,6 +6,7 @@ The wave model is driven by four dimensionless numbers: the time-memory order
 width ``epsilon`` used when displaying delta-like data. Physical inputs are
 reduced to this set plus a group of positive scale factors; multiplying a
 dimensionless quantity by its scale factor recovers the physical one.
+:class:`SampledSignal` holds sampled data, for the solver and for fracops.
 
 Every input from outside the program with an admissible interval passes one
 of two checks: :func:`_require_in` for a number, :func:`_require_reals` for an
@@ -20,13 +21,14 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 
 DEFAULT_EPSILON = 0.01
+_SPACING_RTOL = 1e-10  # SampledSignal.uniform's spacing tolerance
 
 
 @dataclass(frozen=True)
@@ -174,3 +176,41 @@ def nondimensionalize(
         velocity=length / time,
     )
     return model, scales
+
+
+@dataclass(frozen=True)
+class SampledSignal:
+    """Real-valued samples on a strictly increasing grid.
+
+    ``uniform`` is read from the grid, not passed: it holds when every spacing
+    matches the first to 1 part in 1e10.
+    """
+
+    grid: np.ndarray
+    values: np.ndarray
+    uniform: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        grid = _require_reals("grid", self.grid, "(-inf, inf), strictly increasing",
+                              increasing=True)
+        values = _require_reals("values", self.values, "(-inf, inf)")
+        if grid.size < 2:
+            raise ValidationError("grid", grid.size, "at least 2 points")
+        if values.shape != grid.shape:
+            raise ValidationError("values", values.shape, f"one per grid point ({grid.size})")
+        grid.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", values)
+        dg = np.diff(grid)
+        object.__setattr__(self, "uniform",
+                           bool(np.abs(dg - dg[0]).max() <= _SPACING_RTOL * dg[0]))
+
+    @classmethod
+    def from_arrays(cls, grid, values) -> "SampledSignal":
+        """Build a signal from any two array-likes of reals."""
+        return cls(grid=grid, values=values)
+
+    @property
+    def spacing(self) -> float:
+        return float(self.grid[1] - self.grid[0])

@@ -270,18 +270,18 @@ def _damped_newton(
 ) -> np.ndarray:
     """Vectorized damped Newton, one zero per theta, from start (default: the elastic roots)."""
     s = _elastic_root(tau, theta) if start is None else np.array(start, dtype=complex)
-    fs = _psi(s, alpha, tau, theta)
+    fs, dfs = _psi_pair(s, alpha, tau, theta)
     active = np.ones(s.shape, dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
         if not active.any():
             break
-        d = _psi_prime(s[active], alpha, tau, theta[active])
+        d = dfs[active]
         nonzero = d != 0
         step = np.where(nonzero, fs[active] / np.where(nonzero, d, 1.0), 0.0)
         lam = np.ones(step.shape)
         cur = np.abs(fs[active])
         cand = s[active] - step
-        f_cand = _psi(cand, alpha, tau, theta[active])
+        f_cand, df_cand = _psi_pair(cand, alpha, tau, theta[active])
         for _ in range(20):
             bad = ((cand.imag <= _CUT_CLEARANCE) & (cand.real <= 0.0)) | (
                 np.abs(f_cand) >= cur
@@ -290,9 +290,11 @@ def _damped_newton(
                 break
             lam[bad] *= 0.5
             cand = s[active] - lam * step
-            f_cand = np.where(bad, _psi(cand, alpha, tau, theta[active]), f_cand)
+            f_cand, df_cand = np.where(bad, _psi_pair(cand, alpha, tau, theta[active]),
+                                       (f_cand, df_cand))
         s[active] = cand
         fs[active] = f_cand
+        dfs[active] = df_cand
         done = (np.abs(lam * step) <= 1e-13 * np.abs(cand)) | (
             np.abs(f_cand) <= 1e-14 * np.abs(cand) ** 2
         )
@@ -336,9 +338,10 @@ def _zero_pair_batch(
     def sweep(th: np.ndarray) -> np.ndarray:
         return _damped_newton(alpha, tau, th, _fixed_point_start(alpha, tau, th))
 
+    lo, hi = float(np.min(theta)), float(np.max(theta))
     table = log_cheb_table(lambda th: certified(sweep(th), th)[0] / np.sqrt(th),
-                           float(np.min(theta)), float(np.max(theta)), 1e-8, "zero-pair table")
-    s = eval_tables([table], np.log(theta))[0]
+                           lo, hi, 1e-8, "zero-pair table")
+    s = eval_tables([table], np.log(theta), lo, hi)[0]
     s *= np.sqrt(theta)
     fs, dfs = _psi_pair(s, alpha, tau, theta)
     s -= fs / dfs

@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fracops import SampledSignal
 from .kernel import (
     _CHUNK,
     Field,
@@ -47,7 +46,7 @@ from .kernel import (
     kernel_eps,
     kernel_eps_time_integrated,
 )
-from .params import DEFAULT_EPSILON, ModelParams, _require_in
+from .params import DEFAULT_EPSILON, ModelParams, SampledSignal, _require_in
 
 __all__ = ["InitialData", "solve_field", "nonprop_solution", "peak_metrics"]
 
@@ -90,7 +89,7 @@ class InitialData:
       analytically, ``width`` is ignored).
     - ``gaussian``: ``height * exp(-((x - center)/width)^2)``.
     - ``box``: ``height`` on ``[center - width/2, center + width/2]``.
-    - ``sampled``: explicit :class:`~fzwave.fracops.SampledSignal`, scaled by
+    - ``sampled``: explicit :class:`~fzwave.params.SampledSignal`, scaled by
       ``height`` (``center`` and ``width`` are ignored; the samples are the
       data, taken as zero outside their grid).
 
@@ -230,7 +229,7 @@ def _j1(z: np.ndarray) -> np.ndarray:
     small = np.abs(z) < _J1_SWITCH
     zs = np.where(small, 1.0, z)
     closed = (np.sin(zs) - zs * np.cos(zs)) / (zs * zs)
-    return np.where(small, z * np.polynomial.polynomial.polyval(z * z, _J1_SERIES), closed)
+    return np.where(small, z * np.polyval(_J1_SERIES[::-1], z * z), closed)
 
 
 def _segment_transform(a, b, fa, fb, rho: np.ndarray) -> np.ndarray:

@@ -253,7 +253,7 @@ def test_criterion_10_special_functions():
 
 def test_criterion_11_deterministic_csv(tmp_path):
     args = [
-        sys.executable, "-m", "fzwave", "solve",
+        sys.executable, "-B", "-m", "fzwave", "solve",
         "--beta", "0.45", "--nx", "61", "--x-min", "-2", "--x-max", "2",
         "--t-list", "0.5,1",
     ]

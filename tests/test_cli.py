@@ -6,6 +6,7 @@ codes and stream contents are asserted exactly as a shell user would see them.
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -398,11 +399,60 @@ def test_import_loads_no_scipy():
     code = ("import sys, fzwave, fzwave.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run(
-        [sys.executable, "-c", code], env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
+        [sys.executable, "-B", "-c", code], env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# serve the public API and the acceptance criteria, never a field or a CLI run
+_OFF_ROUTE = ("numpy.polynomial", "fzwave.fracops", "fzwave.specfun")
+
+
+def test_solve_route_loads_no_off_route_module(tmp_path):
+    # every initial-data kind as u0 and as v0, on the spectral route and at
+    # beta = 1, and both kernels, in a fresh interpreter
+    pkg_root = str(Path(fzwave.__file__).resolve().parents[1])
+    code = ("import sys, numpy as np, fzwave; D = fzwave.InitialData; "
+            "x, ts, y = np.linspace(-1, 1, 21), [0.5], np.linspace(-0.5, 0.5, 11); "
+            "data = [D.gaussian(0, 0.1), D.box(0, 0.3), "
+            "D.sampled(y, np.sin(np.pi * (y + 0.5)) ** 2), D.dirac()]; "
+            "[fzwave.solve_field(u0, v0, x, ts, fzwave.ModelParams(0.25, beta, 0.1)) "
+            "for beta in (0.45, 1.0) for u0, v0 in zip(data, data[::-1])]; "
+            "p = fzwave.ModelParams(0.25, 0.45, 0.1); "
+            "fzwave.kernel_eps(x, ts, p); fzwave.kernel_eps_time_integrated(x, ts, p); "
+            f"print(sorted(m for m in sys.modules if m.startswith({_OFF_ROUTE!r})))")
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", code], env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    # imported at start-up, before fzwave: reports the process's modules at exit
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, sys\n"
+        "atexit.register(lambda: print(sorted(m for m in sys.modules "
+        f"if m.startswith({_OFF_ROUTE!r})), file=sys.stderr))\n"
+    )
+    y = np.linspace(-0.5, 0.5, 11)
+    cfg_path = tmp_path / "sampled.json"
+    cfg_path.write_text(json.dumps({
+        "grid": {"nx": 21, "t_list": [0.5]},
+        "initial": {"u0": {"kind": "sampled", "samples": {
+            "grid": y.tolist(), "values": (np.sin(np.pi * (y + 0.5)) ** 2).tolist()}},
+            "v0": {"kind": "box", "width": 0.3}},
+    }))
+    for argv in (["kernel", "--nx", "21", "--t-list", "0.5"],
+                 ["solve", "--config", str(cfg_path)]):
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "fzwave", *argv],
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": f"{tmp_path}{os.pathsep}{pkg_root}"},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("x,t,u\n")
+        assert proc.stderr == "[]\n"
 
 
 def test_import_loads_no_thread_pool():
@@ -420,7 +470,7 @@ def test_import_loads_no_thread_pool():
             "fzwave.ModelParams(0.25, 1.0, 0.1)); "
             "print(len(started), sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))")
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-B", "-c", code],
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root, "FZWAVE_THREADS": "4"},
         capture_output=True, text=True, timeout=120,
     )
@@ -435,7 +485,7 @@ def test_kernel_run_loads_no_masked_arrays():
             "fzwave.kernel_eps(np.linspace(-1, 1, 41), [0.5], fzwave.ModelParams(0.25, 0.45, 0.1)); "
             "print('numpy.ma' in sys.modules)")
     proc = subprocess.run(
-        [sys.executable, "-c", code], env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
+        [sys.executable, "-B", "-c", code], env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -447,7 +497,7 @@ def test_reader_closing_early_exits_1_without_a_traceback():
     pkg_root = str(Path(fzwave.__file__).resolve().parents[1])
     argv = ["kernel", "--alpha", "0", "--beta", "1", "--nx", "10001", "--t-list", "0.5,1"]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "fzwave", *argv],
+        [sys.executable, "-B", "-m", "fzwave", *argv],
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
@@ -496,7 +546,7 @@ def test_sampled_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
         blobs = []
         for threads in ("1", "2"):
             proc = subprocess.run(
-                [sys.executable, "-m", "fzwave", "solve", "--config", str(cfg_path), *model],
+                [sys.executable, "-B", "-m", "fzwave", "solve", "--config", str(cfg_path), *model],
                 env={"OPENBLAS_NUM_THREADS": threads, "PATH": "/usr/bin:/bin",
                      "PYTHONPATH": pkg_root},
                 capture_output=True, timeout=300,

@@ -27,7 +27,7 @@ def test_import_loads_neither_numpy_nor_a_submodule():
             "if m == 'numpy' or m.startswith(('numpy.', 'fzwave.')))); "
             "print(fzwave.kernel.kernel_eps.__module__)")
     proc = subprocess.run(
-        [sys.executable, "-c", code], env={"PATH": "/usr/bin:/bin", "PYTHONPATH": PKG_ROOT},
+        [sys.executable, "-B", "-c", code], env={"PATH": "/usr/bin:/bin", "PYTHONPATH": PKG_ROOT},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -46,6 +46,8 @@ def test_every_public_name_resolves_and_is_listed():
     namespace = {}
     exec("from fzwave import *", namespace)
     assert set(fzwave.__all__) <= set(namespace)
+    # SampledSignal lives in params; fracops, whose operators take it, still names it
+    assert fzwave.fracops.SampledSignal is fzwave.SampledSignal
 
 
 def test_unknown_name_raises_attribute_error():
@@ -78,7 +80,7 @@ def test_cli_process_runs_on_the_blas_threads_asked_for(tmp_path, blas_env, task
         "atexit.register(lambda: print(len(os.listdir('/proc/self/task')), file=sys.stderr))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "fzwave", "kernel", "--nx", "5", "--t-list", "0.5"],
+        [sys.executable, "-B", "-m", "fzwave", "kernel", "--nx", "5", "--t-list", "0.5"],
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": f"{tmp_path}{os.pathsep}{PKG_ROOT}",
              **blas_env},
         capture_output=True, text=True, timeout=120,
@@ -91,7 +93,7 @@ def test_cli_process_runs_on_the_blas_threads_asked_for(tmp_path, blas_env, task
 def test_cli_module_is_not_an_entry_point():
     # it would load NumPy before the launcher could pin BLAS; it must not pass silently
     proc = subprocess.run(
-        [sys.executable, "-m", "fzwave.cli", "kernel", "--nx", "5"],
+        [sys.executable, "-B", "-m", "fzwave.cli", "kernel", "--nx", "5"],
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": PKG_ROOT},
         capture_output=True, text=True, timeout=120,
     )
