@@ -94,16 +94,10 @@ def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
     return k15, err
 
 
-def adaptive_gk(
-    f,
-    edges,
-    rel_tol: float = 1e-6,
-    abs_tol: float = 1e-8,
-    what: str = "integral",
-):
+def adaptive_gk(f, edges, rel_tol: float, abs_tol: float, what: str = "integral"):
     """Integrate f over the union of panels defined by ``edges``.
 
-    f takes a flat array of nodes and returns values of shape (n,) or (n, m);
+    f takes a flat array of nodes and returns real values of shape (n,) or (n, m);
     integration is carried out independently for each of the m components.
     Returns ``(integral, err_estimate)`` with shape (m,) each (scalars are
     squeezed). Raises :class:`NumericsError` if an error estimate is not
@@ -159,9 +153,7 @@ def adaptive_gk(
     total = contrib.sum(axis=0)
     total_err = err.sum(axis=0)
     if total.shape[0] == 1:
-        return float(total[0].real) if np.isrealobj(total) else complex(total[0]), float(
-            total_err[0]
-        )
+        return float(total[0]), float(total_err[0])
     return total, total_err
 
 
@@ -258,7 +250,7 @@ def eval_tables(tables, u: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return out
 
 
-def geometric_edges(lo: float, hi: float, first: float, ratio: float = 1.8) -> np.ndarray:
+def geometric_edges(lo: float, hi: float, first: float, ratio: float) -> np.ndarray:
     """Panel edges from lo to hi starting with width ``first``, growing by ``ratio``."""
     edges = [lo]
     w = first

@@ -129,6 +129,12 @@ def psi_prime(s, p: CharParams):
     return out if out.ndim else complex(out)
 
 
+def _elastic_frequency(theta, tau: float):
+    """The order-zero (alpha = 0) frequency sqrt(2 theta/(1+tau)): psi's zeros
+    there are +-i times it. Scalar or array theta."""
+    return np.sqrt(2.0 * theta / (1.0 + tau))
+
+
 def branch_values(q, alpha: float, tau: float):
     """One-sided limits of :func:`zener_ratio` onto the negative real axis.
 

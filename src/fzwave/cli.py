@@ -457,7 +457,7 @@ def main() -> None:
     sys.exit(code)
 
 
-if __name__ == "__main__":  # pragma: no cover - python -m fzwave.cli
+if __name__ == "__main__":  # python -m fzwave.cli
     # not an entry point: the launcher must run before NumPy loads
     print("error: run `python -m fzwave` or the `fzwave` script", file=sys.stderr)
     sys.exit(2)

@@ -51,7 +51,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._quad import adaptive_gk, eval_tables, geometric_edges, log_cheb_table
-from .charfun import CharParams, _psi_prime, branch_values, theta_of_rho, zener_ratio
+from .charfun import (CharParams, _elastic_frequency, _psi_prime, branch_values, theta_of_rho,
+                      zener_ratio)
 from .errors import NumericsError, ValidationError
 from .params import ModelParams, _require_in, _require_reals
 from .rootfinder import _zero_pair_batch, find_zero_pair
@@ -196,7 +197,7 @@ def spectral_kernel_alpha0(rho, t, beta: float, tau: float):
     _require_in("tau", tau, "(0, 1)")
     rho_a = _require_reals("rho", rho, "[0, inf)")
     t_a = _require_reals("t", t, "[0, inf)")
-    omega = np.sqrt(2.0 * theta_of_rho(rho_a, beta) / (1.0 + tau))
+    omega = _elastic_frequency(theta_of_rho(rho_a, beta), tau)
     out = np.cos(t_a * omega)
     return float(out[0]) if np.isscalar(rho) and np.isscalar(t) else out
 
@@ -269,7 +270,7 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple) -> Callable[[f
     """
     alpha, tau, theta = p.alpha, p.tau, plan.theta
     if alpha == 0.0 or p.beta == 0.0:
-        omega = np.sqrt(2.0 * theta / (1.0 + tau))
+        omega = _elastic_frequency(theta, tau)
         return lambda t: [t * np.sinc(omega * t / math.pi) if integrated
                           else np.cos(t * omega) for integrated in modes]
 
@@ -547,10 +548,9 @@ def _scattered_sums(f: np.ndarray, y: np.ndarray, delta: float, n_nodes: int) ->
 
 @functools.lru_cache(maxsize=64)
 def _spot_indices(n: int) -> np.ndarray:
-    """8 fixed indices into n points, the first and last included (read-only,
-    computed once per n)."""
+    """8 distinct ascending indices into n >= 8 points, the first and last
+    included (read-only, computed once per n)."""
     idx = np.linspace(0, n - 1, 8).round().astype(int)
-    idx = idx[np.diff(idx, prepend=-1) > 0]  # ascending, so this drops the repeats
     idx.flags.writeable = False
     return idx
 
@@ -574,7 +574,7 @@ def _freq_scale(x: np.ndarray, ts: tuple, beta: float, tau: float) -> float:
     (the few sub-unit panels absorb the remaining short-range phase). At
     beta = 0 theta vanishes and S does not oscillate, so t adds nothing.
     """
-    x_scale = float(np.max(np.abs(x))) if x.size else 0.0
+    x_scale = float(np.max(np.abs(x)))
     return x_scale + (ts[-1] * (1.0 + beta) / (2.0 * math.sqrt(tau)) if beta > 0.0 else 0.0)
 
 
@@ -683,7 +683,8 @@ def kernel_eps_time_integrated(x_grid, t_list, p: ModelParams) -> Field:
     Each spectral term is integrated analytically (exact antiderivatives). At
     beta = 1, alpha > 0 the signal is the transform of the x-space cut
     integral of K^/s (_tf_kernel_rows) on its y samples, as for distributed
-    data; at beta = 0 and the classical pair the integral is a closed form.
+    data, and a t <= 1e-4 raises NumericsError; at beta = 0 and the classical
+    pair the integral is a closed form.
     """
     return _kernel_eps_impl(x_grid, t_list, p, integrated=True)
 
@@ -715,7 +716,7 @@ def _kernel_eps_impl(x_grid, t_list, p: ModelParams, integrated: bool) -> Field:
 def _classical_field(
     x: np.ndarray, ts: tuple, tau: float, epsilon: float, integrated: bool
 ) -> np.ndarray:
-    c = math.sqrt(2.0 / (1.0 + tau))
+    c = float(_elastic_frequency(1.0, tau))  # the speed: omega = c rho at theta = rho^2
     ct = c * np.array(ts)[:, None]
     if integrated:
         # int_0^t (delta_eps(x - c t') + delta_eps(x + c t'))/2 dt'
@@ -833,15 +834,19 @@ def _tf_kernel_rows(
     At early times and alpha >= 1/2 that band holds K's mass: at t = 0.02 the
     field keeps 0.247 of it at (0.6, 0.5) and 0.047 at (0.9, 0.3), and the time
     integral, whose transform is the spectral sum's beta = 1 signal (point
-    source and distributed data alike), is 1.6 % and 0.7 % off t.
+    source and distributed data alike), is 1.6 % and 0.7 % off t. At t <= 1e-4
+    every sample, y = 0 too, lies in that band: NumericsError, not zeros where
+    K_eps has unit mass. Otherwise y = 0 is live (the margin falls with y), and
+    its exponent -qt <= 0 peaks at 0.5 <= _TF_COND_BUDGET, so it is integrated.
     """
     sqrt_tau = math.sqrt(tau)
     margin = t - y * sqrt_tau
     floor = 1e-4 * max(1.0, t)
     live = margin > floor
-    out = np.zeros_like(y)
     if not np.any(live):
-        return out
+        raise NumericsError(f"cut route at t = {t:g}: every sample lies within {floor:g} "
+                            "of the front, where K is not computed")
+    out = np.zeros_like(y)
 
     psi = _tf_ray_angle(alpha)
     decay = math.cos(psi)
@@ -863,8 +868,6 @@ def _tf_kernel_rows(
                 achieved=bound,
             )
 
-    if not np.any(conditioned):
-        return out
     yy = y[conditioned]
     mm = margin[conditioned]
     r_max = min(60.0 / (float(np.min(mm)) * decay), _Q_MAX)
@@ -932,7 +935,8 @@ def kernel_time_fractional(x_grid, t_list, alpha: float, tau: float, epsilon: fl
     with the grid; no production route takes this sum. Zeroing points within
     1e-4 max(1, t) of the front uncertified (:func:`_tf_kernel_rows`) leaves
     mass 0.247 at (alpha, tau, t) = (0.6, 0.5, 0.02) and 0.047 at
-    (0.9, 0.3, 0.02).
+    (0.9, 0.3, 0.02); a t <= 1e-4, where that band holds every point, raises
+    NumericsError.
     """
     p = ModelParams(alpha, 1.0, tau, epsilon)
     _require_in("alpha", alpha, "(0, 1) (alpha = 0 is the classical pair)")

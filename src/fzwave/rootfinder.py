@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import eval_tables, log_cheb_table
-from .charfun import CharParams, _power, _psi, _psi_pair, _psi_prime
+from .charfun import CharParams, _elastic_frequency, _power, _psi, _psi_pair, _psi_prime
 from .errors import NumericsError, ValidationError
 
 _NODE_BUDGET = 200_000
@@ -166,16 +166,11 @@ def winding_number(rect, p: CharParams) -> int:
     return int(n)
 
 
-def _elastic_root(tau: float, theta):
-    """The order-zero (alpha = 0) root i*sqrt(2*theta/(1+tau)), for scalar or array theta."""
-    return 1j * np.sqrt(2.0 * theta / (1.0 + tau))
-
-
 def _fixed_point_start(alpha: float, tau: float, theta: np.ndarray) -> np.ndarray:
     """One step of the fixed point s = i*sqrt(theta*F(s)) of psi(s) = 0 from the
     elastic root, F the Zener ratio: the principal root keeps s in the upper
     left quadrant, and the step saves about two damped Newton sweeps."""
-    sa = _power(_elastic_root(tau, theta), alpha)
+    sa = _power(1j * _elastic_frequency(theta, tau), alpha)
     return 1j * np.sqrt(theta * (1.0 + sa) / (1.0 + tau * sa))
 
 
@@ -232,7 +227,7 @@ def find_zero_pair(p: CharParams) -> ZeroPair:
     def residual(s: complex) -> float:
         return abs(complex(_psi(s, alpha, tau, theta)))
 
-    s = complex(_elastic_root(tau, theta))
+    s = complex(1j * _elastic_frequency(theta, tau))
     if alpha != 0.0:  # at alpha = 0 the characteristic function is quadratic: s is exact
         s = polish(s)
         if not _certified(residual(s), s):
@@ -269,7 +264,7 @@ def _damped_newton(
     alpha: float, tau: float, theta: np.ndarray, start: np.ndarray | None = None
 ) -> np.ndarray:
     """Vectorized damped Newton, one zero per theta, from start (default: the elastic roots)."""
-    s = _elastic_root(tau, theta) if start is None else np.array(start, dtype=complex)
+    s = 1j * _elastic_frequency(theta, tau) if start is None else np.array(start, dtype=complex)
     fs, dfs = _psi_pair(s, alpha, tau, theta)
     active = np.ones(s.shape, dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):

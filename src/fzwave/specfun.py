@@ -113,7 +113,7 @@ def _asymptotic(a: float, b: float, z: complex) -> tuple[complex, float]:
     log_absz = math.log(absz)
     s = 0.0 + 0.0j
     env_prev = math.inf
-    est_abs = math.inf
+    est_abs = math.inf  # if the terms ran out, it would stay inf and refuse the regime
     for k in range(1, _MAX_ASYMP_TERMS):
         x = b - a * k
         if x > 0.0:
@@ -129,8 +129,6 @@ def _asymptotic(a: float, b: float, z: complex) -> tuple[complex, float]:
         if env <= 1e-18 * max(abs(s), _TINY):
             est_abs = env
             break
-    else:
-        est_abs = env_prev
     est_abs += 50.0 * _EPS * abs(s)  # term-rounding noise floor
     if a > 2.0 / 3.0:
         w = cmath.exp(logz / a)

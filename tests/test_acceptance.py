@@ -16,6 +16,7 @@ edge, so that a gap of the wrong order fails; criterion 7 further checks the
 first-order constant against its Mittag-Leffler closed form.
 """
 
+import json
 import math
 import subprocess
 import sys
@@ -252,20 +253,27 @@ def test_criterion_10_special_functions():
 
 
 def test_criterion_11_deterministic_csv(tmp_path):
-    args = [
-        sys.executable, "-B", "-m", "fzwave", "solve",
-        "--beta", "0.45", "--nx", "61", "--x-min", "-2", "--x-max", "2",
-        "--t-list", "0.5,1",
-    ]
-    # Only FZWAVE_THREADS varies; PYTHONPATH names wherever fzwave was imported from,
-    # which covers both a source checkout and an installed package.
+    # A sampled u0 (CI's sampled-u0 data): its complex coefficients reach x
+    # through BLAS products, whose bits a threaded BLAS could change. Only
+    # OPENBLAS_NUM_THREADS varies; PYTHONPATH names wherever fzwave was imported
+    # from, which covers both a source checkout and an installed package.
+    y = np.linspace(-0.6, 0.6, 1201)
+    u = (1 - (y / 0.6) ** 2) ** 2 * (1 + 0.1 * np.random.default_rng(0).standard_normal(y.size))
+    cfg = tmp_path / "sampled-u0.json"
+    cfg.write_text(json.dumps({
+        "grid": {"x_min": -1, "x_max": 1, "nx": 401, "t_list": [0.25, 0.5, 1]},
+        "initial": {"u0": {"kind": "sampled", "samples": {"grid": y.tolist(),
+                                                          "values": u.tolist()}}},
+    }))
     pkg_root = str(Path(fzwave.__file__).resolve().parents[1])
     blobs = []
-    for threads in ("1", "7"):
+    for threads in ("1", "2"):
         out = tmp_path / f"run_{threads}.csv"
         proc = subprocess.run(
-            args + ["--out", str(out)],
-            env={"FZWAVE_THREADS": threads, "PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
+            [sys.executable, "-B", "-m", "fzwave", "solve", "--config", str(cfg),
+             "--out", str(out)],
+            env={"OPENBLAS_NUM_THREADS": threads, "PATH": "/usr/bin:/bin",
+                 "PYTHONPATH": pkg_root},
             capture_output=True,
             text=True,
             timeout=300,
@@ -276,6 +284,6 @@ def test_criterion_11_deterministic_csv(tmp_path):
     report(
         11,
         ok,
-        f"solve CSV bytes identical across FZWAVE_THREADS in {{1, 7}}: {ok} "
+        f"sampled-u0 solve CSV bytes identical across OPENBLAS_NUM_THREADS in {{1, 2}}: {ok} "
         f"({len(blobs[0])} bytes)",
     )

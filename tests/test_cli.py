@@ -6,6 +6,7 @@ codes and stream contents are asserted exactly as a shell user would see them.
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -53,12 +54,53 @@ def test_roots_experiment_parameters(capsys):
     assert out == "s_z = -0.119470 + 1.355246i\n"
 
 
+def test_roots_with_neither_theta_nor_rho_take_theta_one(capsys):
+    assert run(capsys, "roots") == run(capsys, "roots", "--theta", "1")
+
+
 def test_roots_accepts_rho_beta_spelling(capsys):
     rc, out, _ = run(
         capsys, "roots", "--alpha", "0.25", "--tau", "0.1", "--rho", "1", "--beta", "0.45"
     )
     assert rc == 0
     assert out.startswith("s_z = -")
+
+
+def test_main_exits_with_the_command_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["fzwave", "roots"])
+    with pytest.raises(SystemExit) as exc:
+        fzwave.cli.main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "s_z = -0.119470 + 1.355246i\n"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: writes are kept, flush raises."""
+
+    def __init__(self, fd):
+        self.fd, self.text = fd, []
+
+    def write(self, s):
+        self.text.append(s)
+        return len(s)
+
+    def flush(self):
+        raise BrokenPipeError
+
+    def fileno(self):
+        return self.fd
+
+
+def test_main_exits_1_when_the_reader_has_gone(monkeypatch, tmp_path):
+    # main points the broken stdout's descriptor at devnull: here a temp file's, never fd 1
+    with open(tmp_path / "stdout", "w") as fh:
+        pipe = _ClosedPipe(fh.fileno())
+        monkeypatch.setattr(sys, "stdout", pipe)
+        monkeypatch.setattr(sys, "argv", ["fzwave", "roots"])
+        with pytest.raises(SystemExit) as exc:
+            fzwave.cli.main()
+    assert exc.value.code == 1
+    assert "".join(pipe.text) == "s_z = -0.119470 + 1.355246i\n"
 
 
 # --------------------------------------------------------------- exit codes
@@ -456,9 +498,9 @@ def test_solve_route_loads_no_off_route_module(tmp_path):
 
 
 def test_import_loads_no_thread_pool():
-    # every field computes its t rows on the calling thread, whatever the
-    # environment asks for: the spectral kernel, the x-space time-fractional sum
-    # and the beta = 1 cut route start no thread and load no concurrent module
+    # every field computes its t rows on the calling thread: the spectral
+    # kernel, the x-space time-fractional sum and the beta = 1 cut route start
+    # no thread and load no concurrent module
     pkg_root = str(Path(fzwave.__file__).resolve().parents[1])
     code = ("import sys, threading, numpy as np, fzwave, fzwave.cli; started = []; "
             "start = threading.Thread.start; "
@@ -471,7 +513,7 @@ def test_import_loads_no_thread_pool():
             "print(len(started), sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))")
     proc = subprocess.run(
         [sys.executable, "-B", "-c", code],
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root, "FZWAVE_THREADS": "4"},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -531,29 +573,45 @@ def test_solve_writes_deterministic_csv(capsys, tmp_path):
 
 
 def test_sampled_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # the transform of sampled data sums its exponentials as a BLAS matrix
-    # product, and so does the beta = 1 velocity term's cut transform
+    # the beta = 1 velocity term's cut transform is a BLAS matrix product, as
+    # is the transform of the sampled data (criterion 11 runs a sampled u0)
     y = np.linspace(-0.6, 0.6, 1201)
     noise = 1.0 + 0.1 * np.random.default_rng(0).standard_normal(y.size)
     samples = {"grid": y.tolist(), "values": ((1.0 - (y / 0.6) ** 2) ** 2 * noise).tolist()}
     pkg_root = str(Path(fzwave.__file__).resolve().parents[1])
-    for name, model in (("u0", []), ("v0", ["--beta", "1"])):
-        cfg_path = tmp_path / f"{name}.json"
-        cfg_path.write_text(json.dumps({
-            "grid": {"x_min": -1.0, "x_max": 1.0, "nx": 401, "t_list": [0.25, 0.5, 1.0]},
-            "initial": {"u0": None, name: {"kind": "sampled", "samples": samples}},
-        }))
-        blobs = []
-        for threads in ("1", "2"):
-            proc = subprocess.run(
-                [sys.executable, "-B", "-m", "fzwave", "solve", "--config", str(cfg_path), *model],
-                env={"OPENBLAS_NUM_THREADS": threads, "PATH": "/usr/bin:/bin",
-                     "PYTHONPATH": pkg_root},
-                capture_output=True, timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-            blobs.append(proc.stdout)
-        assert blobs[0] == blobs[1]
+    cfg_path = tmp_path / "v0.json"
+    cfg_path.write_text(json.dumps({
+        "grid": {"x_min": -1.0, "x_max": 1.0, "nx": 401, "t_list": [0.25, 0.5, 1.0]},
+        "initial": {"u0": None, "v0": {"kind": "sampled", "samples": samples}},
+    }))
+    blobs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "fzwave", "solve", "--config", str(cfg_path),
+             "--beta", "1"],
+            env={"OPENBLAS_NUM_THREADS": threads, "PATH": "/usr/bin:/bin",
+                 "PYTHONPATH": pkg_root},
+            capture_output=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        blobs.append(proc.stdout)
+    assert blobs[0] == blobs[1]
+
+
+def test_solve_reads_sampled_data_from_the_config(capsys, tmp_path):
+    y = np.linspace(-0.3, 0.3, 61)
+    values = (1.0 - (y / 0.3) ** 2) ** 2
+    cfg = {**_sampled(y.tolist(), values.tolist()),
+           "grid": {"x_min": -1.0, "x_max": 1.0, "nx": 21, "t_list": [0.5]},
+           "output": {"format": "json"}}
+    cfg["initial"]["u0"]["height"] = 2.0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc, out, _ = run(capsys, "solve", "--config", str(cfg_path))
+    assert rc == 0
+    want = fzwave.solve_field(InitialData.sampled(y, values, height=2.0), InitialData.zero(),
+                              np.linspace(-1.0, 1.0, 21), [0.5], ModelParams(0.25, 0.45, 0.1))
+    assert json.loads(out)["u"] == want.values.tolist()
 
 
 def test_solve_honours_config_file_with_flag_override(capsys, tmp_path):
@@ -665,6 +723,16 @@ def test_oracle_cross_checks_spectral_value(capsys):
     assert (rho, t) == (1.0, 1.0)
     assert diff == abs(s_spec - s_orac)
     assert diff <= 1e-5
+
+
+def test_oracle_at_alpha_zero_takes_the_closed_form(capsys):
+    rc, out, _ = run(capsys, "oracle", "--alpha", "0")
+    assert rc == 0
+    _, _, s_spec, s_orac, _ = (float(v) for v in out.strip().split("\n")[1].split(","))
+    # S = cos(t omega), omega = sqrt(2 theta/(1 + tau)), theta = sin(0.45 pi/2) at rho = 1
+    want = math.cos(math.sqrt(2.0 * math.sin(0.45 * math.pi / 2.0) / 1.1))
+    assert s_spec == pytest.approx(want, abs=1e-12)
+    assert s_orac == pytest.approx(want, abs=1e-5)
 
 
 @pytest.mark.parametrize("name", ["u0", "v0"])

@@ -547,7 +547,7 @@ def test_adaptive_gk_refuses_a_nan_integrand():
     # a NaN error estimate fails no comparison, so it would pass as converged
     with pytest.raises(NumericsError, match="non-finite error estimate while refining probe"):
         fzwave._quad.adaptive_gk(lambda u: np.where(u > 0.5, np.nan, u), [0.0, 1.0],
-                                 what="probe")
+                                 1e-6, 1e-8, what="probe")
 
 
 def test_branch_spot_check_catches_a_wrong_table(monkeypatch, capsys):
@@ -934,6 +934,18 @@ def test_time_fractional_refuses_growth_the_scan_missed(monkeypatch):
     with pytest.raises(NumericsError, match="growth detected") as exc:
         kernel_time_fractional(np.linspace(-3.0, 3.0, 61), [2.0], 0.05, 0.5, 0.01)
     assert exc.value.achieved > fzwave.kernel._TF_COND_BUDGET + 2.0
+
+
+@pytest.mark.parametrize("t", [1e-4, 5e-5, 1e-5])
+@pytest.mark.parametrize("field", [
+    lambda x, ts: kernel_time_fractional(x, ts, 0.5, 0.3, 0.01),
+    lambda x, ts: kernel_eps_time_integrated(x, ts, ModelParams(0.5, 1.0, 0.3)),
+], ids=["K", "int K"])
+def test_cut_route_refuses_a_time_with_no_sample_off_the_front(field, t):
+    # every y sample, y = 0 too, lies within 1e-4 of the front t/sqrt(tau):
+    # zeros there would stand for K_eps's unit mass and an integral of mass t
+    with pytest.raises(NumericsError, match="within 0.0001 of the front"):
+        field(np.linspace(-1.0, 1.0, 41), [t])
 
 
 @pytest.mark.parametrize("alpha, tau", [(0.25, 0.1), (0.6, 0.5)])

@@ -8,6 +8,7 @@ OpenBLAS for one thread unless the caller has chosen a count.
 import importlib
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,13 @@ def test_every_public_name_resolves_and_is_listed():
     assert fzwave.fracops.SampledSignal is fzwave.SampledSignal
 
 
+def test_a_submodule_is_an_attribute_of_the_package(monkeypatch):
+    # as after a bare ``import fzwave``: the package dict does not hold it yet
+    monkeypatch.delattr(fzwave, "kernel")
+    assert fzwave.kernel is sys.modules["fzwave.kernel"]
+    assert vars(fzwave)["kernel"] is fzwave.kernel
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         fzwave.no_such_name
@@ -90,16 +98,28 @@ def test_cli_process_runs_on_the_blas_threads_asked_for(tmp_path, blas_env, task
     assert proc.stderr == f"{tasks}\n"
 
 
-def test_cli_module_is_not_an_entry_point():
+def test_python_m_fzwave_runs_the_launcher(monkeypatch, capsys):
+    # a BLAS count is set, so the launcher leaves this process's environment alone
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(sys, "argv", ["fzwave", "roots"])
+    # runpy warns when the module it runs is already imported
+    monkeypatch.delitem(sys.modules, "fzwave.__main__")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("fzwave", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "s_z = -0.119470 + 1.355246i\n"
+
+
+def test_cli_module_is_not_an_entry_point(monkeypatch, capsys):
     # it would load NumPy before the launcher could pin BLAS; it must not pass silently
-    proc = subprocess.run(
-        [sys.executable, "-B", "-m", "fzwave.cli", "kernel", "--nx", "5"],
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": PKG_ROOT},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "python -m fzwave" in proc.stderr
+    monkeypatch.setattr(sys, "argv", ["fzwave.cli", "kernel", "--nx", "5"])
+    monkeypatch.delitem(sys.modules, "fzwave.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("fzwave.cli", run_name="__main__")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "python -m fzwave" in captured.err
 
 
 def test_script_target_is_the_launcher():

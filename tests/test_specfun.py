@@ -45,12 +45,20 @@ ML_FIXTURES = [
     (0.6, 1.75, -6.0, 0.1614361729665223456228477),
     (0.95, 1.0, -12.0, 0.00515379776328542718435),
     (0.9, 0.95, -7.0, 0.01205352908032416838944),
+    # mpmath series at mp.dps = 50: |z| = 6 is past the first series attempt and
+    # off the asymptotic cone, so the series is tried again there
+    (0.9, 1.0, 6.0, 1680.861655350585752725342867),
 ]
 
 
 @pytest.mark.parametrize("a, b, z, want", ML_FIXTURES)
 def test_ml_frozen_values(a, b, z, want):
     assert mittag_leffler(a, b, z).real == pytest.approx(want, rel=1e-10)
+
+
+def test_ml_at_zero_is_zero_where_gamma_overflows():
+    # 1/Gamma(200) ~ 1e-373 underflows, and Gamma(200) overflows a float first
+    assert mittag_leffler(0.5, 200.0, 0.0) == 0.0
 
 
 def test_ml_rejects_bad_orders():
