@@ -160,6 +160,9 @@ def adaptive_gk(f, edges, rel_tol: float, abs_tol: float, what: str = "integral"
 _CHEB_FIRST = 64  # intervals of the first table; doubled while the tail is too large
 _CHEB_MAX = 512
 _EVAL_BLOCK = 4096  # nodes per block of eval_tables' basis, so its memory is fixed
+# OpenBLAS keeps a matrix product on one thread while m*n*k <= 65536 * its
+# GEMM_MULTITHREAD_THRESHOLD (4 by default); threaded, it tiles and rounds differently
+_SERIAL_MNK = 1 << 18
 
 
 def _cheb_coeffs(v: np.ndarray) -> np.ndarray:
@@ -216,23 +219,37 @@ def eval_tables(tables, u: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
     u maps [log lo, log hi] onto x in [-1, 1] by the map of Chebyshev.mapparms,
     bit for bit. T_0..T_{n-1}(x) come from the three-term recurrence, in
-    place, over blocks of _EVAL_BLOCK nodes, and each block takes one matrix
-    product with the coefficients, zero-padded to the longest table; complex
-    tables add one row per table for the imaginary parts.
+    place, over blocks of about _EVAL_BLOCK nodes, so one call builds the basis
+    once for every table it reads. Each block takes its product with the
+    coefficients, zero-padded to the longest table (complex tables add one row
+    per table for the imaginary parts), as 2-d products of equal blocks of at
+    most _SERIAL_MNK multiply-adds and at least 2 x 2 (NumPy hands a single row
+    or column to gemv, which threads sooner), zero rows and columns filling the
+    last ones: BLAS keeps each on one thread, so the bits do not depend on its
+    thread count.
     """
     u_lo, u_hi = math.log(lo), math.log(hi)
     off, scl = -(u_hi + u_lo) / (u_hi - u_lo), 2.0 / (u_hi - u_lo)
     n = max(t.size for t in tables)
     cplx = any(np.iscomplexobj(t) for t in tables)
-    coef = np.zeros(((1 + cplx) * len(tables), n))
+    m = (1 + cplx) * len(tables)
+    rows, row_blocks = _even_blocks(max(m, 2), max(2, _SERIAL_MNK // (2 * n)))
+    width, col_blocks = _even_blocks(max(2, min(u.size, _EVAL_BLOCK)),
+                                     max(2, _SERIAL_MNK // (rows * n)))
+    step = col_blocks * width
+    coef = np.zeros((row_blocks * rows, n))  # zero rows past the last table
     for i, t in enumerate(tables):
         coef[i, : t.size] = t.real
         if cplx:
             coef[len(tables) + i, : t.size] = t.imag
     out = np.empty((len(tables), u.size), dtype=complex if cplx else float)
-    basis = np.empty((n, min(u.size, _EVAL_BLOCK)))
-    for start in range(0, u.size, _EVAL_BLOCK):
-        x = off + scl * u[start : start + _EVAL_BLOCK]
+    basis = np.empty((n, step))
+    # finite in every column a product reads and throws away: past u's end in a
+    # single block, and a short last block's stale columns from the one before
+    basis[:, u.size :] = 0.0
+    vals = np.empty((row_blocks * rows, step))
+    for start in range(0, u.size, step):
+        x = off + scl * u[start : start + step]
         b = basis[:, : x.size]
         b[0] = 1.0
         if n > 1:
@@ -241,13 +258,22 @@ def eval_tables(tables, u: np.ndarray, lo: float, hi: float) -> np.ndarray:
         for k in range(2, n):
             np.multiply(x, b[k - 1], out=b[k])
             b[k] -= b[k - 2]
+        for i in range(0, coef.shape[0], rows):
+            for j in range(0, x.size, width):
+                np.matmul(coef[i : i + rows], basis[:, j : j + width],
+                          out=vals[i : i + rows, j : j + width])
         seg = out[:, start : start + x.size]
         if cplx:
-            vals = coef @ b
-            seg.real, seg.imag = vals[: len(tables)], vals[len(tables) :]
+            seg.real, seg.imag = vals[: len(tables), : x.size], vals[len(tables) : m, : x.size]
         else:
-            np.matmul(coef, b, out=seg)
+            seg[...] = vals[: len(tables), : x.size]
     return out
+
+
+def _even_blocks(total: int, most: int) -> tuple[int, int]:
+    """Size and count of the fewest equal blocks of at most `most` that cover total."""
+    count = -(-total // most)
+    return -(-total // count), count
 
 
 def geometric_edges(lo: float, hi: float, first: float, ratio: float) -> np.ndarray:

@@ -18,12 +18,15 @@ x, values printed with 17 significant digits (which round-trip float64
 exactly). Rows are streamed one t at a time, and only
 after the whole field is computed, so a numerical failure leaves no partial
 output. Running the same configuration twice produces byte-identical files.
+
+A run loads only what its command uses: ``json`` is imported by ``--config``
+and ``--format json``, and the Bromwich oracle (``fzwave.laplace_oracle``) by
+``oracle``, so a ``kernel`` or ``solve`` run from flags loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -42,7 +45,6 @@ from .kernel import (
     spectral_kernel,
     spectral_kernel_alpha0,
 )
-from .laplace_oracle import bromwich_invert
 from .params import DEFAULT_EPSILON, ModelParams, _require_in, _require_reals
 from .rootfinder import find_zero_pair
 from .solver import InitialData, solve_field
@@ -191,6 +193,8 @@ def _config_from_sources(file_cfg, args: argparse.Namespace,
 def _load_config_file(path: str | None):
     if path is None:
         return {}
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -216,6 +220,8 @@ def _parse_t_list(text: str) -> tuple:
 
 
 def _field_json(field: Field) -> str:
+    import json
+
     doc = {
         "x": field.x_grid.tolist(),
         "t": list(field.t_list),
@@ -342,6 +348,8 @@ def _cmd_limits(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .laplace_oracle import bromwich_invert
+
     cfg = _config_from_sources(_load_config_file(args.config), args)
     rho = args.rho if args.rho is not None else 1.0
     t = args.t if args.t is not None else 1.0

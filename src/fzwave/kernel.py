@@ -6,14 +6,15 @@ and theta(rho_j). A kernel's plan resolves the phase rates of its own x grid; th
 solver builds one plan per distinct initial datum, resolving x - y over the
 datum's support, with the panels cut short where a Gaussian datum's transform
 has decayed. :func:`_spectral_signal` then maps the plan to
-t -> S(theta(rho_j), t), the inverse Laplace transform of
+S(theta(rho_j), t) for each t in turn, the inverse Laplace transform of
 s / (s^2 + theta * zener_ratio(s)), or its integral over [0, t]: a closed form
 at alpha = 0 and beta = 0, otherwise the conjugate-pole residue pair plus a branch-cut
 integral, both tabulated in log theta by chopped Chebyshev series (zeros once
 per plan, one real-arithmetic power per node per Newton step, and only when
 a table reads them; per t, one adaptive pass for the spot-checked branch integral of
 every mode) and read at every node through one recurrence basis and matrix
-product (_quad.eval_tables). Stage 2,
+product (_quad.eval_tables): the branch tables of every t row at once, unless
+the field is so large that its rows are read in groups. Stage 2,
 :func:`_fourier_rows`, sums each row Re[sum_j c_j e^{i rho_j x}] with
 c_j = w_j e^{-(eps rho_j)^2/4} sum_d hat_d(rho_j) S_d(rho_j, t) / pi, where
 hat_d is a datum's Fourier transform (1 for the kernel itself). The plan's
@@ -34,10 +35,10 @@ Everything here is deterministic by construction: panel subdivision depends
 only on inputs, the rows of the time grid run one after another, and every
 sum reduces in a fixed order. The factored sum, the sampled-data sums and the
 cut transform are matrix products run in blocks that BLAS keeps on one thread
-(:func:`_serial_product`), so BLAS's thread count does not change their bits
-either. Every quadrature, table and spot check aims at the fixed targets
-_ABS_TOL and _REL_TOL, and the Fourier integral ends at :func:`_rho_max`,
-which follows from eps.
+(:func:`_serial_product`), as are the table reads (_quad.eval_tables), so
+BLAS's thread count does not change their bits either. Every quadrature,
+table and spot check aims at the fixed targets _ABS_TOL and _REL_TOL, and the
+Fourier integral ends at :func:`_rho_max`, which follows from eps.
 """
 
 from __future__ import annotations
@@ -45,12 +46,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._quad import adaptive_gk, eval_tables, geometric_edges, log_cheb_table
+from ._quad import (_SERIAL_MNK, _even_blocks, adaptive_gk, eval_tables, geometric_edges,
+                    log_cheb_table)
 from .charfun import (CharParams, _elastic_frequency, _psi_prime, branch_values, theta_of_rho,
                       zener_ratio)
 from .errors import NumericsError, ValidationError
@@ -93,12 +95,12 @@ _REL_TOL = 1e-6
 # widest uniform row (after mirroring) that the factored sum serves: its cost
 # grows with the width, and past about 256 points chirp-z and its check cost less
 _FACTORED_MAX = 256
-# OpenBLAS keeps a matrix product on one thread while m*n*k <= 65536 * its
-# GEMM_MULTITHREAD_THRESHOLD (4 by default); threaded, it tiles and rounds differently
-_SERIAL_MNK = 1 << 18
 # points per chunk of _scattered_sums, the depth of its product: 32 x 32 blocks of
 # outputs at _SERIAL_MNK (1024 points, 16 x 16 blocks, made a sampled solve 1.3x slower)
 _SCATTER_CHUNK = 256
+# table values (t rows x tabled modes x rho nodes) that one read of the branch
+# tables may hold (32 MB): a field whose single row holds more reads its rows one by one
+_GROUP_VALUES = 1 << 22
 _erf = np.vectorize(math.erf, otypes=[float])
 
 
@@ -249,9 +251,9 @@ def _branch_part(theta: np.ndarray, t: float, alpha: float, tau: float,
     return np.reshape(val, (len(modes), theta.size))
 
 
-def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple) -> Callable[[float], list]:
-    """Stage 1: t -> [S(theta, t) per mode] at plan.theta, a mode flagged True
-    taking S's integral over [0, t] instead.
+def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple, ts: tuple) -> Iterator[list]:
+    """Stage 1: [S(theta, t) per mode] at plan.theta for each t of ts in turn,
+    a mode flagged True taking S's integral over [0, t] instead.
 
     Without zeros (alpha = 0, or beta = 0 where theta is 0, so S = 1 and its
     integral t) every mode is cos(omega t) with omega = sqrt(2 theta/(1+tau)),
@@ -265,14 +267,18 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple) -> Callable[[f
     (e^{st} - 1)/psi'(s), both from one e^{st} per t. The branch part,
     smooth in log theta, is integrated per t, all tabled modes in one pass,
     only at the points of a Chebyshev table within plan.budget and at 8
-    nodes where every mode's table must match it; one _quad.eval_tables call
-    reads every mode's table at the nodes.
+    nodes where every mode's table must match it. The rows come in groups of
+    at most _GROUP_VALUES table values: a group's tables are all built first,
+    then one _quad.eval_tables call reads them at the nodes, so the basis is
+    built once per group, and once per field unless the field is large. The
+    zeros are found by the call itself and each group as the returned
+    iterator reaches it, so no more than one group is held at a time.
     """
     alpha, tau, theta = p.alpha, p.tau, plan.theta
     if alpha == 0.0 or p.beta == 0.0:
         omega = _elastic_frequency(theta, tau)
-        return lambda t: [t * np.sinc(omega * t / math.pi) if integrated
-                          else np.cos(t * omega) for integrated in modes]
+        return ([t * np.sinc(omega * t / math.pi) if integrated else np.cos(t * omega)
+                 for integrated in modes] for t in ts)
 
     cut = p.beta == 1.0 and any(modes)
     tabled = tuple(m for m in modes if not (cut and m))
@@ -284,8 +290,10 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple) -> Callable[[f
         s_z, psi_p = _zero_pair_batch(alpha, tau, theta)
         u, spot = np.log(theta), theta[_spot_indices(theta.size)]
 
-    def table_rows(t: float) -> list:
-        direct = []  # the spot nodes' branch integrals, from the first pass
+    def branch_tables(t: float) -> tuple[list, np.ndarray]:
+        """Every tabled mode's branch table at t, and the spot nodes' branch
+        integrals from the table's first pass."""
+        direct = []
 
         def branch(th: np.ndarray) -> np.ndarray:
             extra = spot[:0] if direct else spot
@@ -293,27 +301,38 @@ def _spectral_signal(plan: _Stage1, p: ModelParams, modes: tuple) -> Callable[[f
             direct.append(vals[:, th.size :])
             return vals[:, : th.size].T
 
-        tables = eval_tables(log_cheb_table(branch, lo, hi, plan.budget, "branch table"),
-                             u, lo, hi)
-        growth = np.exp(s_z * t)
-        for integrated, values, exact in zip(tabled, tables, direct[0]):
-            _spot_check(values, lambda _idx: exact, _ABS_TOL, _REL_TOL,
-                        "Chebyshev branch table disagrees with the branch integral")
-            residue = growth - 1.0 if integrated else s_z * growth
-            residue /= psi_p
-            values += 2.0 * residue.real
-        return list(tables)
+        return log_cheb_table(branch, lo, hi, plan.budget, "branch table"), direct[0]
 
-    if not cut:
-        return table_rows
+    def table_rows(group: tuple) -> list:
+        tables, exact = zip(*(branch_tables(t) for t in group))
+        values = eval_tables([table for row in tables for table in row], u, lo, hi)
+        rows = values.reshape(len(group), len(tabled), -1)
+        for t, row, row_exact in zip(group, rows, exact):
+            growth = s_z * t  # in place here and below, as the group's values are held
+            np.exp(growth, out=growth)
+            for integrated, vals, spot_exact in zip(tabled, row, row_exact):
+                _spot_check(vals, lambda _idx: spot_exact, _ABS_TOL, _REL_TOL,
+                            "Chebyshev branch table disagrees with the branch integral")
+                residue = growth - 1.0 if integrated else s_z * growth
+                residue /= psi_p
+                residue.real *= 2.0
+                vals += residue.real
+        return [list(row) for row in rows]
 
-    def signal(t: float) -> list:
-        rows = iter(table_rows(t) if tabled else ())
-        y, kw = _tf_samples(t, plan.reach, alpha, tau, p.epsilon, True)
-        integral = 2.0 * _scattered_sums(kw, y, plan.delta, plan.rho.size)[0].real
-        return [integral if integrated else next(rows) for integrated in modes]
+    def signals() -> Iterator[list]:
+        per_group = max(1, _GROUP_VALUES // (len(tabled) * theta.size)) if tabled else len(ts)
+        for start in range(0, len(ts), per_group):
+            group = ts[start : start + per_group]
+            for t, row in zip(group, table_rows(group) if tabled else [[]] * len(group)):
+                if not cut:
+                    yield row
+                    continue
+                rows = iter(row)
+                y, kw = _tf_samples(t, plan.reach, alpha, tau, p.epsilon, True)
+                integral = 2.0 * _scattered_sums(kw, y, plan.delta, plan.rho.size)[0].real
+                yield [integral if integrated else next(rows) for integrated in modes]
 
-    return signal
+    return signals()
 
 
 def spectral_kernel(rho: float, t: float, p: ModelParams) -> SpectralKernel:
@@ -432,7 +451,8 @@ def _chirp_plan(delta: float, n_panels: int, x: np.ndarray) -> Callable | None:
     def sweep(coeff: np.ndarray) -> np.ndarray:
         u = np.fft.fft(coeff.reshape(n_panels, _GL_NODES.size).T * pre, size)
         u *= spectrum
-        return np.real(np.fft.ifft(u)[:, :n] * post).sum(axis=0)
+        np.fft.ifft(u, out=u)  # in place: stage 1 may hold a group of rows meanwhile
+        return np.real(u[:, :n] * post).sum(axis=0)
 
     return sweep
 
@@ -516,12 +536,6 @@ def _serial_product(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return sums[0] if len(sums) == 1 else sums[0] + 1j * sums[1]
 
     return product
-
-
-def _even_blocks(total: int, most: int) -> tuple[int, int]:
-    """Size and count of the fewest equal blocks of at most `most` that cover total."""
-    count = -(-total // most)
-    return -(-total // count), count
 
 
 def _scattered_sums(f: np.ndarray, y: np.ndarray, delta: float, n_nodes: int) -> np.ndarray:
@@ -643,7 +657,7 @@ def _fourier_rows(x: np.ndarray, ts: tuple, p: ModelParams, plan: _Stage1,
     the factored sum at its 8 _spot_indices; every other row takes the
     factored sum.
     """
-    signal = _spectral_signal(plan, p, tuple(integrated for _, integrated in terms))
+    signal = _spectral_signal(plan, p, tuple(integrated for _, integrated in terms), ts)
     real = not any(np.iscomplexobj(hat) for hat, _ in terms)
     half = x.size // 2 if real and _symmetric(x) else 0
     xs = x[half:]
@@ -653,8 +667,8 @@ def _fourier_rows(x: np.ndarray, ts: tuple, p: ModelParams, plan: _Stage1,
     else:
         sweep, spot = chirp, _factored_plan(plan.delta, plan.n_panels, xs[_spot_indices(xs.size)])
     values = np.empty((len(ts), x.size))
-    for t, row in zip(ts, values):
-        parts = [hat * s for (hat, _), s in zip(terms, signal(t))]
+    for row, signals in zip(values, signal):
+        parts = [hat * s for (hat, _), s in zip(terms, signals)]
         coeff = plan.weights * sum(parts[1:], parts[0]) / math.pi
         row[half:] = sweep(coeff)
         if spot is not None:

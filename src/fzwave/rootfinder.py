@@ -119,8 +119,10 @@ def winding_number(rect, p: CharParams) -> int:
     ``rect`` is ``(re_lo, re_hi, im_lo, im_hi)``, traversed counterclockwise;
     rectangles straddling the negative real axis are indented around the cut
     with a keyhole of half-width 1e-9. A coarse minimum-modulus scan guards
-    the precondition that no zero sits within ~1e-8 of the boundary; if one
-    does, the rectangle is nudged outward a few times before giving up.
+    the precondition that no zero sits within ~1e-8 |s| of the boundary (|psi|
+    below 1e-8 (|s|^2 + theta) there); if one does, the rectangle is nudged
+    outward a few times, by 1e-6 up to 0.1 of sqrt(max |s|^2 + theta) over the
+    rectangle, before giving up.
     """
     re_lo, re_hi, im_lo, im_hi = (float(v) for v in rect)
     if not (re_lo < re_hi and im_lo < im_hi):
@@ -131,21 +133,26 @@ def winding_number(rect, p: CharParams) -> int:
     def f(s: complex) -> complex:
         return complex(_psi(complex(s), p.alpha, p.tau, p.theta))
 
+    # the size of s on the box: psi's own size there is about its square
+    size = math.sqrt(max(abs(re_lo), abs(re_hi)) ** 2 + max(abs(im_lo), abs(im_hi)) ** 2
+                     + p.theta)
     for attempt in range(6):
         path = _rect_path(re_lo, re_hi, im_lo, im_hi)
-        # Minimum-modulus scan along the boundary.
+        # Minimum-modulus scan along the boundary, against psi's own size
+        # |s|^2 + theta there, so that it means the same at every scale of s
+        # (psi(0) = theta, so an absolute 1e-8 refused every theta below it)
         too_close = False
         for a, b in zip(path[:-1], path[1:]):
             ts = np.linspace(0.0, 1.0, 65)
             pts = a + (b - a) * ts
             vals = _psi(pts.astype(complex), p.alpha, p.tau, p.theta)
-            scale = 1.0 + np.abs(pts) ** 2
+            scale = np.abs(pts) ** 2 + p.theta
             if (np.abs(vals) / scale < 1e-8).any():
                 too_close = True
                 break
         if not too_close:
             break
-        pad = 10.0 ** (-6 + attempt)  # grow the window until the zero is interior
+        pad = size * 10.0 ** (-6 + attempt)  # grow the window until the zero is interior
         re_lo -= pad
         re_hi += pad
         im_lo -= pad if im_lo > _CUT_CLEARANCE or im_lo < 0 else 0.0
@@ -180,7 +187,7 @@ def _bisection_fallback(p: CharParams) -> complex:
     The window is four times |s_z|'s bound sqrt(theta/tau) on a side, so it
     holds the zero however strongly the model damps it. The descent stops
     once the box is 1e-7 of its corner's modulus wide: winding_number pads a
-    box whose edge passes within ~1e-8 of a zero, so finer boxes no longer
+    box whose edge passes within ~1e-8 |s| of a zero, so finer boxes no longer
     follow the zero. Newton polishes the centre.
     """
     m = max(1.0, math.sqrt(p.theta / p.tau))

@@ -4,6 +4,7 @@ Everything goes through run_command (the same entry main() wraps), so exit
 codes and stream contents are asserted exactly as a shell user would see them.
 """
 
+import ast
 import io
 import json
 import math
@@ -450,6 +451,8 @@ def test_import_loads_no_scipy():
 
 # serve the public API and the acceptance criteria, never a field or a CLI run
 _OFF_ROUTE = ("numpy.polynomial", "fzwave.fracops", "fzwave.specfun")
+# serve only --config, --format json and the oracle, never a kernel or solve run from flags
+_CLI_OFF_ROUTE = ("json", "fzwave.laplace_oracle")
 
 
 def test_solve_route_loads_no_off_route_module(tmp_path):
@@ -471,11 +474,19 @@ def test_solve_route_loads_no_off_route_module(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
-    # imported at start-up, before fzwave: reports the process's modules at exit
+    # imported at start-up, before fzwave: reports the process's modules once, as
+    # it ends, from os._exit (the launcher's end, which runs no atexit hook) or at exit
+    watched = _OFF_ROUTE + _CLI_OFF_ROUTE
     (tmp_path / "sitecustomize.py").write_text(
-        "import atexit, sys\n"
-        "atexit.register(lambda: print(sorted(m for m in sys.modules "
-        f"if m.startswith({_OFF_ROUTE!r})), file=sys.stderr))\n"
+        "import atexit, os, sys\n"
+        "def _report():\n"
+        f"    print(sorted(m for m in sys.modules if m.startswith({watched!r})),\n"
+        "          file=sys.stderr, flush=True)\n"
+        "def _exit(code, _exit=os._exit):\n"
+        "    _report()\n"
+        "    _exit(code)\n"
+        "os._exit = _exit\n"
+        "atexit.register(_report)\n"
     )
     y = np.linspace(-0.5, 0.5, 11)
     cfg_path = tmp_path / "sampled.json"
@@ -486,6 +497,7 @@ def test_solve_route_loads_no_off_route_module(tmp_path):
             "v0": {"kind": "box", "width": 0.3}},
     }))
     for argv in (["kernel", "--nx", "21", "--t-list", "0.5"],
+                 ["solve", "--nx", "21", "--t-list", "0.5"],
                  ["solve", "--config", str(cfg_path)]):
         proc = subprocess.run(
             [sys.executable, "-B", "-m", "fzwave", *argv],
@@ -494,7 +506,10 @@ def test_solve_route_loads_no_off_route_module(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("x,t,u\n")
-        assert proc.stderr == "[]\n"
+        loaded = ast.literal_eval(proc.stderr)
+        # a config file is JSON: only a run that reads one loads json
+        assert ("json" in loaded) == ("--config" in argv)
+        assert [m for m in loaded if m.split(".")[0] != "json"] == []
 
 
 def test_import_loads_no_thread_pool():

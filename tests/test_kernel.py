@@ -9,6 +9,9 @@ are pinned at 1e-8 so incidental quadrature retuning does not move them.
 import cmath
 import functools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,7 +314,7 @@ def test_branch_table_matches_per_node_branch_part(alpha, beta, tau, t, integrat
     theta, budget = _field_nodes(p, t)
     plan = fzwave.kernel._stage1(np.linspace(-1.0, 1.0, 41), (t,), p)
     np.testing.assert_array_equal(plan.theta, theta)
-    signal = fzwave.kernel._spectral_signal(plan, p, (integrated,))
+    (signal,), = fzwave.kernel._spectral_signal(plan, p, (integrated,), (t,))
     s_z, psi_p = fzwave.kernel._zero_pair_batch(alpha, tau, theta)
     if integrated:
         residue = 2.0 * np.real((np.exp(s_z * t) - 1.0) / psi_p)
@@ -324,7 +327,7 @@ def test_branch_table_matches_per_node_branch_part(alpha, beta, tau, t, integrat
                                    (integrated,))[0, 2:]
         for i in range(0, theta.size, 1024)
     ])
-    assert np.max(np.abs(signal(t)[0] - residue - per_node)) <= budget
+    assert np.max(np.abs(signal - residue - per_node)) <= budget
 
 
 def _per_mode_branch(theta, t, alpha, tau, integrated, u_end):
@@ -457,9 +460,11 @@ def test_zero_pairs_are_built_only_for_tables_that_read_them(monkeypatch):
     assert len(calls) == 1
 
 
-def test_eval_tables_matches_chebyshev_call():
+def test_eval_tables_matches_chebyshev_call(monkeypatch):
     # 28,848 nodes of kernel_eps on 201 x by 4 t cross the block edge 7 times;
-    # real branch tables of two lengths, the complex root table, and both mixed
+    # real branch tables of two lengths, the complex root table, both mixed,
+    # and three real tables; products of at most 256 multiply-adds split the
+    # rows into blocks of 2, zero-padding the three, and the nodes into many
     plan = fzwave.kernel._stage1(np.linspace(-1.0, 1.0, 201), (0.25, 0.5, 0.75, 1.0), P_EXP)
     theta = plan.theta
     assert theta.size > 7 * fzwave._quad._EVAL_BLOCK
@@ -473,12 +478,74 @@ def test_eval_tables_matches_chebyshev_call():
         lo, hi, 1e-8, "zero-pair table")
     assert branch[0].size != branch[1].size and np.iscomplexobj(roots)
     u = np.log(theta)
-    for tables in (branch, [roots], [branch[0], roots, branch[1]]):
-        got = fzwave._quad.eval_tables(tables, u, lo, hi)
-        assert got.shape == (len(tables), u.size)
-        for row, table in zip(got, tables):
-            oracle = np.polynomial.Chebyshev(table, domain=[math.log(lo), math.log(hi)])
-            assert np.max(np.abs(row - oracle(u))) <= 1e-14 * np.sum(np.abs(table))
+    for serial_mnk in (fzwave._quad._SERIAL_MNK, 256):
+        monkeypatch.setattr(fzwave._quad, "_SERIAL_MNK", serial_mnk)
+        for tables in (branch, [roots], [branch[0], roots, branch[1]], [*branch, branch[0]]):
+            got = fzwave._quad.eval_tables(tables, u, lo, hi)
+            assert got.shape == (len(tables), u.size)
+            for row, table in zip(got, tables):
+                oracle = np.polynomial.Chebyshev(table, domain=[math.log(lo), math.log(hi)])
+                assert np.max(np.abs(row - oracle(u))) <= 1e-14 * np.sum(np.abs(table))
+
+
+def _counted_table_reads(monkeypatch) -> list:
+    """The number of tables each of stage 1's _quad.eval_tables calls reads."""
+    calls = []
+    read = fzwave.kernel.eval_tables
+
+    def counted(tables, *args):
+        calls.append(len(tables))
+        return read(tables, *args)
+
+    monkeypatch.setattr(fzwave.kernel, "eval_tables", counted)
+    return calls
+
+
+def test_stage1_reads_the_tables_of_all_rows_in_one_call(monkeypatch):
+    # process A of the cli_export benchmark: one read of 4 rows' tables; and
+    # u0 with v0, both modes of each of 3 rows in one read
+    calls = _counted_table_reads(monkeypatch)
+    kernel_eps(np.linspace(-1.0, 1.0, 201), (0.25, 0.5, 0.75, 1.0), P_EXP)
+    assert calls == [4]
+    u0, v0, x, _, p = _solve_data_input()
+    solve_field(u0, v0, x, (0.25, 0.5, 1.0), p)
+    assert calls == [4, 6]
+
+
+def test_stage1_groups_rows_within_its_value_budget(monkeypatch):
+    # 28,848 nodes: a budget of 2.5 rows' values reads the 4 rows as 2 + 2,
+    # then one row at a time, and every grouping gives the same bits
+    x, ts = np.linspace(-1.0, 1.0, 201), (0.25, 0.5, 0.75, 1.0)
+    calls = _counted_table_reads(monkeypatch)
+    grouped = kernel_eps(x, ts, P_EXP).values
+    monkeypatch.setattr(fzwave.kernel, "_GROUP_VALUES", 5 * 28_848 // 2)
+    pairs = kernel_eps(x, ts, P_EXP).values
+    monkeypatch.setattr(fzwave.kernel, "_GROUP_VALUES", 1)
+    rows = kernel_eps(x, ts, P_EXP).values
+    assert calls == [4, 2, 2, 1, 1, 1, 1]
+    np.testing.assert_array_equal(pairs, grouped)
+    np.testing.assert_array_equal(rows, grouped)
+
+
+def test_kernel_bytes_do_not_depend_on_blas_threads():
+    # library use, where no launcher pins BLAS: the grouped table read is
+    # widest on 1,201 x, whose stage 2 takes chirp-z, and 201 x take the
+    # factored sum
+    pkg_root = str(Path(fzwave.__file__).resolve().parents[1])
+    code = ("import hashlib, numpy as np, fzwave; p = fzwave.ModelParams(0.25, 0.45, 0.1); "
+            "print([hashlib.sha256(fzwave.kernel_eps(np.linspace(-1, 1, nx), "
+            "(0.25, 0.5, 0.75, 1.0), p).values.tobytes()).hexdigest() for nx in (201, 1201)])")
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", code],
+            env={"OPENBLAS_NUM_THREADS": threads, "PATH": "/usr/bin:/bin",
+                 "PYTHONPATH": pkg_root},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_root_table_sweeps_start_one_fixed_point_step_in(monkeypatch):

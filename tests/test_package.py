@@ -2,15 +2,20 @@
 
 ``import fzwave`` loads nothing until a name is used; ``python -m fzwave`` and
 the ``fzwave`` script both start through ``fzwave.__main__.main``, which asks
-OpenBLAS for one thread unless the caller has chosen a count.
+OpenBLAS for one thread unless the caller has chosen a count, imports the CLI
+with the garbage collector paused, and ends the process with ``os._exit``
+once stdout and stderr are flushed. In process, ``os._exit`` is patched.
 """
 
+import gc
 import importlib
+import io
 import os
 import re
 import runpy
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -72,7 +77,10 @@ def test_launcher_pins_blas_only_when_no_count_is_set(monkeypatch, preset):
     if preset is not None:
         monkeypatch.setenv(preset, "3")
     monkeypatch.setattr(fzwave.cli, "main", lambda: None)
+    exits = []
+    monkeypatch.setattr(launcher.os, "_exit", exits.append)
     launcher.main()
+    assert exits == [0]
     want = {None: "1", "OPENBLAS_NUM_THREADS": "3"}.get(preset)
     assert os.environ.get("OPENBLAS_NUM_THREADS") == want
 
@@ -82,10 +90,14 @@ def test_launcher_pins_blas_only_when_no_count_is_set(monkeypatch, preset):
 def test_cli_process_runs_on_the_blas_threads_asked_for(tmp_path, blas_env, tasks):
     if tasks > len(os.sched_getaffinity(0)):
         pytest.skip("OpenBLAS starts no more threads than there are usable cores")
-    # imported at start-up, before fzwave: reports the process's threads at exit
+    # imported at start-up, before fzwave: reports the process's threads when
+    # the launcher ends it (os._exit runs no atexit hook)
     (tmp_path / "sitecustomize.py").write_text(
-        "import atexit, os, sys\n"
-        "atexit.register(lambda: print(len(os.listdir('/proc/self/task')), file=sys.stderr))\n"
+        "import os, sys\n"
+        "def _exit(code, _exit=os._exit):\n"
+        "    print(len(os.listdir('/proc/self/task')), file=sys.stderr, flush=True)\n"
+        "    _exit(code)\n"
+        "os._exit = _exit\n"
     )
     proc = subprocess.run(
         [sys.executable, "-B", "-m", "fzwave", "kernel", "--nx", "5", "--t-list", "0.5"],
@@ -104,10 +116,78 @@ def test_python_m_fzwave_runs_the_launcher(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["fzwave", "roots"])
     # runpy warns when the module it runs is already imported
     monkeypatch.delitem(sys.modules, "fzwave.__main__")
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_module("fzwave", run_name="__main__")
-    assert exc.value.code == 0
+    # the launcher ends the process; here it only records the code
+    exits = []
+    monkeypatch.setattr(os, "_exit", exits.append)
+    runpy.run_module("fzwave", run_name="__main__")
+    assert exits == [0]
     assert capsys.readouterr().out == "s_z = -0.119470 + 1.355246i\n"
+
+
+class _Stream(io.StringIO):
+    """A stdout or stderr that counts the characters written since its last
+    flush. A broken one's first flush raises BrokenPipeError, as a pipe whose
+    reader has gone does until main points its descriptor at devnull."""
+
+    def __init__(self, fd=None, broken=False):
+        super().__init__()
+        self.fd, self.broken, self.unflushed = fd, broken, 0
+
+    def write(self, s):
+        self.unflushed += len(s)
+        return super().write(s)
+
+    def flush(self):
+        if self.broken:
+            self.broken = False
+            raise BrokenPipeError
+        self.unflushed = 0
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv, broken, code, out, err", [
+    (["roots"], False, 0, "s_z = -0.119470 + 1.355246i\n", "conjugate ="),
+    (["roots"], True, 1, "s_z = -0.119470 + 1.355246i\n", "conjugate ="),
+    (["roots", "--frobnicate"], False, 2, "", "unrecognized arguments"),
+    (["oracle", "--rho", "1", "--t", "800"], False, 3, "", "numerical failure"),
+])
+def test_launcher_flushes_both_streams_then_exits_with_the_code(monkeypatch, tmp_path, argv,
+                                                                broken, code, out, err):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(sys, "argv", ["fzwave", *argv])
+    exits = []
+    monkeypatch.setattr(os, "_exit", lambda code: exits.append(
+        (code, sys.stdout.unflushed, sys.stderr.unflushed, gc.isenabled())))
+    # a broken stdout's descriptor is pointed at devnull: here a temp file's, never fd 1
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _Stream(fh.fileno(), broken))
+        monkeypatch.setattr(sys, "stderr", _Stream())
+        launcher.main()
+        assert exits == [(code, 0, 0, True)]
+        assert sys.stdout.getvalue() == out
+        assert err in sys.stderr.getvalue()
+
+
+def test_launcher_pauses_the_collector_only_while_importing(monkeypatch):
+    seen = []
+
+    class Cli(types.ModuleType):
+        """fzwave.cli as the launcher's import finds it: it notes whether the
+        collector runs when main is imported and when it is called."""
+
+        @property
+        def main(self):
+            seen.append(("import", gc.isenabled()))
+            return lambda: seen.append(("run", gc.isenabled()))
+
+    monkeypatch.setitem(sys.modules, "fzwave.cli", Cli("fzwave.cli"))
+    monkeypatch.setattr(os, "_exit", lambda code: seen.append(("exit", code)))
+    assert gc.isenabled()
+    launcher.main()
+    assert seen == [("import", False), ("run", True), ("exit", 0)]
+    assert gc.isenabled()
 
 
 def test_cli_module_is_not_an_entry_point(monkeypatch, capsys):

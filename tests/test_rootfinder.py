@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fzwave.cli
 import fzwave.kernel
 import fzwave.rootfinder
 from fzwave.charfun import CharParams, _psi_prime, psi, theta_of_rho
@@ -240,6 +241,26 @@ def test_zero_magnitude_grows_with_theta():
 def test_zero_vanishes_with_theta():
     pair = find_zero_pair(CharParams(alpha=0.25, tau=0.1, theta=1e-6))
     assert abs(pair.s_z) < 5e-3
+
+
+@pytest.mark.filterwarnings("ignore:characteristic zero hugs the imaginary axis")
+@pytest.mark.parametrize("theta", [1e-8, 1e-9, 1e-12])
+@pytest.mark.parametrize("alpha, tau", [(0.25, 0.1), (0.5, 0.3)])
+def test_small_theta_roots_are_certified(alpha, tau, theta):
+    # |s_z| ~ sqrt(theta) and |psi| ~ theta near it: an absolute guard of 1e-8
+    # saw the certification box's edge as a zero and padded it past the
+    # conjugate zero, or into the keyhole, where |psi(0)| = theta
+    p = CharParams(alpha=alpha, tau=tau, theta=theta)
+    s = find_zero_pair(p).s_z
+    want = complex(fzwave.rootfinder._damped_newton(alpha, tau, np.array([theta]))[0])
+    assert abs(s - want) <= 1e-12 * abs(want)
+    d = 1e-3 * abs(s)  # a box as small relative to s as find_zero_pair's at |s| >= 1
+    assert winding_number((s.real - d, s.real + d, s.imag - d, s.imag + d), p) == 1
+
+
+def test_roots_command_serves_a_small_theta(capsys):
+    assert fzwave.cli.run_command(["roots", "--theta", "1e-9"]) == 0
+    assert capsys.readouterr().out == "s_z = 0 + 0.000033i\n"
 
 
 def test_zero_depends_continuously_on_theta():
