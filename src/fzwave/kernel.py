@@ -220,11 +220,19 @@ def _branch_part(theta: np.ndarray, t: float, alpha: float, tau: float,
     True is its exact time integral over [0, t] (the integrand gains
     (1 - e^{-qt})/q). All modes weigh one Im[1/(q^2 + theta F(q))], so they are
     one adaptive pass, out to the widest mode's span from the smallest first
-    width (e^{-u} adds nothing past u = 700)."""
+    width (e^{-u} adds nothing past u = 700).
+
+    The panels grow by 2.5: on [a, r a], whose nearest singularity is the
+    endpoint u = 0, the K15 error falls like rho^-23 with rho = c + sqrt(c^2 - 1),
+    c = (r + 1)/(r - 1): about 1e-15 at r = 2.5 (6e-21 at r = 1.7, with 1.7
+    times the panels), and adaptive_gk still bisects every panel its G7/K15
+    estimate flags. Wider panels lose accuracy: at r = 3 the (0.9, 0.45, 0.9)
+    branch table at t = 2 missed its 3.5e-12 budget against these per-node
+    values (4.3e-12)."""
     u_lo_scale = min(1.0, t * math.sqrt(float(np.min(theta))))
     spans = [_branch_span(float(np.max(theta)), t, alpha, tau, m) for m in modes]
     first = max(min(0.05, u_lo_scale / 8.0, min(spans) / 64.0), 1e-12)
-    edges = geometric_edges(0.0, max(spans), first, ratio=1.7)
+    edges = geometric_edges(0.0, max(spans), first, ratio=2.5)
 
     def f(u: np.ndarray) -> np.ndarray:
         qq = u / t

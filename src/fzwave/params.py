@@ -17,6 +17,7 @@ finite, and inside the interval that starts its ``admissible`` text, or a
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -85,10 +86,18 @@ _INTERVAL = re.compile(r"([\[(])([^,]+), ([^\])]+)([\])])")
 _BRACKETS = {"[": operator.ge, "(": operator.gt, "]": operator.le, ")": operator.lt}
 
 
+@functools.lru_cache(maxsize=256)
+def _interval(admissible: str) -> tuple:
+    """The left test, lower end, right test and upper end of the interval that
+    ``admissible`` starts with, parsed once per text."""
+    left, lo, hi, right = _INTERVAL.match(admissible).groups()
+    return _BRACKETS[left], float(lo), _BRACKETS[right], float(hi)
+
+
 def _inside(value, admissible: str):
     """Whether ``value`` lies in the interval that ``admissible`` starts with."""
-    left, lo, hi, right = _INTERVAL.match(admissible).groups()
-    return _BRACKETS[left](value, float(lo)) & _BRACKETS[right](value, float(hi))
+    above, lo, below, hi = _interval(admissible)
+    return above(value, lo) & below(value, hi)
 
 
 def _is_real(value) -> bool:

@@ -271,38 +271,47 @@ def _damped_newton(
     alpha: float, tau: float, theta: np.ndarray, start: np.ndarray | None = None
 ) -> np.ndarray:
     """Vectorized damped Newton, one zero per theta, from start (default: the elastic roots)."""
+    return _newton_sweep(alpha, tau, theta, start)[0]
+
+
+def _newton_sweep(
+    alpha: float, tau: float, theta: np.ndarray, start: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_damped_newton`'s zeros s and psi(s) there, its last residual.
+
+    Every iteration works on the whole batch and updates only the samples
+    still under its ``active`` mask, so each sample takes the steps it would
+    take alone, bit for bit, without gathering and scattering the active set.
+    """
     s = 1j * _elastic_frequency(theta, tau) if start is None else np.array(start, dtype=complex)
     fs, dfs = _psi_pair(s, alpha, tau, theta)
     active = np.ones(s.shape, dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
         if not active.any():
             break
-        d = dfs[active]
-        nonzero = d != 0
-        step = np.where(nonzero, fs[active] / np.where(nonzero, d, 1.0), 0.0)
+        nonzero = dfs != 0
+        step = np.where(nonzero, fs / np.where(nonzero, dfs, 1.0), 0.0)
         lam = np.ones(step.shape)
-        cur = np.abs(fs[active])
-        cand = s[active] - step
-        f_cand, df_cand = _psi_pair(cand, alpha, tau, theta[active])
+        cur = np.abs(fs)
+        cand = s - step
+        f_cand, df_cand = _psi_pair(cand, alpha, tau, theta)
         for _ in range(20):
-            bad = ((cand.imag <= _CUT_CLEARANCE) & (cand.real <= 0.0)) | (
-                np.abs(f_cand) >= cur
-            )
+            bad = active & (((cand.imag <= _CUT_CLEARANCE) & (cand.real <= 0.0))
+                            | (np.abs(f_cand) >= cur))
             if not bad.any():
                 break
             lam[bad] *= 0.5
-            cand = s[active] - lam * step
-            f_cand, df_cand = np.where(bad, _psi_pair(cand, alpha, tau, theta[active]),
+            cand = s - lam * step
+            f_cand, df_cand = np.where(bad, _psi_pair(cand, alpha, tau, theta),
                                        (f_cand, df_cand))
-        s[active] = cand
-        fs[active] = f_cand
-        dfs[active] = df_cand
+        np.copyto(s, cand, where=active)
+        np.copyto(fs, f_cand, where=active)
+        np.copyto(dfs, df_cand, where=active)
         done = (np.abs(lam * step) <= 1e-13 * np.abs(cand)) | (
             np.abs(f_cand) <= 1e-14 * np.abs(cand) ** 2
         )
-        idx = np.flatnonzero(active)
-        active[idx[done]] = False
-    return s
+        active &= ~done
+    return s, fs
 
 
 def _zero_pair_batch(
@@ -319,32 +328,37 @@ def _zero_pair_batch(
     :func:`_quad.eval_tables` and one plain Newton step, which squares the
     table's error (its error is held to 1e-8). Each node pays two powers
     s^alpha (charfun._power): one for the Newton step, one for the residual
-    and the returned psi'. Table samples and nodes alike that fail the
-    residual test are recomputed through find_zero_pair. It serves alpha > 0
-    (the kernel's alpha = 0 signal is a closed form) and theta of positive span.
+    and the returned psi'. A table sample is tested on the residual that its
+    sweep (:func:`_newton_sweep`) ends with, a node on its own; samples and
+    nodes alike that fail are recomputed through find_zero_pair. It serves
+    alpha > 0 (the kernel's alpha = 0 signal is a closed form) and theta of
+    positive span.
     """
     theta = np.asarray(theta, dtype=float)
 
-    def certified(s: np.ndarray, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """s in the upper half-plane and psi'(s), each root that fails the
-        residual test replaced by find_zero_pair's."""
-        s = np.where(s.imag < 0.0, np.conj(s), s)
-        fs, dfs = _psi_pair(s, alpha, tau, th)
+    def replace_failed(s: np.ndarray, fs: np.ndarray, th: np.ndarray) -> np.ndarray:
+        """Replace, in place, each root of s whose residual |fs| fails the test
+        by find_zero_pair's; returns the mask of those replaced."""
         bad = ~_certified(np.abs(fs), s)
-        if bad.any():
-            for i in np.flatnonzero(bad):
-                s[i] = find_zero_pair(CharParams(alpha, tau, float(th[i]))).s_z
-            dfs[bad] = _psi_prime(s[bad], alpha, tau, th[bad])
-        return s, dfs
+        for i in np.flatnonzero(bad):
+            s[i] = find_zero_pair(CharParams(alpha, tau, float(th[i]))).s_z
+        return bad
 
-    def sweep(th: np.ndarray) -> np.ndarray:
-        return _damped_newton(alpha, tau, th, _fixed_point_start(alpha, tau, th))
+    def samples(th: np.ndarray) -> np.ndarray:
+        """The table's roots over sqrt(theta), certified by the sweep's own residuals."""
+        s, fs = _newton_sweep(alpha, tau, th, _fixed_point_start(alpha, tau, th))
+        s = np.where(s.imag < 0.0, np.conj(s), s)
+        replace_failed(s, fs, th)
+        return s / np.sqrt(th)
 
     lo, hi = float(np.min(theta)), float(np.max(theta))
-    table = log_cheb_table(lambda th: certified(sweep(th), th)[0] / np.sqrt(th),
-                           lo, hi, 1e-8, "zero-pair table")
+    table = log_cheb_table(samples, lo, hi, 1e-8, "zero-pair table")
     s = eval_tables([table], np.log(theta), lo, hi)[0]
     s *= np.sqrt(theta)
     fs, dfs = _psi_pair(s, alpha, tau, theta)
     s -= fs / dfs
-    return certified(s, theta)
+    s = np.where(s.imag < 0.0, np.conj(s), s)
+    fs, dfs = _psi_pair(s, alpha, tau, theta)
+    bad = replace_failed(s, fs, theta)
+    dfs[bad] = _psi_prime(s[bad], alpha, tau, theta[bad])
+    return s, dfs

@@ -364,6 +364,58 @@ def test_fused_branch_modes_match_per_mode_passes(alpha, beta, tau, t):
         assert np.all(np.abs(got - want) <= np.maximum(ABS_TOL, REL_TOL * np.abs(want)))
 
 
+def _branch_panels(monkeypatch) -> list:
+    """Per _branch_part call, the panel count of each _quad._panel_rule call it makes."""
+    calls, inside = [], []
+    rule, branch = fzwave._quad._panel_rule, fzwave.kernel._branch_part
+
+    def counted_rule(f, lo, hi):
+        if inside:
+            calls[-1].append(lo.size)
+        return rule(f, lo, hi)
+
+    def counted_branch(*args):
+        calls.append([])
+        inside.append(True)
+        try:
+            return branch(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(fzwave._quad, "_panel_rule", counted_rule)
+    monkeypatch.setattr(fzwave.kernel, "_branch_part", counted_branch)
+    return calls
+
+
+def test_branch_passes_start_from_panels_the_kronrod_rule_resolves(monkeypatch):
+    # panels of ratio 2.5 need no bisection on either benchmark input: the
+    # solve_data pass takes 16 panels (27 at ratio 1.7), process A of the
+    # cli_export benchmark 16 + 16 + 15 + 15 over its four rows (99 at 1.7)
+    calls = _branch_panels(monkeypatch)
+    solve_field(*_solve_data_input())
+    assert calls == [[16]]
+    calls.clear()
+    kernel_eps(np.linspace(-1.0, 1.0, 201), (0.25, 0.5, 0.75, 1.0), P_EXP)
+    assert calls == [[16], [16], [15], [15]]
+
+
+@pytest.mark.parametrize("integrated", [False, True])
+@pytest.mark.parametrize("t", [0.5, 2.0])
+@pytest.mark.parametrize("alpha, beta, tau", TABLE_SETTINGS)
+def test_branch_part_does_not_depend_on_the_panel_ratio(alpha, beta, tau, t, integrated,
+                                                        monkeypatch):
+    # a grid of ratio 1.7, on whose panels K15 is exact to ~6e-21, moves no
+    # value by more than rounding (6.1e-15 at (0.9, 0.9, 0.9), t = 2)
+    theta, _ = _field_nodes(ModelParams(alpha, beta, tau, 0.02), t)
+    theta = np.geomspace(theta[0], theta[-1], 65)
+    got = fzwave.kernel._branch_part(theta, t, alpha, tau, (integrated,))
+    edges = fzwave._quad.geometric_edges
+    monkeypatch.setattr(fzwave.kernel, "geometric_edges",
+                        lambda lo, hi, first, ratio: edges(lo, hi, first, 1.7))
+    want = fzwave.kernel._branch_part(theta, t, alpha, tau, (integrated,))
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
 def test_branch_table_doubles_when_its_tail_is_too_large():
     # the last table sampled is the accepted one; the kept head may be shorter
     sampled = {}
@@ -554,7 +606,7 @@ def test_root_table_sweeps_start_one_fixed_point_step_in(monkeypatch):
     # sweep and once per halving of a step: the count past the start bounds
     # the sweeps from above
     rf = fzwave.rootfinder
-    newton, pair = rf._damped_newton, rf._psi_pair
+    newton, pair = rf._newton_sweep, rf._psi_pair
     runs, inside = [], []
 
     def counted_newton(*args):
@@ -570,7 +622,7 @@ def test_root_table_sweeps_start_one_fixed_point_step_in(monkeypatch):
             runs[-1] += 1
         return pair(*args)
 
-    monkeypatch.setattr(rf, "_damped_newton", counted_newton)
+    monkeypatch.setattr(rf, "_newton_sweep", counted_newton)
     monkeypatch.setattr(rf, "_psi_pair", counted_pair)
     solve_field(*_solve_data_input())
     sweeps = sum(runs) - len(runs)

@@ -117,6 +117,20 @@ def test_winding_rejects_degenerate_rect():
         winding_number((-2.0, -1.0, -1.0, 1.0), P_BASE)
 
 
+@pytest.mark.parametrize("alpha, tau", [(0.25, 0.1), (0.6, 0.5), (0.95, 0.01)])
+def test_damped_newton_sweep_is_batch_independent(alpha, tau):
+    # every sample takes its own steps under the active mask, converged or
+    # not; (0.95, 0.01) damps its roots strongly and halves many steps
+    theta = np.geomspace(1e-6, 1e6, 129)
+    start = fzwave.rootfinder._fixed_point_start(alpha, tau, theta)
+    for begin in (None, start):
+        batch = fzwave.rootfinder._damped_newton(alpha, tau, theta, begin)
+        alone = [fzwave.rootfinder._damped_newton(
+            alpha, tau, theta[i : i + 1], None if begin is None else begin[i : i + 1])[0]
+            for i in range(theta.size)]
+        np.testing.assert_array_equal(batch, alone)
+
+
 def test_alpha_zero_root_is_elastic():
     pair = find_zero_pair(CharParams(alpha=0.0, tau=0.1, theta=1.0))
     assert pair.s_z == pytest.approx(1.348399724926484j, abs=1e-12)
@@ -347,17 +361,20 @@ def test_failed_table_samples_are_replaced_by_certified_roots(monkeypatch):
     # take find_zero_pair, and the batch keeps its clean roots
     theta = _field_theta(0.45)
     clean, _ = fzwave.rootfinder._zero_pair_batch(0.25, 0.1, theta)
-    newton = fzwave.rootfinder._damped_newton
+    # the sweep returns its last residual with each root, so a spoiled root
+    # carries its own residual
+    newton = fzwave.rootfinder._newton_sweep
     spoiled = []
 
     def spoils_samples(alpha, tau, th, start=None):
-        s = newton(alpha, tau, th, start)
+        s, fs = newton(alpha, tau, th, start)
         if th.size > 1:  # a table sweep, not find_zero_pair's own one-root run
             s[::5] *= 1.0 + 1e-3
+            fs[::5] = fzwave.rootfinder._psi(s[::5], alpha, tau, th[::5])
             spoiled.extend(th[::5].tolist())
-        return s
+        return s, fs
 
-    monkeypatch.setattr(fzwave.rootfinder, "_damped_newton", spoils_samples)
+    monkeypatch.setattr(fzwave.rootfinder, "_newton_sweep", spoils_samples)
     fallbacks = _counted_fallbacks(monkeypatch)
     s, dpsi = fzwave.rootfinder._zero_pair_batch(0.25, 0.1, theta)
     assert spoiled and fallbacks == spoiled
