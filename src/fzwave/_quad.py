@@ -12,7 +12,10 @@ spectral node, all tables of one domain (plain coefficient arrays) through
 one recurrence basis (:func:`eval_tables`).
 
 Evaluation counts, panel order, and summation order are pure functions of the
-integrand values, so results are reproducible across runs.
+integrand values, so results are reproducible across runs. Every matrix
+product of the package, the table reads here and the kernel's stage-2 sums,
+runs through :func:`_serial_product`, whose bits do not depend on BLAS's
+thread count either.
 """
 
 from __future__ import annotations
@@ -219,37 +222,21 @@ def eval_tables(tables, u: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
     u maps [log lo, log hi] onto x in [-1, 1] by the map of Chebyshev.mapparms,
     bit for bit. T_0..T_{n-1}(x) come from the three-term recurrence, in
-    place, over blocks of about _EVAL_BLOCK nodes, so one call builds the basis
-    once for every table it reads. Each block takes its product with the
-    coefficients, zero-padded to the longest table (complex tables add one row
-    per table for the imaginary parts), as 2-d products of equal blocks of at
-    most _SERIAL_MNK multiply-adds and at least 2 x 2 (NumPy hands a single row
-    or column to gemv, which threads sooner), zero rows and columns filling the
-    last ones: BLAS keeps each on one thread, so the bits do not depend on its
-    thread count.
+    place, over blocks of at most _EVAL_BLOCK nodes, so one call builds the
+    basis once for every table it reads. Each block is read by one
+    :func:`_serial_product` of the coefficients, zero-padded to the longest
+    table, with the basis.
     """
     u_lo, u_hi = math.log(lo), math.log(hi)
     off, scl = -(u_hi + u_lo) / (u_hi - u_lo), 2.0 / (u_hi - u_lo)
     n = max(t.size for t in tables)
-    cplx = any(np.iscomplexobj(t) for t in tables)
-    m = (1 + cplx) * len(tables)
-    rows, row_blocks = _even_blocks(max(m, 2), max(2, _SERIAL_MNK // (2 * n)))
-    width, col_blocks = _even_blocks(max(2, min(u.size, _EVAL_BLOCK)),
-                                     max(2, _SERIAL_MNK // (rows * n)))
-    step = col_blocks * width
-    coef = np.zeros((row_blocks * rows, n))  # zero rows past the last table
+    coef = np.zeros((len(tables), n), dtype=np.result_type(*tables))
     for i, t in enumerate(tables):
-        coef[i, : t.size] = t.real
-        if cplx:
-            coef[len(tables) + i, : t.size] = t.imag
-    out = np.empty((len(tables), u.size), dtype=complex if cplx else float)
-    basis = np.empty((n, step))
-    # finite in every column a product reads and throws away: past u's end in a
-    # single block, and a short last block's stale columns from the one before
-    basis[:, u.size :] = 0.0
-    vals = np.empty((row_blocks * rows, step))
-    for start in range(0, u.size, step):
-        x = off + scl * u[start : start + step]
+        coef[i, : t.size] = t
+    out = np.empty((len(tables), u.size), dtype=coef.dtype)
+    basis = np.empty((n, min(u.size, _EVAL_BLOCK)))
+    for start in range(0, u.size, _EVAL_BLOCK):
+        x = off + scl * u[start : start + _EVAL_BLOCK]
         b = basis[:, : x.size]
         b[0] = 1.0
         if n > 1:
@@ -258,15 +245,55 @@ def eval_tables(tables, u: np.ndarray, lo: float, hi: float) -> np.ndarray:
         for k in range(2, n):
             np.multiply(x, b[k - 1], out=b[k])
             b[k] -= b[k - 2]
-        for i in range(0, coef.shape[0], rows):
-            for j in range(0, x.size, width):
-                np.matmul(coef[i : i + rows], basis[:, j : j + width],
-                          out=vals[i : i + rows, j : j + width])
-        seg = out[:, start : start + x.size]
-        if cplx:
-            seg.real, seg.imag = vals[: len(tables), : x.size], vals[len(tables) : m, : x.size]
-        else:
-            seg[...] = vals[: len(tables), : x.size]
+        out[:, start : start + x.size] = _serial_product(coef, b)
+    return out
+
+
+def _serial_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for real or complex 2-d a (m x k) and b (k x n), with bits that do
+    not depend on BLAS's thread count; the package's one BLAS product.
+
+    The product runs in real arithmetic: a complex a as its real rows over its
+    imaginary rows, a complex b through a float view of its contiguous data
+    (each column's Re and Im side by side). The output is cut into near-equal
+    blocks of at most _SERIAL_MNK multiply-adds, each at least 2 x 2 (NumPy
+    hands a single row or column to gemv, which threads sooner), so BLAS runs
+    every block on one thread. The rows of a, zero-padded to equal row blocks
+    (a single row gets a zero row), go through one batched matmul per block of
+    columns. Every caller's b has at least 2 real columns: node counts are
+    multiples of 8, and complex columns come in pairs.
+    """
+    cplx_a, cplx_b = a.dtype.kind == "c", b.dtype.kind == "c"
+    if cplx_b:
+        b = np.ascontiguousarray(b).view(float)
+    m, (k, n) = a.shape[0], b.shape
+    total = max((1 + cplx_a) * m, 2)  # rows of the real product
+    cells = _SERIAL_MNK // k  # output entries per block
+    # square-ish tiles, unless a has so few rows that its blocks can be wider;
+    # the rows then fill what the widest block of columns leaves
+    col_blocks = -(-n // max(math.isqrt(cells), cells // total))
+    rows, row_blocks = _even_blocks(total, cells // -(-n // col_blocks))
+    lhs = np.zeros((row_blocks * rows, k))
+    lhs[:m] = a.real
+    if cplx_a:
+        lhs[m : 2 * m] = a.imag
+    lhs = lhs.reshape(row_blocks, rows, k)
+    prod = np.empty((row_blocks, rows, n))
+    edges = [j * n // col_blocks for j in range(col_blocks + 1)]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        np.matmul(lhs, b[:, start:stop], out=prod[:, :, start:stop])
+    prod = prod.reshape(-1, n)
+    if cplx_b:
+        prod = prod.view(complex)
+    if not cplx_a:
+        return prod[:m]
+    if cplx_b:  # Re a @ b + 1j * (Im a @ b), in place in the rows of the second
+        out = prod[m : 2 * m]
+        out *= 1j
+        out += prod[:m]
+        return out
+    out = np.empty((m, n), dtype=complex)
+    out.real, out.imag = prod[:m], prod[m : 2 * m]
     return out
 
 

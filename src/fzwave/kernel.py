@@ -33,9 +33,9 @@ delta_eps, an oracle independent of both stages.
 
 Everything here is deterministic by construction: panel subdivision depends
 only on inputs, the rows of the time grid run one after another, and every
-sum reduces in a fixed order. The factored sum, the sampled-data sums and the
-cut transform are matrix products run in blocks that BLAS keeps on one thread
-(:func:`_serial_product`), as are the table reads (_quad.eval_tables), so
+sum reduces in a fixed order. The factored sum, the sampled-data sums, the
+cut transform and the table reads are all one helper's matrix products
+(_quad._serial_product), run in blocks that BLAS keeps on one thread, so
 BLAS's thread count does not change their bits either. Every quadrature,
 table and spot check aims at the fixed targets _ABS_TOL and _REL_TOL, and the
 Fourier integral ends at :func:`_rho_max`, which follows from eps.
@@ -51,8 +51,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._quad import (_SERIAL_MNK, _even_blocks, adaptive_gk, eval_tables, geometric_edges,
-                    log_cheb_table)
+from ._quad import _serial_product, adaptive_gk, eval_tables, geometric_edges, log_cheb_table
 from .charfun import (CharParams, _elastic_frequency, _psi_prime, branch_values, theta_of_rho,
                       zener_ratio)
 from .errors import NumericsError, ValidationError
@@ -95,8 +94,8 @@ _REL_TOL = 1e-6
 # widest uniform row (after mirroring) that the factored sum serves: its cost
 # grows with the width, and past about 256 points chirp-z and its check cost less
 _FACTORED_MAX = 256
-# points per chunk of _scattered_sums, the depth of its product: 32 x 32 blocks of
-# outputs at _SERIAL_MNK (1024 points, 16 x 16 blocks, made a sampled solve 1.3x slower)
+# points per chunk of _scattered_sums, the depth of its product: _quad._serial_product cuts
+# it into 32 x 32 blocks of outputs (1024 points, 16 x 16 blocks, made a sampled solve 1.3x slower)
 _SCATTER_CHUNK = 256
 # table values (t rows x tabled modes x rho nodes) that one read of the branch
 # tables may hold (32 MB): a field whose single row holds more reads its rows one by one
@@ -494,56 +493,21 @@ def _factored_plan(delta: float, n_panels: int, x: np.ndarray) -> Callable:
     With the tables of :func:`_panel_factors`, built once per field, the sum
     is Re sum_a e^{i a B delta x} (C e^{i (b delta + c_k) x})_a, where C holds
     the coefficients as A rows of 8B, zero-padded past the last panel: an
-    (A x 8B)(8B x n) product (:func:`_serial_product`), weighted by the outer
+    (A x 8B)(8B x n) product (_quad._serial_product), weighted by the outer
     rows and summed over a in fixed order. The sum is exact to rounding, so
     it needs no spot check; its cost grows with n, so chirp-z takes wide
     uniform rows.
     """
     outer, inner = _panel_factors(x, delta, n_panels)
-    product = _serial_product(inner)
 
     def sweep(coeff: np.ndarray) -> np.ndarray:
         c = np.zeros(outer.shape[0] * inner.shape[0], dtype=coeff.dtype)
         c[: coeff.size] = coeff
-        total = product(c.reshape(outer.shape[0], -1))
+        total = _serial_product(c.reshape(outer.shape[0], -1), inner)
         total *= outer
         return total.real.sum(axis=0)
 
     return sweep
-
-
-def _serial_product(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """a -> a @ table for a complex (k x n) table and a real or complex (m x k)
-    matrix a, with bits that do not depend on BLAS's thread count.
-
-    The product runs in real arithmetic on the table's interleaved real and
-    imaginary parts, complex rows as their real rows over their imaginary
-    rows, in blocks of at most _SERIAL_MNK multiply-adds, each at least 2 x 2
-    (numpy hands a single row or column to gemv, which threads sooner): BLAS
-    runs every block on one thread. The blocked table is built once, here.
-    """
-    depth, n = table.shape[0], 2 * table.shape[1]
-    cells = max(4, _SERIAL_MNK // depth)  # output entries per block
-    width, n_blocks = _even_blocks(n, max(2, math.isqrt(cells)))
-    # each column's Re and Im side by side, zero columns past the last; as blocks (blocks, k, width)
-    blocks = np.zeros((depth, n_blocks * width))
-    blocks[:, :n] = table.view(float)
-    blocks = blocks.reshape(depth, n_blocks, width).transpose(1, 0, 2)
-
-    def product(a: np.ndarray) -> np.ndarray:
-        parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
-        m = a.shape[0]
-        rows, row_blocks = _even_blocks(len(parts) * m, cells // width)
-        c = np.zeros((row_blocks * rows, depth))
-        for k, part in enumerate(parts):
-            c[k * m : (k + 1) * m] = part
-        prod = np.empty((row_blocks * rows, n_blocks * width))
-        np.matmul(c.reshape(row_blocks, 1, rows, depth), blocks,
-                  out=prod.reshape(row_blocks, rows, n_blocks, width).transpose(0, 2, 1, 3))
-        sums = [prod[k * m : (k + 1) * m, :n].view(complex) for k in range(len(parts))]
-        return sums[0] if len(sums) == 1 else sums[0] + 1j * sums[1]
-
-    return product
 
 
 def _scattered_sums(f: np.ndarray, y: np.ndarray, delta: float, n_nodes: int) -> np.ndarray:
@@ -552,7 +516,7 @@ def _scattered_sums(f: np.ndarray, y: np.ndarray, delta: float, n_nodes: int) ->
     vector per row.
 
     With the tables of :func:`_panel_factors` (sign -1), the sums are one
-    matrix product (:func:`_serial_product`) of e^{-i (b delta + c_k) y_m}
+    matrix product (_quad._serial_product) of e^{-i (b delta + c_k) y_m}
     (8B rows) and f_m e^{-i a B delta y_m} (one column per a and weight
     vector), accumulated over fixed chunks of _SCATTER_CHUNK points. Nodes
     come back in lattice order.
@@ -564,7 +528,7 @@ def _scattered_sums(f: np.ndarray, y: np.ndarray, delta: float, n_nodes: int) ->
         yc = y[start : start + _SCATTER_CHUNK]
         outer, inner = _panel_factors(yc, delta, n_panels, -1.0)
         right = (f[:, None, start : start + _SCATTER_CHUNK] * outer).reshape(-1, yc.size)
-        sums = sums + _serial_product(np.ascontiguousarray(right.T))(inner)
+        sums = sums + _serial_product(inner, right.T)
     return sums.T.reshape(f.shape[0], -1)[:, :n_nodes]
 
 

@@ -515,8 +515,9 @@ def test_zero_pairs_are_built_only_for_tables_that_read_them(monkeypatch):
 def test_eval_tables_matches_chebyshev_call(monkeypatch):
     # 28,848 nodes of kernel_eps on 201 x by 4 t cross the block edge 7 times;
     # real branch tables of two lengths, the complex root table, both mixed,
-    # and three real tables; products of at most 256 multiply-adds split the
-    # rows into blocks of 2, zero-padding the three, and the nodes into many
+    # three real tables, and one real table, which the product pads with a
+    # zero row; products of at most 256 multiply-adds split the rows into
+    # blocks of 2, zero-padding the three, and the nodes into many
     plan = fzwave.kernel._stage1(np.linspace(-1.0, 1.0, 201), (0.25, 0.5, 0.75, 1.0), P_EXP)
     theta = plan.theta
     assert theta.size > 7 * fzwave._quad._EVAL_BLOCK
@@ -532,12 +533,54 @@ def test_eval_tables_matches_chebyshev_call(monkeypatch):
     u = np.log(theta)
     for serial_mnk in (fzwave._quad._SERIAL_MNK, 256):
         monkeypatch.setattr(fzwave._quad, "_SERIAL_MNK", serial_mnk)
-        for tables in (branch, [roots], [branch[0], roots, branch[1]], [*branch, branch[0]]):
+        for tables in (branch, [roots], [branch[0], roots, branch[1]], [*branch, branch[0]],
+                       [branch[0]]):
             got = fzwave._quad.eval_tables(tables, u, lo, hi)
             assert got.shape == (len(tables), u.size)
             for row, table in zip(got, tables):
                 oracle = np.polynomial.Chebyshev(table, domain=[math.log(lo), math.log(hi)])
                 assert np.max(np.abs(row - oracle(u))) <= 1e-14 * np.sum(np.abs(table))
+
+
+def test_every_blas_product_runs_in_serial_blocks(monkeypatch):
+    # every 2-d product that _quad._serial_product hands to BLAS is at least
+    # 2 x 2 and at most _SERIAL_MNK multiply-adds, so BLAS keeps it on one
+    # thread: process A of the cli_export benchmark (201 x by 4 t, factored),
+    # a 1,201-sample u0 and a dirac v0 at beta = 1 (the scattered sums), a
+    # 3,001-point non-uniform kernel, and a read of one real table
+    shapes, matmul = [], np.matmul
+
+    def spy(a, b, **kwargs):
+        shapes.append((a.shape, b.shape))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    x, ts = np.linspace(-1.0, 1.0, 401), (0.25, 0.5, 1.0)
+    y = np.linspace(-0.6, 0.6, 1201)
+    u = (1.0 - (y / 0.6) ** 2) ** 2 * (1.0 + 0.1 * np.random.default_rng(0).standard_normal(y.size))
+    plan = fzwave.kernel._stage1(np.linspace(-1.0, 1.0, 201), (0.25,), P_EXP)
+    lo, hi = float(plan.theta[0]), float(plan.theta[-1])
+    single = fzwave._quad.log_cheb_table(
+        lambda th: fzwave.kernel._branch_part(th, 0.25, P_EXP.alpha, P_EXP.tau, (False,)).T,
+        lo, hi, plan.budget, "branch table")
+    assert len(single) == 1 and not np.iscomplexobj(single[0])
+    runs = [
+        lambda: kernel_eps(np.linspace(-1.0, 1.0, 201), (0.25, 0.5, 0.75, 1.0), P_EXP),
+        lambda: solve_field(InitialData.sampled(y, u), InitialData.zero(), x, ts, P_EXP),
+        lambda: solve_field(InitialData.zero(), InitialData.dirac(), x, ts,
+                            ModelParams(0.25, 1.0, 0.1)),
+        lambda: kernel_eps(np.sort(np.random.default_rng(1).uniform(-1.0, 1.0, 3001)), (0.5,),
+                           P_EXP),
+        lambda: fzwave._quad.eval_tables(single, np.log(plan.theta), lo, hi),
+    ]
+    for run in runs:
+        shapes.clear()
+        run()
+        assert shapes
+        for a, b in shapes:
+            assert len(a) >= 2 and len(b) >= 2  # a 1-d operand goes to gemv
+            (m, k), n = a[-2:], b[-1]
+            assert m >= 2 and n >= 2 and m * n * k <= fzwave._quad._SERIAL_MNK
 
 
 def _counted_table_reads(monkeypatch) -> list:

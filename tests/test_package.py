@@ -7,6 +7,7 @@ with the garbage collector paused, and ends the process with ``os._exit``
 once stdout and stderr are flushed. In process, ``os._exit`` is patched.
 """
 
+import ast
 import gc
 import importlib
 import io
@@ -208,3 +209,29 @@ def test_script_target_is_the_launcher():
     assert target is not None
     module, func = target.groups()
     assert getattr(importlib.import_module(module), func) is launcher.main
+
+
+def test_only_the_serial_product_calls_blas():
+    # _quad._serial_product keeps the bits of every matrix product independent
+    # of BLAS's thread count, so no other line may hand BLAS a product: no
+    # matmul, dot, tensordot, inner or vdot call, no @, and no einsum with
+    # optimize (einsum without it does not call BLAS)
+    blas = {"matmul", "dot", "tensordot", "inner", "vdot"}
+    calls = []  # (module, line, name, whether inside _quad._serial_product)
+    for path in sorted(Path(fzwave.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        serial = {id(node) for func in tree.body if path.name == "_quad.py"
+                  and getattr(func, "name", None) == "_serial_product" for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if not (name in blas or name == "einsum"
+                        and any(kw.arg == "optimize" for kw in node.keywords)):
+                    continue
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                name = "@"
+            else:
+                continue
+            calls.append((path.name, node.lineno, name, id(node) in serial))
+    assert [call for call in calls if not call[-1]] == []
+    assert any(inside for *_, inside in calls)
